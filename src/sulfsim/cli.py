@@ -9,6 +9,7 @@ reruns can be verified byte-for-byte.
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from functools import wraps
@@ -469,7 +470,11 @@ def emit_plots(run_dir, render):
         raise DataError(str(err)) from err
     click.echo("emitted: " + ", ".join(s.name for s in scripts))
     if render:
-        pngs = render_scripts(scripts)
+        try:
+            pngs = render_scripts(scripts)
+        except subprocess.CalledProcessError as err:
+            stderr = err.stderr.decode(errors="replace").strip()
+            raise DataError(f"rendering {Path(err.cmd[-1]).name} failed:\n{stderr}") from err
         click.echo("rendered: " + ", ".join(p.name for p in pngs))
 
 

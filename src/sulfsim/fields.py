@@ -3,8 +3,8 @@
 A and G hold left-endpoint time quadratures of the mollified density and
 its gradient.  The grid accumulator is the production bookkeeping; the
 trajectory archive supports an exact-history evaluation of the same sums
-with no spatial interpolation, used as an oracle and by the fixed-point
-module.
+with no spatial interpolation, used as an oracle.  :func:`lerp` is the
+one linear read of node values, shared with the fixed-point map.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class TrajectoryArchive:
     def snapshot(self, k: int) -> WeightedPointCloud:
         return WeightedPointCloud(self.positions[k], self.weights[k])
 
-    def position_matrix(self) -> np.ndarray:
-        """Paths as an (n_snapshots, n_total) array."""
-        return np.stack(self.positions)
-
 
 @dataclass
 class ExactHistoryFields:
@@ -118,6 +114,22 @@ def accumulate_step(
     return fields
 
 
+def lerp_coords(grid: Grid1D, x) -> tuple[np.ndarray, np.ndarray, int]:
+    """Left node, fraction in [0, 1] and off-grid count of positions x;
+    off-grid positions are clamped to read the boundary node."""
+    m = grid.n_nodes
+    pos = (x - grid.lower) / grid.spacing
+    outside = int(np.count_nonzero((pos < 0.0) | (pos > m - 1)))
+    pos = np.clip(pos, 0.0, m - 1)
+    j = np.minimum(pos.astype(np.int64), m - 2)
+    return j, pos - j, outside
+
+
+def lerp(values: np.ndarray, j: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Linear read of the 1-d node values between nodes j and j + 1."""
+    return values[j] * (1.0 - frac) + values[j + 1] * frac
+
+
 def interpolate(fields: AccumulatedFields, x) -> DriftArgs:
     """Piecewise-linear read of (A, G) at positions ``x``.
 
@@ -126,16 +138,10 @@ def interpolate(fields: AccumulatedFields, x) -> DriftArgs:
     continue off-grid.
     """
     x = np.asarray(x, dtype=float)
-    g = fields.grid
-    m = g.n_nodes
-    pos = (x - g.lower) / g.spacing
-    outside = (pos < 0.0) | (pos > m - 1)
-    fields.out_of_domain += int(np.count_nonzero(outside))
-    pos = np.clip(pos, 0.0, m - 1)
-    j = np.minimum(pos.astype(np.int64), m - 2)
-    frac = pos - j
-    I = fields.A[j] * (1.0 - frac) + fields.A[j + 1] * frac
-    J = fields.G[j] * (1.0 - frac) + fields.G[j + 1] * frac
+    j, frac, outside = lerp_coords(fields.grid, x)
+    fields.out_of_domain += outside
+    I = lerp(fields.A, j, frac)
+    J = lerp(fields.G, j, frac)
     if I.ndim == 0:
         return DriftArgs(float(I), float(J))
     return DriftArgs(I, J)

@@ -6,8 +6,10 @@ The map sends a candidate lattice function u to
                      sum_{s<t} exp(-lambda dt sum_{r<s} u(r, X_s^i)))
 
 with the inner sums read off the archived paths by linear interpolation
-in space.  Iterating from u == 0 gives the constant-rate discount as the
-first iterate; the distance trace records the empirical contraction.
+in space: one time prefix sum of u, then one read of row s at X_s, which
+is O(SN) for S snapshots of N paths, plus one ``grid_density`` per output
+row.  Iterating from u == 0 gives the constant-rate discount as the first
+iterate; the distance trace records the empirical contraction.
 """
 
 from __future__ import annotations
@@ -17,21 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Grid1D, PhysicalParams
-from .fields import TrajectoryArchive
-from .kernel import WeightedPointCloud, mollify
+from .fields import TrajectoryArchive, lerp, lerp_coords
+from .kernel import WeightedPointCloud, grid_density
 
 
-def _interp_lattice(u: np.ndarray, grid: Grid1D, x: np.ndarray) -> np.ndarray:
-    """Interpolate every time row of the lattice at positions x.
-
-    Returns an (n_times, len(x)) array; out-of-grid positions read the
-    boundary column, matching the field interpolation convention.
-    """
-    m = grid.n_nodes
-    pos = np.clip((x - grid.lower) / grid.spacing, 0.0, m - 1)
-    j = np.minimum(pos.astype(np.int64), m - 2)
-    frac = pos - j
-    return u[:, j] * (1.0 - frac) + u[:, j + 1] * frac
+def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) -> np.ndarray:
+    """I[s, i] = dt * sum_{r<s} u(r, X_s^i) for lattice u and (S+1, N) paths."""
+    prefix = np.zeros(u.shape)
+    prefix[1:] = dt * np.cumsum(u[:-1], axis=0)
+    j, frac, _ = lerp_coords(grid, paths)
+    j += grid.n_nodes * np.arange(len(paths))[:, None]  # row s of the flat lattice
+    return lerp(prefix.ravel(), j, frac)
 
 
 def apply_mkfk_map(
@@ -46,8 +44,8 @@ def apply_mkfk_map(
     ``u`` has shape (n_snapshots, n_nodes) over the archive's time lattice.
     The archive must hold full (never-killed) paths.
     """
-    paths = archive.position_matrix()  # (S+1, N)
-    n_times, n_paths = paths.shape
+    paths = np.stack(archive.positions)  # (S+1, N)
+    n_times = len(paths)
     if u.shape != (n_times, grid.n_nodes):
         raise ValueError(
             f"lattice shape {u.shape} does not match archive times {n_times} "
@@ -55,25 +53,17 @@ def apply_mkfk_map(
         )
     dt = archive.dt
     lam, c0 = params.lam, params.c0
+    inner = inner_integral(u, paths, grid, dt)
 
-    # inner integral I[i, s] = dt * sum_{r<s} u(r, X_s^i)
-    inner = np.zeros((n_paths, n_times))
-    for s in range(1, n_times):
-        rows = _interp_lattice(u, grid, paths[s])  # (n_times, N)
-        inner[:, s] = dt * rows[:s].sum(axis=0)
-
-    # discount D[i, t] = exp(-lambda c0 dt sum_{s<t} exp(-lambda I[i, s]))
-    rate_terms = np.exp(-lam * inner)
-    hazard = np.zeros((n_paths, n_times))
-    hazard[:, 1:] = lam * c0 * dt * np.cumsum(rate_terms[:, :-1], axis=1)
+    # discount D[t, i] = exp(-lambda c0 dt sum_{s<t} exp(-lambda I[s, i]))
+    hazard = np.zeros(inner.shape)
+    hazard[1:] = lam * c0 * dt * np.cumsum(np.exp(-lam * inner[:-1]), axis=0)
     discount = np.exp(-hazard)
 
-    nodes = grid.nodes()
-    out = np.empty((n_times, grid.n_nodes))
-    for t in range(n_times):
-        cloud = WeightedPointCloud(paths[t], discount[:, t])
-        out[t] = mollify(cloud, delta, nodes, archive.n_total)
-    return out
+    return np.stack([
+        grid_density(WeightedPointCloud(x, w), grid, delta, archive.n_total)[0]
+        for x, w in zip(paths, discount)
+    ])
 
 
 @dataclass

@@ -156,11 +156,3 @@ def transform_uniforms(spec: InitialDensitySpec, u) -> np.ndarray:
         return _invert_tabulated_cdf(spec, u)
     raise ValueError(f"unknown initial family {spec.family!r}")
 
-
-def sample_initial_position(spec: InitialDensitySpec, rng: np.random.Generator):
-    """Draw one (or, for array-shaped generators, many) rho_0 samples.
-
-    Deterministic given the generator state: consumes exactly one uniform
-    per sample.
-    """
-    return transform_uniforms(spec, rng.random())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,6 +23,7 @@ from .fields import TrajectoryArchive
 
 ARCHIVE_MAGIC = b"SSAR"
 ARCHIVE_VERSION = 1
+ARCHIVE_HEADER_BYTES = 32  # magic, version, n, snapshots, dt
 
 
 def _fmt(value) -> str:
@@ -56,41 +58,35 @@ def snapshot_name(prefix: str, step: int) -> str:
 
 
 def write_archive(path: str | Path, archive: TrajectoryArchive) -> Path:
-    """Dump an archive: header then (positions, weights) per snapshot."""
+    """Dump an archive: header then the (snapshots, 2, n) float payload."""
     path = Path(path)
     n = archive.n_total
     snaps = len(archive)
+    payload = np.stack([archive.positions, archive.weights], axis=1) if snaps else np.empty(0)
     with open(path, "wb") as fh:
         fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<I", ARCHIVE_VERSION))
-        fh.write(struct.pack("<Q", n))
-        fh.write(struct.pack("<Q", snaps))
-        fh.write(struct.pack("<d", archive.dt))
-        for k in range(snaps):
-            fh.write(np.ascontiguousarray(archive.positions[k], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(archive.weights[k], dtype="<f8").tobytes())
+        fh.write(struct.pack("<IQQd", ARCHIVE_VERSION, n, snaps, archive.dt))
+        payload.astype("<f8", copy=False).tofile(fh)
     return path
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
+    """Load an archive; ValueError unless the file is exactly one archive."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ARCHIVE_MAGIC:
-            raise ValueError(f"{path} is not a trajectory archive (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(ARCHIVE_HEADER_BYTES)
+        if header[:4] != ARCHIVE_MAGIC or len(header) < ARCHIVE_HEADER_BYTES:
+            raise ValueError(f"{path} does not start with a trajectory archive header")
+        version, n, snaps, dt = struct.unpack("<IQQd", header[4:])
         if version != ARCHIVE_VERSION:
             raise ValueError(f"unsupported archive version {version}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        (snaps,) = struct.unpack("<Q", fh.read(8))
-        (dt,) = struct.unpack("<d", fh.read(8))
-        archive = TrajectoryArchive(dt=dt, n_total=int(n))
-        for _ in range(snaps):
-            pos = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
-            w = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(float)
-            archive.positions.append(pos)
-            archive.weights.append(w)
-    return archive
+        size = os.fstat(fh.fileno()).st_size
+        expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
+        if size != expected:
+            raise ValueError(f"{path} has {size} bytes; its header needs exactly {expected}")
+        payload = np.fromfile(fh, dtype="<f8", count=2 * n * snaps).reshape(snaps, 2, n)
+    return TrajectoryArchive(dt=dt, n_total=int(n), positions=list(payload[:, 0]),
+                             weights=list(payload[:, 1]))
 
 
 def sha256_file(path: str | Path) -> str:

@@ -2,12 +2,13 @@
 
 Two evaluation paths are provided:
 
-- :func:`mollify` / :func:`mollify_grad`: reference point queries summing
-  over particles in index order with a hard 8-bandwidth cutoff.
-- :func:`grid_density`: the production evaluator for a whole uniform grid,
-  built from per-offset ``bincount`` passes.  Its reduction order is fixed
-  (offset-major, then a single pairwise sum), so results are bit-identical
-  for any worker count.
+- :func:`grid_density`: the one production deposit (fields, snapshots and
+  the fixed-point map) on a whole uniform grid, built from per-offset
+  ``bincount`` passes.  Its reduction order is fixed (offset-major, then a
+  single pairwise sum), so results are bit-identical for any worker count.
+- :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
+  particles in index order with a hard 8-bandwidth cutoff; the test oracle
+  and the exact-history field reader.
 
 Both paths skip contributions beyond 8 bandwidths, where the Gaussian
 tail is below 1e-15 relative.

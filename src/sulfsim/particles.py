@@ -100,6 +100,17 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     )
 
 
+def _clamp_negative_I(I, diagnostics: dict | None) -> np.ndarray:
+    """Clamp interpolated I values below 0 to 0, counting them in diagnostics."""
+    I = np.asarray(I, dtype=float)
+    neg = I < 0.0
+    if np.any(neg):
+        if diagnostics is not None:
+            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + int(neg.sum())
+        I = np.maximum(I, 0.0)
+    return I
+
+
 def em_step(
     ensemble: ParticleEnsemble,
     fields,
@@ -118,12 +129,7 @@ def em_step(
     noise = streams.normals()
     alive = ensemble.alive
     args = fields.args_at(ensemble.positions[alive])
-    I = np.asarray(args.I, dtype=float)
-    neg = I < 0.0
-    if np.any(neg):
-        if diagnostics is not None:
-            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + int(neg.sum())
-        I = np.maximum(I, 0.0)
+    I = _clamp_negative_I(args.I, diagnostics)
     b = drift_b(I, args.J, params)
     new = ensemble.positions[alive] + np.asarray(b) * dt + np.sqrt(2.0 * dt) * noise[alive]
     if not np.all(np.isfinite(new)):
@@ -149,12 +155,7 @@ def update_hazards(
     """
     alive = ensemble.alive
     args = fields.args_at(ensemble.positions[alive])
-    I = np.asarray(args.I, dtype=float)
-    neg = I < 0.0
-    if np.any(neg):
-        if diagnostics is not None:
-            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + int(neg.sum())
-        I = np.maximum(I, 0.0)
+    I = _clamp_negative_I(args.I, diagnostics)
     ensemble.hazards[alive] += dt * np.asarray(reaction_rate(I, params))
     ensemble.weights[alive] = np.exp(-ensemble.hazards[alive])
     if ensemble.mode == "killed":

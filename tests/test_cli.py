@@ -224,6 +224,39 @@ def test_emit_plots_and_render(runner, cfg_file, tmp_path):
     assert "snapshots/u_" in script and "read_csv" in script
 
 
+def test_fixedpoint_cut_archive_exits_4(runner, cfg_file, tmp_path):
+    run_dir = tmp_path / "arch"
+    res = runner.invoke(
+        main,
+        ["simulate", "--config", str(cfg_file), "--seed", "2", "--out", str(run_dir),
+         "--archive"],
+    )
+    assert res.exit_code == 0, res.output
+    archive = run_dir / "archive.bin"
+    archive.write_bytes(archive.read_bytes()[:-16])
+    res = runner.invoke(
+        main,
+        ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file),
+         "--out", str(tmp_path / "fp")],
+    )
+    assert res.exit_code == 4, res.output
+    assert "needs exactly" in res.output
+
+
+def test_emit_plots_render_failure_exits_4(runner, cfg_file, tmp_path, monkeypatch):
+    import sulfsim.cli as cli_mod
+
+    out = tmp_path / "plotrun"
+    out.mkdir()
+    script = out / "plot_broken.py"
+    script.write_text("import sys\nsys.exit('no plotting backend here')\n")
+    monkeypatch.setattr(cli_mod, "emit_plot_scripts", lambda run_dir: [script])
+    res = runner.invoke(main, ["emit-plots", "--run", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "plot_broken.py" in res.output
+    assert "no plotting backend here" in res.output
+
+
 def test_emit_plots_empty_dir_exits_4(runner, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfsim import (
     Grid1D,
@@ -8,11 +10,12 @@ from sulfsim import (
     SimConfig,
     WeightedPointCloud,
     apply_mkfk_map,
-    mollify,
     picard_solve,
     run_simulation,
 )
 from sulfsim.fields import TrajectoryArchive
+from sulfsim.fixedpoint import inner_integral
+from sulfsim.kernel import grid_density
 
 
 def _toy_archive(rng, n=20, steps=15, dt=0.01):
@@ -27,15 +30,18 @@ def _toy_archive(rng, n=20, steps=15, dt=0.01):
 GRID = Grid1D(-8.0, 8.0, 0.1)
 
 
+def _plain(archive, t):
+    """Undiscounted deposit of snapshot t, the map's envelope."""
+    return grid_density(archive.snapshot(t), GRID, 0.3, archive.n_total)[0]
+
+
 def test_zero_input_gives_constant_rate_discount(rng, default_params):
     archive = _toy_archive(rng)
     u0 = np.zeros((len(archive), GRID.n_nodes))
     out = apply_mkfk_map(u0, archive, GRID, 0.3, default_params)
-    nodes = GRID.nodes()
     lam_c0 = default_params.lam * default_params.c0
     for t in range(len(archive)):
-        plain = mollify(archive.snapshot(t), 0.3, nodes, archive.n_total)
-        expected = np.exp(-lam_c0 * t * archive.dt) * plain
+        expected = np.exp(-lam_c0 * t * archive.dt) * _plain(archive, t)
         assert np.max(np.abs(out[t] - expected)) < 1e-14
 
 
@@ -44,8 +50,7 @@ def test_output_at_time_zero_independent_of_input(rng, default_params):
     shape = (len(archive), GRID.n_nodes)
     a = apply_mkfk_map(np.zeros(shape), archive, GRID, 0.3, default_params)
     b = apply_mkfk_map(np.full(shape, 0.37), archive, GRID, 0.3, default_params)
-    nodes = GRID.nodes()
-    initial = mollify(archive.snapshot(0), 0.3, nodes, archive.n_total)
+    initial = _plain(archive, 0)
     assert np.array_equal(a[0], b[0])
     assert np.max(np.abs(a[0] - initial)) < 1e-15
 
@@ -79,10 +84,7 @@ def test_map_is_monotone_increasing_in_u(rng, default_params):
 
 def test_iterates_respect_kernel_envelope(rng, default_params):
     archive = _toy_archive(rng)
-    nodes = GRID.nodes()
-    envelope = np.stack(
-        [mollify(archive.snapshot(t), 0.3, nodes, archive.n_total) for t in range(len(archive))]
-    )
+    envelope = np.stack([_plain(archive, t) for t in range(len(archive))])
     u = np.zeros_like(envelope)
     for _ in range(3):
         u = apply_mkfk_map(u, archive, GRID, 0.3, default_params)
@@ -128,3 +130,68 @@ def test_fixed_point_consistent_with_fk_run():
         for k in range(len(sim.densities))
     )
     assert gap <= 1e-10 + 2 * cfg.step
+
+
+@st.composite
+def _map_case(draw):
+    """Random grid, archive and lattice; one path always crosses the grid."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(3, 40))
+    spacing = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+    lower = draw(st.floats(-3.0, 0.0))
+    grid = Grid1D(lower, lower + spacing * (m - 1), spacing)
+    n_times = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 6))
+    dt = draw(st.floats(1e-3, 0.1))
+    r = np.random.default_rng(seed)
+    span = grid.upper - grid.lower
+    paths = grid.lower - 2.0 + (span + 4.0) * r.random((n_times, n))
+    crossing = np.linspace(grid.lower - 1.0, grid.upper + 1.0, n_times)
+    paths = np.column_stack([paths, crossing])
+    u = draw(st.floats(0.0, 3.0)) * r.random((n_times, grid.n_nodes))
+    return grid, paths, dt, u
+
+
+def _old_inner(u, paths, grid, dt):
+    """Explicit double sum dt * sum_{r<s} lerp(u_r, X_s), re-interpolating
+    every lattice row at every time."""
+    m = grid.n_nodes
+    inner = np.zeros(paths.shape)
+    for s in range(1, len(paths)):
+        pos = np.clip((paths[s] - grid.lower) / grid.spacing, 0.0, m - 1)
+        j = np.minimum(pos.astype(np.int64), m - 2)
+        frac = pos - j
+        rows = u[:, j] * (1.0 - frac) + u[:, j + 1] * frac
+        inner[s] = dt * rows[:s].sum(axis=0)
+    return inner
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map_case())
+def test_prefix_sum_inner_integral_matches_double_sum(case):
+    grid, paths, dt, u = case
+    new = inner_integral(u, paths, grid, dt)
+    old = _old_inner(u, paths, grid, dt)
+    # the terms are nonnegative, so their sum bounds every rounding error;
+    # below the smallest normal float only absolute accuracy is defined
+    scale = dt * np.concatenate([[0.0], np.cumsum(u.max(axis=1))[:-1]])
+    assert np.all(np.abs(new - old) <= 1e-12 * scale[:, None] + np.finfo(float).tiny)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_map_case(), st.floats(0.0, 3.0), st.floats(0.5, 2.0), st.floats(0.1, 1.0))
+def test_output_rows_are_deposits_of_discounted_cloud(case, lam, c0, delta):
+    grid, paths, dt, u = case
+    n = paths.shape[1]
+    archive = TrajectoryArchive(dt=dt, n_total=n)
+    for x in paths:
+        archive.append(WeightedPointCloud(x, np.ones(n)))
+    out = apply_mkfk_map(u, archive, grid, delta, PhysicalParams(lam=lam, c0=c0))
+    inner = _old_inner(u, paths, grid, dt)
+    hazard = np.zeros(paths.shape)
+    for t in range(1, len(paths)):
+        hazard[t] = lam * c0 * dt * np.exp(-lam * inner[:t]).sum(axis=0)
+    for t, x in enumerate(paths):
+        cloud = WeightedPointCloud(x, np.exp(-hazard[t]))
+        expected = grid_density(cloud, grid, delta, n)[0]
+        assert np.all(np.abs(out[t] - expected) <= 1e-12 * expected.max())

@@ -6,7 +6,6 @@ from sulfsim.initial import (
     density,
     density_max,
     initial_violations,
-    sample_initial_position,
     support_radius,
     transform_uniforms,
 )
@@ -101,9 +100,3 @@ def test_tabulated_unnormalized_rejected_without_flag():
     )
     assert any("mass" in m for m in initial_violations(spec, s0=10.0))
 
-
-def test_sampling_deterministic_given_stream():
-    spec = InitialDensitySpec(family="gaussian-bump")
-    a = sample_initial_position(spec, np.random.Generator(np.random.Philox(key=5)))
-    b = sample_initial_position(spec, np.random.Generator(np.random.Philox(key=5)))
-    assert a == b

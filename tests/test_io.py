@@ -54,6 +54,37 @@ def test_archive_rejects_bad_magic(tmp_path):
         read_archive(bad)
 
 
+def _archive_bytes(tmp_path, rng):
+    archive = TrajectoryArchive(dt=0.01, n_total=8)
+    for _ in range(5):
+        archive.append(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
+    return write_archive(tmp_path / "a.bin", archive).read_bytes()
+
+
+@pytest.mark.parametrize("cut", [8, 16, 64])
+def test_archive_rejects_cut_file(tmp_path, rng, cut):
+    data = _archive_bytes(tmp_path, rng)
+    assert len(data) == 32 + 16 * 8 * 5
+    bad = tmp_path / "cut.bin"
+    bad.write_bytes(data[:-cut])
+    with pytest.raises(ValueError, match="needs exactly"):
+        read_archive(bad)
+
+
+def test_archive_rejects_trailing_bytes(tmp_path, rng):
+    bad = tmp_path / "long.bin"
+    bad.write_bytes(_archive_bytes(tmp_path, rng) + b"\x00" * 24)
+    with pytest.raises(ValueError, match="needs exactly"):
+        read_archive(bad)
+
+
+def test_archive_rejects_cut_header(tmp_path, rng):
+    bad = tmp_path / "head.bin"
+    bad.write_bytes(_archive_bytes(tmp_path, rng)[:20])
+    with pytest.raises(ValueError, match="archive header"):
+        read_archive(bad)
+
+
 def test_manifest_checksums_match(tmp_path):
     f = tmp_path / "data.csv"
     write_csv(f, ["v"], [np.array([1.0, 2.0])])
