@@ -41,7 +41,7 @@ from .io import (
 )
 from .metrics import compare_series, convergence_study, density_distance, total_mass
 from .particles import NonFiniteStateError, run_simulation
-from .pde import mollify_grid_function, solve_pde
+from .pde import NonFinitePdeStateError, mollify_grid_function, solve_pde
 from .plots import emit_plot_scripts, render_scripts
 
 EXIT_CONFIG = 2
@@ -65,7 +65,7 @@ def _handle_errors(fn):
             for v in err.violations:
                 click.echo(f"  - {v}", err=True)
             sys.exit(EXIT_CONFIG)
-        except NonFiniteStateError as err:
+        except (NonFiniteStateError, NonFinitePdeStateError) as err:
             click.echo(f"numerical abort: {err}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except (DataError, FileNotFoundError) as err:

@@ -80,6 +80,9 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         version, n, snaps, dt = struct.unpack("<IQQd", header[4:])
         if version != ARCHIVE_VERSION:
             raise ValueError(f"unsupported archive version {version}")
+        if n == 0 or snaps == 0:
+            raise ValueError(f"{path} declares {n} particles and {snaps} snapshots; "
+                             "both must be positive")
         size = os.fstat(fh.fileno()).st_size
         expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
         if size != expected:

@@ -114,8 +114,8 @@ def grid_density(
 
     Returns ``(u, du)`` with ``u[g] = mollify(cloud, delta, x_g, n_total)``
     up to the shared 8-bandwidth truncation.  Deterministic for any
-    ``workers`` value: each kernel offset writes its own partial row and
-    the rows are reduced with a single ``np.sum``.
+    ``workers`` value: each kernel offset makes its own partial rows and
+    the rows are added in offset order.
     """
     if n_total <= 0:
         raise ValueError("divisor n_total must be positive")
@@ -131,13 +131,11 @@ def grid_density(
 
     half = int(math.ceil(CUTOFF_BANDWIDTHS * delta / h + 0.5))
     offsets = np.arange(-half, half + 1)
-    pu = np.zeros((offsets.size, m))
-    pg = np.zeros((offsets.size, m))
 
     inv_two_d2 = 0.5 / (delta * delta)
     norm = 1.0 / (delta * SQRT_TWO_PI)
 
-    def one_offset(k: int) -> None:
+    def one_offset(k: int) -> tuple[np.ndarray, np.ndarray]:
         o = offsets[k]
         arg = o * h - r  # x_{j+o} - pos
         kv = norm * np.exp(-arg * arg * inv_two_d2)
@@ -150,16 +148,18 @@ def grid_density(
         else:
             contrib = w * kv
             gcontrib = contrib * (-arg) / (delta * delta)
-        pu[k] = np.bincount(idx, weights=contrib, minlength=m)
-        pg[k] = np.bincount(idx, weights=gcontrib, minlength=m)
+        return (np.bincount(idx, weights=contrib, minlength=m),
+                np.bincount(idx, weights=gcontrib, minlength=m))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(one_offset, range(offsets.size)))
+            rows = list(ex.map(one_offset, range(offsets.size)))
     else:
-        for k in range(offsets.size):
-            one_offset(k)
-
-    u = pu.sum(axis=0) / n_total
-    du = pg.sum(axis=0) / n_total
-    return u, du
+        rows = map(one_offset, range(offsets.size))
+    # running sums, not an (offsets, m) buffer: a fresh buffer of that size
+    # per call makes the allocator return and refault its pages every step
+    u, du = np.zeros(m), np.zeros(m)
+    for row_u, row_g in rows:
+        u += row_u
+        du += row_g
+    return u / n_total, du / n_total

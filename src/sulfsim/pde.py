@@ -27,6 +27,10 @@ class CflError(RuntimeError):
     pass
 
 
+class NonFinitePdeStateError(RuntimeError):
+    """The density v holds a non-finite value."""
+
+
 def convolution_stencils(delta: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid taps for K*v and (K*v)' with the 8-bandwidth cutoff.
 
@@ -107,7 +111,7 @@ def pde_step(state: PdeState, params: PhysicalParams, delta: float, dt: float) -
         raise CflError(f"dt={dt} violates the stability bound h^2/2={h*h/2.0}")
     v = state.v
     if not np.all(np.isfinite(v)):
-        raise RuntimeError(f"non-finite PDE state at t={state.t}")
+        raise NonFinitePdeStateError(f"non-finite PDE state at t={state.t}")
 
     u = convolve_density(v, state._k_taps)
     du = convolve_density(v, state._g_taps)

@@ -1,14 +1,16 @@
-"""Seeded, per-particle random-number streams.
+"""Seeded, counter-based random-number streams for the particle ensemble.
 
-Each particle index owns a counter-based Philox stream keyed by
-(master seed, domain, index).  A particle's draws therefore do not
-depend on the ensemble size, the worker layout, or which other
-particles exist; reruns with the same seed are bit-identical.
+Each domain has one Philox key, derived from (master seed, domain).  Draw
+number k of every particle is one Philox block at counter k: it yields
+one value per stream index 0..max(indices), and particle i takes the
+value at its stream index.  A particle's draws therefore do not depend on
+the ensemble size, the worker layout, or which other particles exist;
+reruns with the same seed are bit-identical.
 
 Two domains are used:
 
-- MAIN: the particle's initial-position uniform (first draw) followed by
-  its Brownian increments, one per step.
+- MAIN: counter 0 gives the particle's initial-position uniform, counter
+  k+1 its Brownian increment of step k.
 - THRESHOLD: the unit-exponential killing threshold (killed mode only),
   kept disjoint so that drawing thresholds never perturbs positions or
   noise and runs of both modes stay pathwise coupled.
@@ -21,57 +23,45 @@ import numpy as np
 _MAIN_DOMAIN = 0x1D66F001
 _THRESHOLD_DOMAIN = 0x1D66F002
 
-_BLOCK_STEPS = 256
+
+def _domain_key(seed: int, domain: int) -> np.ndarray:
+    """128-bit Philox key (two 64-bit words) of one (seed, domain) pair."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(domain,))
+    return seq.generate_state(2, dtype=np.uint64)
 
 
-def _particle_keys(seed: int, domain: int, indices: np.ndarray) -> list[int]:
-    """128-bit Philox keys for the given stream indices, prefix-stable in N."""
-    top = int(np.max(indices)) + 1 if len(indices) else 0
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(domain,))
-    words = ss.generate_state(2 * max(top, 1), dtype=np.uint64)
-    return [int(words[2 * i]) | (int(words[2 * i + 1]) << 64) for i in indices]
-
-
-def _generators(seed: int, domain: int, indices: np.ndarray) -> list[np.random.Generator]:
-    return [np.random.Generator(np.random.Philox(key=k)) for k in _particle_keys(seed, domain, indices)]
+def _draw(key: np.ndarray, counter: int, indices: np.ndarray, method: str) -> np.ndarray:
+    """Draw number ``counter`` of every stream, gathered at ``indices``."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, counter, 0, 0]))
+    return getattr(gen, method)(int(indices.max(initial=-1)) + 1)[indices]
 
 
 def draw_thresholds(seed: int, indices: np.ndarray) -> np.ndarray:
     """One Exp(1) threshold per particle from the disjoint threshold domain."""
-    gens = _generators(seed, _THRESHOLD_DOMAIN, np.asarray(indices, dtype=np.int64))
-    return np.array([g.standard_exponential() for g in gens])
+    key = _domain_key(seed, _THRESHOLD_DOMAIN)
+    return _draw(key, 0, np.asarray(indices, dtype=np.int64), "standard_exponential")
 
 
 class ParticleStreams:
-    """Per-particle main streams with block-buffered normal draws.
+    """Main-domain streams of the ensemble; the only state is the step.
 
     ``indices`` maps ensemble slot -> stream index (defaults to 0..n-1);
     permuting it permutes the streams, and with them the trajectories.
     """
 
     def __init__(self, seed: int, n: int, indices: np.ndarray | None = None):
-        self.seed = int(seed)
         self.n = int(n)
-        if indices is None:
-            indices = np.arange(n, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if self.indices.shape != (n,):
+        self.indices = np.asarray(np.arange(n) if indices is None else indices, dtype=np.int64)
+        if self.indices.shape != (self.n,):
             raise ValueError("indices must have one entry per particle")
-        self._gens = _generators(self.seed, _MAIN_DOMAIN, self.indices)
-        self._block: np.ndarray | None = None
-        self._cursor = 0
+        self._key = _domain_key(seed, _MAIN_DOMAIN)
+        self._step = 0
 
     def initial_uniforms(self) -> np.ndarray:
-        """First draw of every main stream; call once, before any normals."""
-        return np.array([g.random() for g in self._gens])
+        """Initial-position uniform in [0, 1) of every particle (counter 0)."""
+        return _draw(self._key, 0, self.indices, "random")
 
     def normals(self) -> np.ndarray:
         """Next standard-normal increment for every particle (one per step)."""
-        if self._block is None or self._cursor >= self._block.shape[1]:
-            self._block = np.empty((self.n, _BLOCK_STEPS))
-            for i, g in enumerate(self._gens):
-                self._block[i] = g.standard_normal(_BLOCK_STEPS)
-            self._cursor = 0
-        col = self._block[:, self._cursor]
-        self._cursor += 1
-        return col
+        self._step += 1
+        return _draw(self._key, self._step, self.indices, "standard_normal")

@@ -243,6 +243,33 @@ def test_fixedpoint_cut_archive_exits_4(runner, cfg_file, tmp_path):
     assert "needs exactly" in res.output
 
 
+def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
+    import struct
+
+    from sulfsim.io import ARCHIVE_MAGIC, ARCHIVE_VERSION
+
+    archive = tmp_path / "empty.bin"
+    archive.write_bytes(ARCHIVE_MAGIC + struct.pack("<IQQd", ARCHIVE_VERSION, 0, 5, 1e-3))
+    res = runner.invoke(
+        main,
+        ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file),
+         "--out", str(tmp_path / "fp")],
+    )
+    assert res.exit_code == 4, res.output
+    assert "both must be positive" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_pde_nonfinite_state_exits_3(runner, cfg_file, tmp_path, monkeypatch):
+    import sulfsim.pde as pde_mod
+
+    monkeypatch.setattr(pde_mod, "initial_density", lambda spec, x: np.full_like(x, np.nan))
+    res = runner.invoke(main, ["pde", "--config", str(cfg_file), "--out", str(tmp_path / "p")])
+    assert res.exit_code == 3, res.output
+    assert "non-finite PDE state" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_emit_plots_render_failure_exits_4(runner, cfg_file, tmp_path, monkeypatch):
     import sulfsim.cli as cli_mod
 

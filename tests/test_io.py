@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sulfsim import WeightedPointCloud
 from sulfsim.fields import TrajectoryArchive
 from sulfsim.io import (
+    ARCHIVE_MAGIC,
+    ARCHIVE_VERSION,
     RunManifest,
     read_archive,
     read_csv,
@@ -78,10 +82,22 @@ def test_archive_rejects_trailing_bytes(tmp_path, rng):
         read_archive(bad)
 
 
-def test_archive_rejects_cut_header(tmp_path, rng):
+def _bare_header(n, snaps):
+    # an empty archive's bare header has exactly the length it declares
+    return ARCHIVE_MAGIC + struct.pack("<IQQd", ARCHIVE_VERSION, n, snaps, 0.01)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [(lambda data: data[:20], "archive header"),
+     (lambda data: _bare_header(0, 5), "both must be positive"),
+     (lambda data: _bare_header(8, 0), "both must be positive")],
+    ids=["cut", "no-particles", "no-snapshots"],
+)
+def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad = tmp_path / "head.bin"
-    bad.write_bytes(_archive_bytes(tmp_path, rng)[:20])
-    with pytest.raises(ValueError, match="archive header"):
+    bad.write_bytes(make(_archive_bytes(tmp_path, rng)))
+    with pytest.raises(ValueError, match=match):
         read_archive(bad)
 
 

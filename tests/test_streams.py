@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfsim.streams import ParticleStreams, draw_thresholds
 
@@ -11,21 +13,28 @@ def test_same_seed_identical_draws():
         assert np.array_equal(a.normals(), b.normals())
 
 
-def test_streams_are_prefix_stable_in_ensemble_size():
-    small = ParticleStreams(3, 50)
-    big = ParticleStreams(3, 200)
-    assert np.array_equal(small.initial_uniforms(), big.initial_uniforms()[:50])
-    assert np.array_equal(small.normals(), big.normals()[:50])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), small=st.integers(1, 300), extra=st.integers(0, 300),
+       steps=st.integers(1, 4))
+def test_streams_are_prefix_stable_in_ensemble_size(seed, small, extra, steps):
+    a = ParticleStreams(seed, small)
+    b = ParticleStreams(seed, small + extra)
+    assert np.array_equal(a.initial_uniforms(), b.initial_uniforms()[:small])
+    for _ in range(steps):
+        assert np.array_equal(a.normals(), b.normals()[:small])
 
 
-def test_permuted_indices_permute_draws():
-    perm = np.array([3, 0, 2, 1])
-    base = ParticleStreams(11, 4)
-    shuffled = ParticleStreams(11, 4, indices=perm)
-    u = base.initial_uniforms()
-    assert np.array_equal(shuffled.initial_uniforms(), u[perm])
-    z = base.normals()
-    assert np.array_equal(shuffled.normals(), z[perm])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       perm=st.integers(1, 64).flatmap(lambda n: st.permutations(range(n))),
+       steps=st.integers(1, 4))
+def test_permuted_indices_permute_draws(seed, perm, steps):
+    perm = np.array(perm)
+    base = ParticleStreams(seed, len(perm))
+    shuffled = ParticleStreams(seed, len(perm), indices=perm)
+    assert np.array_equal(shuffled.initial_uniforms(), base.initial_uniforms()[perm])
+    for _ in range(steps):
+        assert np.array_equal(shuffled.normals(), base.normals()[perm])
 
 
 def test_threshold_domain_is_disjoint_from_main():
@@ -51,3 +60,24 @@ def test_thresholds_are_unit_exponential(rng):
 
 def test_thresholds_deterministic():
     assert np.array_equal(draw_thresholds(9, np.arange(10)), draw_thresholds(9, np.arange(10)))
+
+
+def test_normals_are_standard_normal():
+    n = 100_000
+    streams = ParticleStreams(123, n)
+    for _ in range(2):
+        z = streams.normals()
+        assert abs(z.mean()) <= 3.0 / np.sqrt(n)
+        # Var(S^2) for N(0, 1) is (mu4 - sigma^4)/n = 2/n
+        assert abs(z.var() - 1.0) <= 3.0 * np.sqrt(2.0 / n)
+
+
+def test_initial_uniforms_in_unit_interval():
+    u = ParticleStreams(5, 10_000).initial_uniforms()
+    assert np.all(u >= 0.0) and np.all(u < 1.0)
+
+
+def test_consecutive_steps_draw_fresh_normals():
+    streams = ParticleStreams(5, 1000)
+    first, second = streams.normals(), streams.normals()
+    assert not np.any(first == second)
