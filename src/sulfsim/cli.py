@@ -49,6 +49,8 @@ EXIT_NUMERICAL = 3
 EXIT_DATA = 4
 
 _MODE_ALIASES = {"fk": "feynman-kac", "kill": "killed"}
+_WORKERS_HELP = ("threads running the (N, seed) jobs of `convergence`; the other "
+                 "commands accept it and run single-threaded")
 
 
 class DataError(RuntimeError):
@@ -242,9 +244,10 @@ def main():
               help="also export accumulated fields every k-th step")
 @click.option("--archive/--no-archive", "archive_flag", default=False,
               help="dump full trajectories for the fixedpoint command")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
+              help=_WORKERS_HELP)
 @_handle_errors
-def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, workers, **cfg_kwargs):
+def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cfg_kwargs):
     """Run the particle system and write snapshots, series, and manifest."""
     cfg = _build_config(mode=mode, seed=seed, **cfg_kwargs)
     out_dir = _out_dir(out, "sim-out")
@@ -253,7 +256,6 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, work
         snapshot_stride=snapshot_stride,
         keep_archive=archive_flag,
         fields_stride=fields_stride,
-        workers=workers,
     )
     manifest = RunManifest(command="simulate", config=cfg.to_dict(),
                            diagnostics=sim.diagnostics)
@@ -266,9 +268,10 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, work
 @_with_config_options
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--snapshot-stride", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
+              help=_WORKERS_HELP)
 @_handle_errors
-def pde(out, snapshot_stride, workers, **cfg_kwargs):
+def pde(out, snapshot_stride, **cfg_kwargs):
     """Solve the deterministic reference PDE on the configured grid."""
     cfg = _build_config(**cfg_kwargs)
     out_dir = _out_dir(out, "pde-out")
@@ -320,9 +323,10 @@ def _grid_from_nodes(xs: np.ndarray) -> Grid1D:
               help="seed (required when regenerating from --config)")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--snapshot-stride", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
+              help=_WORKERS_HELP)
 @_handle_errors
-def compare(dir_a, dir_b, seed, out, snapshot_stride, workers, **cfg_kwargs):
+def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
     """Compare two snapshot directories, or regenerate both estimators and
     the PDE reference from a config and compare everything."""
     out_dir = _out_dir(out, "compare-out")
@@ -348,10 +352,8 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, workers, **cfg_kwargs):
         cfg = _build_config(seed=seed, **cfg_kwargs)
         manifest.config = cfg.to_dict()
         stride = snapshot_stride or max(1, cfg.n_steps // 10)
-        fk = run_simulation(replace(cfg, mode="feynman-kac"), snapshot_stride=stride,
-                            workers=workers)
-        kl = run_simulation(replace(cfg, mode="killed"), snapshot_stride=stride,
-                            workers=workers)
+        fk = run_simulation(replace(cfg, mode="feynman-kac"), snapshot_stride=stride)
+        kl = run_simulation(replace(cfg, mode="killed"), snapshot_stride=stride)
         ref = solve_pde(cfg, snapshot_stride=stride)
         grid = cfg.grid
         target = [mollify_grid_function(v, grid, cfg.kernel.bandwidth)
@@ -388,7 +390,7 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, workers, **cfg_kwargs):
 @click.option("--seeds", "seeds_per_n", type=int, default=8, show_default=True)
 @click.option("--seed", type=int, required=True, help="base seed (required)")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True, help=_WORKERS_HELP)
 @_handle_errors
 def convergence(n_list, seeds_per_n, seed, out, workers, **cfg_kwargs):
     """Estimator-vs-reference error table across ensemble sizes."""

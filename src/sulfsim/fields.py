@@ -95,7 +95,6 @@ def accumulate_step(
     n_total: int,
     delta: float,
     dt: float,
-    workers: int = 1,
 ) -> AccumulatedFields:
     """Add one left-endpoint quadrature term from the cloud at time fields.t.
 
@@ -106,7 +105,7 @@ def accumulate_step(
         raise ValueError(
             f"bandwidth mismatch: fields built for delta={fields.delta}, got {delta}"
         )
-    u, du = grid_density(cloud, fields.grid, delta, n_total, workers=workers)
+    u, du = grid_density(cloud, fields.grid, delta, n_total)
     fields.A += dt * u
     fields.G += dt * du
     fields.t += dt
@@ -182,12 +181,11 @@ def accumulate_from_archive(
     delta: float,
     n_total: int,
     steps: int | None = None,
-    workers: int = 1,
 ) -> AccumulatedFields:
     """Replay an archive through the grid accumulator (for validation)."""
     fields = AccumulatedFields(grid=grid, delta=delta)
     if steps is None:
         steps = len(archive)
     for k in range(steps):
-        accumulate_step(fields, archive.snapshot(k), n_total, delta, archive.dt, workers)
+        accumulate_step(fields, archive.snapshot(k), n_total, delta, archive.dt)
     return fields

@@ -201,7 +201,6 @@ def run_simulation(
     keep_archive: bool = False,
     fields_stride: int = 0,
     zero_fields: bool = False,
-    workers: int = 1,
     stream_indices: np.ndarray | None = None,
     coupled_thresholds: bool = False,
 ) -> SimulationOutput:
@@ -245,7 +244,7 @@ def run_simulation(
     nodes = grid.nodes()
 
     def record(k: int, cloud: WeightedPointCloud) -> None:
-        u, _ = grid_density(cloud, grid, delta, n, workers=workers)
+        u, _ = grid_density(cloud, grid, delta, n)
         times.append(k * dt)
         steps_rec.append(k)
         densities.append(u)
@@ -273,7 +272,7 @@ def run_simulation(
         if archiving:
             archive.append(cloud)
         if not exact_mode and not zero_fields:
-            accumulate_step(acc, cloud, n, delta, dt, workers=workers)
+            accumulate_step(acc, cloud, n, delta, dt)
         else:
             acc.t += dt
             acc.steps += 1
@@ -312,7 +311,6 @@ def run_simulation(
 def run_coupled(
     config: SimConfig,
     snapshot_stride: int | None = None,
-    workers: int = 1,
 ) -> SimulationOutput:
     """Feynman-Kac run with the killed interpretation read off the same paths.
 
@@ -329,6 +327,5 @@ def run_coupled(
     return run_simulation(
         config,
         snapshot_stride=snapshot_stride,
-        workers=workers,
         coupled_thresholds=True,
     )

@@ -3,7 +3,8 @@
 Each domain has one Philox key, derived from (master seed, domain).  Draw
 number k of every particle is one Philox block at counter k: it yields
 one value per stream index 0..max(indices), and particle i takes the
-value at its stream index.  A particle's draws therefore do not depend on
+value at its stream index.  One generator per domain serves every draw,
+its counter set anew each time.  A particle's draws therefore do not depend on
 the ensemble size, the worker layout, or which other particles exist;
 reruns with the same seed are bit-identical.
 
@@ -24,22 +25,28 @@ _MAIN_DOMAIN = 0x1D66F001
 _THRESHOLD_DOMAIN = 0x1D66F002
 
 
-def _domain_key(seed: int, domain: int) -> np.ndarray:
-    """128-bit Philox key (two 64-bit words) of one (seed, domain) pair."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(domain,))
-    return seq.generate_state(2, dtype=np.uint64)
+class _Domain:
+    """One generator over the Philox key of a (seed, domain) pair; each draw
+    sets its counter, so draw k is the same whatever was drawn before."""
 
+    def __init__(self, seed: int, domain: int):
+        seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(domain,))
+        key = seq.generate_state(2, dtype=np.uint64)  # 128-bit key
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._state = self._gen.bit_generator.state  # counter 0, empty buffer
 
-def _draw(key: np.ndarray, counter: int, indices: np.ndarray, method: str) -> np.ndarray:
-    """Draw number ``counter`` of every stream, gathered at ``indices``."""
-    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, counter, 0, 0]))
-    return getattr(gen, method)(int(indices.max(initial=-1)) + 1)[indices]
+    def draw(self, counter: int, indices: np.ndarray, method: str) -> np.ndarray:
+        """Draw number ``counter`` of every stream, gathered at ``indices``."""
+        # the state np.random.Philox(key=key, counter=[0, counter, 0, 0]) starts in
+        self._state["state"]["counter"][1] = counter
+        self._gen.bit_generator.state = self._state
+        return getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)[indices]
 
 
 def draw_thresholds(seed: int, indices: np.ndarray) -> np.ndarray:
     """One Exp(1) threshold per particle from the disjoint threshold domain."""
-    key = _domain_key(seed, _THRESHOLD_DOMAIN)
-    return _draw(key, 0, np.asarray(indices, dtype=np.int64), "standard_exponential")
+    domain = _Domain(seed, _THRESHOLD_DOMAIN)
+    return domain.draw(0, np.asarray(indices, dtype=np.int64), "standard_exponential")
 
 
 class ParticleStreams:
@@ -54,14 +61,14 @@ class ParticleStreams:
         self.indices = np.asarray(np.arange(n) if indices is None else indices, dtype=np.int64)
         if self.indices.shape != (self.n,):
             raise ValueError("indices must have one entry per particle")
-        self._key = _domain_key(seed, _MAIN_DOMAIN)
+        self._main = _Domain(seed, _MAIN_DOMAIN)
         self._step = 0
 
     def initial_uniforms(self) -> np.ndarray:
         """Initial-position uniform in [0, 1) of every particle (counter 0)."""
-        return _draw(self._key, 0, self.indices, "random")
+        return self._main.draw(0, self.indices, "random")
 
     def normals(self) -> np.ndarray:
         """Next standard-normal increment for every particle (one per step)."""
         self._step += 1
-        return _draw(self._key, self._step, self.indices, "standard_normal")
+        return self._main.draw(self._step, self.indices, "standard_normal")

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value, mollify, mollify_grad
-from sulfsim.kernel import grid_density
+from sulfsim.kernel import _stencils, grid_density
 
 
 def test_kernel_value_closed_forms():
@@ -107,9 +111,93 @@ def test_grid_density_matches_mollify(rng):
     assert np.max(np.abs(du - du_ref)) <= 1e-12 * np.max(np.abs(du_ref))
 
 
-def test_grid_density_worker_count_bit_identical(rng):
+def _offset_deposit(cloud, grid, delta, n_total):
+    """Reference deposit: one exact kernel evaluation per particle and node
+    offset, the same nearest-node truncation as grid_density."""
+    m, h = grid.n_nodes, grid.spacing
+    j = np.floor((cloud.positions - grid.lower) / h + 0.5).astype(np.int64)
+    r = cloud.positions - (grid.lower + j * h)
+    half = math.ceil(8.0 * delta / h + 0.5)
+    u, du = np.zeros(m), np.zeros(m)
+    for o in range(-half, half + 1):
+        arg = o * h - r
+        kv = cloud.weights * kernel_value(arg, delta)
+        idx = j + o
+        ok = (idx >= 0) & (idx < m)
+        u += np.bincount(idx[ok], weights=kv[ok], minlength=m)
+        du += np.bincount(idx[ok], weights=(-arg / delta**2 * kv)[ok], minlength=m)
+    return u / n_total, du / n_total
+
+
+def test_grid_density_matches_offset_deposit_at_default_grid(rng):
+    n = 10_000
+    cloud = WeightedPointCloud(rng.normal(0, 1.5, n), rng.random(n))
+    grid = Grid1D(-14.4, 14.4, 0.05)
+    u, du = grid_density(cloud, grid, 0.3, n)
+    u_ref, du_ref = _offset_deposit(cloud, grid, 0.3, n)
+    assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(u_ref)
+    assert np.max(np.abs(du - du_ref)) <= 1e-14 * np.max(np.abs(du_ref))
+    assert np.array_equal(u == 0.0, u_ref == 0.0)
+
+
+def test_grid_density_stencil_cache_keeps_bits(rng):
     cloud = WeightedPointCloud(rng.normal(0, 1, 2000), rng.random(2000))
-    grid = Grid1D(-8.0, 8.0, 0.05)
-    u1, g1 = grid_density(cloud, grid, 0.3, 2000, workers=1)
-    u4, g4 = grid_density(cloud, grid, 0.3, 2000, workers=4)
-    assert np.array_equal(u1, u4) and np.array_equal(g1, g4)
+    grid_a, grid_b = Grid1D(-8.0, 8.0, 0.05), Grid1D(-8.0, 8.0, 0.1)
+    _stencils.cache_clear()
+    u1, g1 = grid_density(cloud, grid_a, 0.3, 2000)
+    grid_density(cloud, grid_b, 0.45, 2000)
+    u2, g2 = grid_density(cloud, grid_a, 0.3, 2000)
+    assert np.array_equal(u1, u2) and np.array_equal(g1, g2)
+
+
+@st.composite
+def _deposit_case(draw):
+    """Random bandwidth, grid with h/delta in [0.05, 1.5] and cloud: one
+    weight-1 particle on the grid, some on cell boundaries, some off the
+    grid inside and beyond the half-cell padding, some with weight 0."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    delta = draw(st.floats(0.1, 1.0))
+    h = draw(st.floats(0.05, 1.5)) * delta
+    m = draw(st.integers(3, 60))
+    lower = draw(st.floats(-5.0, 5.0))
+    grid = Grid1D(lower, lower + h * (m - 1), h)
+    half = math.ceil(8.0 * delta / h + 0.5)
+    r = np.random.default_rng(seed)
+    n_free, n_edge = draw(st.integers(0, 30)), draw(st.integers(0, 10))
+    free = r.uniform(lower - (half + 4) * h, grid.upper + (half + 4) * h, n_free)
+    edge = lower + (r.integers(-half - 3, m + half + 3, n_edge) + 0.5) * h
+    pos = np.concatenate([[r.uniform(lower, grid.upper)], free, edge])
+    w = np.where(r.random(pos.size) < 0.2, 0.0, r.random(pos.size))
+    w[0] = 1.0
+    return WeightedPointCloud(pos, w), grid, delta, half
+
+
+@settings(max_examples=80, deadline=None)
+@given(_deposit_case())
+def test_grid_density_properties(case):
+    cloud, grid, delta, half = case
+    n = len(cloud) + 3  # the divisor may exceed the cloud
+    u, du = grid_density(cloud, grid, delta, n)
+    nodes = grid.nodes()
+    diff = nodes[:, None] - cloud.positions[None, :]
+    # the oracle cuts pairs beyond 8 bandwidths, the deposit beyond half node
+    # offsets; pairs between the two cuts may differ by no more than their size
+    beyond = np.abs(diff) > 8.0 * delta
+    for got, ref, kernel in ((u, mollify(cloud, delta, nodes, n), kernel_value),
+                             (du, mollify_grad(cloud, delta, nodes, n), kernel_grad)):
+        dropped = (np.abs(kernel(diff, delta)) * beyond * cloud.weights).sum(axis=1) / n
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref)) + dropped)
+    assert np.all(u >= 0.0)
+    # a particle reaches only the nodes within half spacings of its nearest node
+    far = np.all(np.abs(diff) > (half + 1) * grid.spacing, axis=1)
+    assert np.all(u[far] == 0.0) and np.all(du[far] == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_deposit_case())
+def test_grid_density_of_massless_cloud_is_zero(case):
+    cloud, grid, delta, _ = case
+    for empty in (WeightedPointCloud(np.array([]), np.array([])),
+                  WeightedPointCloud(cloud.positions, np.zeros(len(cloud)))):
+        u, du = grid_density(empty, grid, delta, 7)
+        assert np.all(u == 0.0) and np.all(du == 0.0)

@@ -163,14 +163,6 @@ def test_same_seed_bitwise_reproducible(small_config):
             assert np.array_equal(ua, ub)
 
 
-def test_worker_count_bit_identical(small_config):
-    a = run_simulation(small_config, workers=1)
-    b = run_simulation(small_config, workers=4)
-    assert np.array_equal(a.ensemble.positions, b.ensemble.positions)
-    for ua, ub in zip(a.densities, b.densities):
-        assert np.array_equal(ua, ub)
-
-
 def test_exchangeability_permuting_streams(small_config):
     cfg = replace(small_config, particles=40, horizon=0.02)
     perm = np.random.default_rng(0).permutation(40)

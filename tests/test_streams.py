@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfsim.streams import ParticleStreams, draw_thresholds
+from sulfsim.streams import _MAIN_DOMAIN, ParticleStreams, _Domain, draw_thresholds
 
 
 def test_same_seed_identical_draws():
@@ -81,3 +81,15 @@ def test_consecutive_steps_draw_fresh_normals():
     streams = ParticleStreams(5, 1000)
     first, second = streams.normals(), streams.normals()
     assert not np.any(first == second)
+
+
+def test_domain_draws_at_any_counter_order_match_fresh_generators():
+    domain = _Domain(11, _MAIN_DOMAIN)
+    key = np.random.SeedSequence(entropy=11, spawn_key=(_MAIN_DOMAIN,)).generate_state(
+        2, dtype=np.uint64)
+    indices = np.array([4, 0, 9, 2])
+    for counter, method in ((5, "standard_normal"), (2, "random"), (5, "standard_normal"),
+                            (0, "standard_exponential"), (2, "random")):
+        fresh = np.random.Generator(np.random.Philox(key=key, counter=[0, counter, 0, 0]))
+        expected = getattr(fresh, method)(10)[indices]
+        assert np.array_equal(domain.draw(counter, indices, method), expected)
