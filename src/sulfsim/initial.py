@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .config import InitialDensitySpec
 
@@ -21,6 +20,30 @@ MASS_TOL = 1e-6
 
 # keep uniforms strictly inside (0, 1) before inverse-CDF transforms
 _U_EPS = 1e-15
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989): rational approximations in y - 1/2 for exp(-2) < y < 1 - exp(-2), and
+# in z = 1/sqrt(-2 log y) in the tails, split at sqrt(-2 log y) = 8.  The
+# denominators carry an implicit leading coefficient 1.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
 def _tabulated_arrays(spec: InitialDensitySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +132,43 @@ def initial_violations(spec: InitialDensitySpec, s0: float) -> list[str]:
             out.append(
                 f"initial density maximum {m:.10g} is not below the bound s0={s0}"
             )
+    return out
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # numpy's SIMD log differs from libm in the last bit on a few tail draws
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def ndtri(u) -> np.ndarray:
+    """Inverse of the standard normal CDF for 0 < u < 1.
+
+    A numpy port of Cephes ``ndtri`` with its branches, coefficients and
+    operation order, so it returns the bits of ``scipy.special.ndtri``.
+    """
+    u = np.asarray(u, dtype=float)
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    t = y[mid] - 0.5
+    t2 = t * t
+    out[mid] = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
     return out
 
 

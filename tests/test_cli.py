@@ -58,6 +58,25 @@ def test_simulate_missing_seed_exits_2(runner, cfg_file, tmp_path):
     assert "--seed" in res.output
 
 
+@pytest.mark.parametrize("args, option", [
+    (["simulate", "--seed", "1", "--snapshot-stride", "-1"], "--snapshot-stride"),
+    (["simulate", "--seed", "1", "--snapshot-stride", "0"], "--snapshot-stride"),
+    (["simulate", "--seed", "1", "--fields-stride", "-3"], "--fields-stride"),
+    (["pde", "--snapshot-stride", "-1"], "--snapshot-stride"),
+    (["compare", "--seed", "1", "--snapshot-stride", "-1"], "--snapshot-stride"),
+    (["convergence", "--seed", "1", "--seeds", "0"], "--seeds"),
+    (["convergence", "--seed", "1", "--n", ""], "--n"),
+    (["convergence", "--seed", "1", "--n", "250,abc"], "--n"),
+    (["convergence", "--seed", "1", "--n", "250,0"], "--n"),
+], ids=["snapshot-neg", "snapshot-zero", "fields-neg", "pde-snapshot", "compare-snapshot",
+        "seeds-zero", "n-empty", "n-not-int", "n-zero"])
+def test_out_of_range_option_exits_2(runner, cfg_file, tmp_path, args, option):
+    res = runner.invoke(main, [*args, "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_simulate_invalid_config_exits_2(runner, cfg_file, tmp_path):
     res = runner.invoke(
         main,

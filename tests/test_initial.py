@@ -1,14 +1,36 @@
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sulfsim
 from sulfsim.config import InitialDensitySpec
 from sulfsim.initial import (
     density,
     density_max,
     initial_violations,
+    ndtri,
     support_radius,
     transform_uniforms,
 )
+
+EXP_M2 = float(np.exp(-2.0))
+# the branch edges of the rational approximations, the clip bounds and the centre
+NDTRI_EDGES = np.array([
+    EXP_M2, np.nextafter(EXP_M2, 0.0), np.nextafter(EXP_M2, 1.0),
+    1.0 - EXP_M2, np.nextafter(1.0 - EXP_M2, 0.0), np.nextafter(1.0 - EXP_M2, 1.0),
+    np.exp(-32.0), np.nextafter(np.exp(-32.0), 0.0), np.nextafter(np.exp(-32.0), 1.0),
+    1e-15, 1.0 - 1e-15, 0.5,
+])
+
+
+def _ndtri_inputs(rng):
+    return np.concatenate([rng.random(1_000_000), NDTRI_EDGES])
+
 
 FAMILIES = [
     InitialDensitySpec(family="gaussian-bump", center=0.0, width=1.0),
@@ -100,3 +122,27 @@ def test_tabulated_unnormalized_rejected_without_flag():
     )
     assert any("mass" in m for m in initial_violations(spec, s0=10.0))
 
+
+def test_ndtri_bit_equal_to_scipy(rng):
+    special = pytest.importorskip("scipy.special")
+    u = _ndtri_inputs(rng)
+    assert np.array_equal(ndtri(u).view(np.int64), special.ndtri(u).view(np.int64))
+
+
+def test_ndtri_matches_stdlib_inverse_cdf(rng):
+    u = _ndtri_inputs(rng)
+    inv_cdf = statistics.NormalDist().inv_cdf
+    ref = np.array([inv_cdf(v) for v in u.tolist()])
+    assert np.all(np.abs(ndtri(u) - ref) <= 2e-15 * np.abs(ref))
+
+
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(sulfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, sulfsim.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
