@@ -38,8 +38,12 @@ def drift_b(I, J, p: PhysicalParams):
     J = np.asarray(J, dtype=float)
     if not (np.all(np.isfinite(I)) and np.all(np.isfinite(J))):
         raise ValueError("drift arguments must be finite")
-    e = np.exp(-p.lam * I)
-    out = -p.phi1 * p.lam * p.c0 * e * J / (p.phi0 + p.phi1 * p.c0 * e)
+    e = np.exp(-p.lam * I)  # e and out are updated in place: fewer temporaries per step
+    out = -p.phi1 * p.lam * p.c0 * e
+    out *= J
+    e *= p.phi1 * p.c0
+    e += p.phi0
+    out /= e
     if out.ndim == 0:
         return float(out)
     return out

@@ -10,6 +10,7 @@ one linear read of node values, shared with the fixed-point map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,11 @@ class AccumulatedFields:
         if self.A.shape != (m,) or self.G.shape != (m,):
             raise ValueError("A and G must have one entry per grid node")
 
-    def args_at(self, x) -> DriftArgs:
-        return interpolate(self, x)
+    def coords_at(self, x) -> LerpCoords:
+        return lerp_coords(self.grid, np.asarray(x, dtype=float))
+
+    def args_at(self, x, gradient: bool = True) -> DriftArgs:
+        return interpolate(self, x, gradient)
 
 
 @dataclass
@@ -72,14 +76,18 @@ class ExactHistoryFields:
     """Field view that reads (I, J) straight off an archive.
 
     Quadratic in step count; used when ``field_mode`` is exact-history so
-    the dynamics see the time integrals with no interpolation error.
+    the dynamics see the time integrals with no interpolation error.  Its
+    coordinates are a copy of the positions, and it always returns J.
     """
 
     archive: TrajectoryArchive
     delta: float
     n_total: int
 
-    def args_at(self, x) -> DriftArgs:
+    def coords_at(self, x) -> np.ndarray:
+        return np.array(x, dtype=float)
+
+    def args_at(self, x, gradient: bool = True) -> DriftArgs:
         x = np.asarray(x, dtype=float)
         if len(self.archive) == 0:
             zero = np.zeros(x.shape)
@@ -113,15 +121,30 @@ def accumulate_step(
     return fields
 
 
-def lerp_coords(grid: Grid1D, x) -> tuple[np.ndarray, np.ndarray, int]:
-    """Left node, fraction in [0, 1] and off-grid count of positions x;
-    off-grid positions are clamped to read the boundary node."""
+class LerpCoords(NamedTuple):
+    """Where positions sit on a grid: left node j, fraction in [0, 1] towards
+    node j + 1, and which positions lie off the grid (read at the boundary)."""
+
+    j: np.ndarray
+    frac: np.ndarray
+    outside: np.ndarray
+
+    def compress(self, keep: np.ndarray) -> LerpCoords:
+        """The coordinates of the positions where ``keep`` is true."""
+        return LerpCoords(self.j[keep], self.frac[keep], self.outside[keep])
+
+
+def lerp_coords(grid: Grid1D, x) -> LerpCoords:
+    """Grid coordinates of positions x; off-grid positions are clamped to
+    read the boundary node."""
     m = grid.n_nodes
-    pos = (x - grid.lower) / grid.spacing
-    outside = int(np.count_nonzero((pos < 0.0) | (pos > m - 1)))
-    pos = np.clip(pos, 0.0, m - 1)
-    j = np.minimum(pos.astype(np.int64), m - 2)
-    return j, pos - j, outside
+    pos = np.asarray((x - grid.lower) / grid.spacing)  # updated in place below
+    outside = (pos < 0.0) | (pos > m - 1)
+    np.clip(pos, 0.0, m - 1, out=pos)
+    j = pos.astype(np.int64)
+    np.minimum(j, m - 2, out=j)
+    pos -= j  # now the fraction
+    return LerpCoords(j, pos, outside)
 
 
 def lerp(values: np.ndarray, j: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -129,20 +152,22 @@ def lerp(values: np.ndarray, j: np.ndarray, frac: np.ndarray) -> np.ndarray:
     return values[j] * (1.0 - frac) + values[j + 1] * frac
 
 
-def interpolate(fields: AccumulatedFields, x) -> DriftArgs:
-    """Piecewise-linear read of (A, G) at positions ``x``.
+def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArgs:
+    """Piecewise-linear read of (A, G) at positions ``x``, or at their
+    :class:`LerpCoords`; with ``gradient`` false only A is read and J is None.
 
     Queries beyond the grid return the boundary-node values and bump the
-    out-of-domain counter; positions are never clamped, so the dynamics
-    continue off-grid.
+    out-of-domain counter, once per read; positions are never clamped, so
+    the dynamics continue off-grid.
     """
-    x = np.asarray(x, dtype=float)
-    j, frac, outside = lerp_coords(fields.grid, x)
-    fields.out_of_domain += outside
+    if not isinstance(x, LerpCoords):
+        x = lerp_coords(fields.grid, np.asarray(x, dtype=float))
+    j, frac, outside = x
+    fields.out_of_domain += int(np.count_nonzero(outside))
     I = lerp(fields.A, j, frac)
-    J = lerp(fields.G, j, frac)
+    J = lerp(fields.G, j, frac) if gradient else None
     if I.ndim == 0:
-        return DriftArgs(float(I), float(J))
+        return DriftArgs(float(I), None if J is None else float(J))
     return DriftArgs(I, J)
 
 

@@ -27,7 +27,7 @@ def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) ->
     """I[s, i] = dt * sum_{r<s} u(r, X_s^i) for lattice u and (S+1, N) paths."""
     prefix = np.zeros(u.shape)
     prefix[1:] = dt * np.cumsum(u[:-1], axis=0)
-    j, frac, _ = lerp_coords(grid, paths)
+    j, frac = lerp_coords(grid, paths)[:2]
     j += grid.n_nodes * np.arange(len(paths))[:, None]  # row s of the flat lattice
     return lerp(prefix.ravel(), j, frac)
 

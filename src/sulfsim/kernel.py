@@ -122,7 +122,8 @@ def _taylor_order(abs_a: np.ndarray, s_max: float) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _stencils(h: float, delta: float) -> np.ndarray:
-    """Read-only (2, P+2, 2*half+1) stencils at offsets o = -half..half.
+    """Read-only (2, P+2, 2*half+1) stencils at offsets o = half..-half,
+    reversed so that ``np.correlate`` applies them as a convolution.
 
     Row p holds the s^p coefficients, times e^{-a^2/2}, of norm e^{as}
     (for u) and of (norm/delta) (s - a) e^{as} (for u'), a = o*h/delta.
@@ -137,6 +138,7 @@ def _stencils(h: float, delta: float) -> np.ndarray:
     gauss = np.exp(-0.5 * a * a) / (delta * SQRT_TWO_PI)
     p = np.arange(order + 2)
     out = np.stack([gauss * t[p], gauss / delta * (t[p - 1] - (p + 1)[:, None] * t[p + 1])])
+    out = np.ascontiguousarray(out[..., ::-1])
     out.flags.writeable = False
     return out
 
@@ -173,16 +175,19 @@ def grid_density(
         return u, du
     first = max(int(j.min()) - half, 0)  # nodes first..last are reached
     last = min(int(j.max()) + half, m - 1)
-    cell = j - (first - half)
+    cell = j  # j and term are updated in place, to keep a step's peak memory low
+    cell -= first - half
     n_cells = last - first + 1 + 2 * half
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p
-    term = w * np.exp(-0.5 * s * s)
+    term = -0.5 * s * s
+    np.exp(term, out=term)
+    term *= w
     u_reached, du_reached = u[first : last + 1], du[first : last + 1]
     for p, (stencil_u, stencil_du) in enumerate(zip(*stencils)):
         if p:
             term *= s
         moment = np.bincount(cell, weights=term, minlength=n_cells)
-        u_reached += np.convolve(moment, stencil_u, "valid")
-        du_reached += np.convolve(moment, stencil_du, "valid")
+        u_reached += np.correlate(moment, stencil_u, "valid")
+        du_reached += np.correlate(moment, stencil_du, "valid")
     return u / n_total, du / n_total

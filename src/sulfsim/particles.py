@@ -12,7 +12,11 @@ path-dependent drift; they differ in how the reaction enters:
 
 Per-step order: build the mode's cloud from the state at the step start,
 accumulate it into the fields, advance positions, then update hazards at
-the new positions with the fields through the current step.
+the new positions with the fields through the current step.  The grid
+coordinates of X_{k+1} are computed once, in the hazard update, which reads
+only I there; the next step's drift reads (I, J) at the same coordinates,
+kept for the survivors only.  Each of the two reads still counts its
+off-grid queries in ``out_of_domain``.
 """
 
 from __future__ import annotations
@@ -111,6 +115,12 @@ def _clamp_negative_I(I, diagnostics: dict | None) -> np.ndarray:
     return I
 
 
+def _rows(alive: np.ndarray):
+    """Index of the alive particles: a full slice while every particle is
+    alive, so that indexing gives views of the state instead of copies."""
+    return slice(None) if alive.all() else alive
+
+
 def em_step(
     ensemble: ParticleEnsemble,
     fields,
@@ -119,23 +129,36 @@ def em_step(
     params,
     step: int = 0,
     diagnostics: dict | None = None,
+    coords=None,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step: Y += b(I, J) dt + sqrt(2 dt) xi.
 
-    (I, J) are read from ``fields`` at each alive particle's position;
-    dead particles are untouched but their noise draw is still consumed
-    so stream alignment across modes is preserved.
+    (I, J) are read from ``fields`` at each alive particle's position, at
+    ``coords`` when given (``fields.coords_at`` of the alive positions, as
+    :func:`update_hazards` returns them); dead particles are untouched but
+    their noise draw is still consumed so stream alignment across modes
+    is preserved.  b dt and then sqrt(2 dt) xi are added to the position;
+    adding their sum instead would round differently.
+
+    While every particle is alive the positions are updated in place,
+    before the finiteness check: after a :class:`NonFiniteStateError` the
+    ensemble holds the non-finite positions and is no longer valid.  With
+    dead particles the check comes first and the ensemble is unchanged.
     """
-    noise = streams.normals()
-    alive = ensemble.alive
-    args = fields.args_at(ensemble.positions[alive])
-    I = _clamp_negative_I(args.I, diagnostics)
-    b = drift_b(I, args.J, params)
-    new = ensemble.positions[alive] + np.asarray(b) * dt + np.sqrt(2.0 * dt) * noise[alive]
-    if not np.all(np.isfinite(new)):
-        bad = np.flatnonzero(alive)[~np.isfinite(new)]
-        raise NonFiniteStateError(step, bad)
-    ensemble.positions[alive] = new
+    rows = _rows(ensemble.alive)
+    x = ensemble.positions[rows]  # a view while every particle is alive
+    args = fields.args_at(fields.coords_at(x) if coords is None else coords)
+    b = drift_b(_clamp_negative_I(args.I, diagnostics), args.J, params)
+    b *= dt
+    x += b
+    noise = streams.normals()[rows]  # drawn after the drift, to keep the peak memory low
+    noise *= np.sqrt(2.0 * dt)
+    x += noise
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteStateError(step, np.flatnonzero(ensemble.alive)[~finite])
+    if rows is ensemble.alive:  # x is a copy once particles have died
+        ensemble.positions[rows] = x
     return ensemble
 
 
@@ -146,24 +169,28 @@ def update_hazards(
     params,
     t_end: float,
     diagnostics: dict | None = None,
-) -> ParticleEnsemble:
+):
     """Accumulate dt * rate(I) into each alive particle's hazard.
 
     Weights track exp(-Lambda) exactly; in killed mode a particle whose
     hazard reaches its threshold dies at the step-end time with its
-    position frozen at the current value.
+    position frozen at the current value.  Only I is read.  Returns the
+    field coordinates of the survivors' positions, which the next
+    :func:`em_step` reads again.
     """
     alive = ensemble.alive
-    args = fields.args_at(ensemble.positions[alive])
-    I = _clamp_negative_I(args.I, diagnostics)
-    ensemble.hazards[alive] += dt * np.asarray(reaction_rate(I, params))
-    ensemble.weights[alive] = np.exp(-ensemble.hazards[alive])
+    rows = _rows(alive)
+    coords = fields.coords_at(ensemble.positions[rows])
+    I = _clamp_negative_I(fields.args_at(coords, gradient=False).I, diagnostics)
+    ensemble.hazards[rows] += dt * np.asarray(reaction_rate(I, params))
+    ensemble.weights[rows] = np.exp(-ensemble.hazards[rows])
     if ensemble.mode == "killed":
         dead_now = alive & (ensemble.hazards >= ensemble.thresholds)
         if np.any(dead_now):
+            coords = coords.compress(~dead_now[alive])
             ensemble.alive[dead_now] = False
             ensemble.death_times[dead_now] = t_end
-    return ensemble
+    return coords
 
 
 @dataclass
@@ -265,6 +292,7 @@ def run_simulation(
         if fields_stride and (k % fields_stride == 0 or k == n_steps):
             field_snaps.append((k, acc.A.copy(), acc.G.copy()))
 
+    coords = None  # of the alive positions, shared by the hazard update and the next drift
     for k in range(n_steps):
         cloud = ens.cloud()
         if k % stride == 0:
@@ -276,8 +304,12 @@ def run_simulation(
         else:
             acc.t += dt
             acc.steps += 1
-        em_step(ens, field_view, dt, streams, params, step=k, diagnostics=diagnostics)
-        update_hazards(ens, field_view, dt, params, t_end=(k + 1) * dt, diagnostics=diagnostics)
+        del cloud  # a killed cloud holds a weight array the step does not read
+        em_step(ens, field_view, dt, streams, params, step=k, diagnostics=diagnostics,
+                coords=coords)
+        del coords  # X_k's coordinates go before X_{k+1}'s are computed
+        coords = update_hazards(ens, field_view, dt, params, t_end=(k + 1) * dt,
+                                diagnostics=diagnostics)
 
     final_cloud = ens.cloud()
     if archiving:

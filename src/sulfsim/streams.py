@@ -35,12 +35,15 @@ class _Domain:
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self._state = self._gen.bit_generator.state  # counter 0, empty buffer
 
-    def draw(self, counter: int, indices: np.ndarray, method: str) -> np.ndarray:
-        """Draw number ``counter`` of every stream, gathered at ``indices``."""
+    def draw(self, counter: int, indices: np.ndarray, method: str,
+             identity: bool = False) -> np.ndarray:
+        """Draw number ``counter`` of every stream, gathered at ``indices``;
+        ``identity`` says that indices is 0..n-1, so no gather is needed."""
         # the state np.random.Philox(key=key, counter=[0, counter, 0, 0]) starts in
         self._state["state"]["counter"][1] = counter
         self._gen.bit_generator.state = self._state
-        return getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)[indices]
+        block = getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)
+        return block if identity else block[indices]
 
 
 def draw_thresholds(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -61,14 +64,15 @@ class ParticleStreams:
         self.indices = np.asarray(np.arange(n) if indices is None else indices, dtype=np.int64)
         if self.indices.shape != (self.n,):
             raise ValueError("indices must have one entry per particle")
+        self._identity = bool(np.array_equal(self.indices, np.arange(self.n)))
         self._main = _Domain(seed, _MAIN_DOMAIN)
         self._step = 0
 
     def initial_uniforms(self) -> np.ndarray:
         """Initial-position uniform in [0, 1) of every particle (counter 0)."""
-        return self._main.draw(0, self.indices, "random")
+        return self._main.draw(0, self.indices, "random", self._identity)
 
     def normals(self) -> np.ndarray:
         """Next standard-normal increment for every particle (one per step)."""
         self._step += 1
-        return self._main.draw(self._step, self.indices, "standard_normal")
+        return self._main.draw(self._step, self.indices, "standard_normal", self._identity)

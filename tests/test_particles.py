@@ -10,7 +10,9 @@ from sulfsim import (
     run_coupled,
     run_simulation,
 )
-from sulfsim.fields import AccumulatedFields
+from sulfsim.config import validate_config
+from sulfsim.dynamics import drift_b, reaction_rate
+from sulfsim.fields import AccumulatedFields, accumulate_step, interpolate
 from sulfsim.particles import NonFiniteStateError, em_step
 from sulfsim.streams import ParticleStreams
 
@@ -86,6 +88,63 @@ def test_em_step_nonfinite_position_aborts(small_config):
         em_step(ens, fields, small_config.step, BadStreams(), small_config.physical, step=17)
     assert err.value.step == 17
     assert 3 in err.value.indices
+
+
+def _reference_steps(cfg):
+    """Steps the ensemble with one full field read per use: (I, J) through
+    ``fields.interpolate`` at the alive positions for the drift, and again
+    at the new positions for the hazard, each clamped at I >= 0."""
+    cfg = validate_config(cfg.with_grid())
+    n, dt, params = cfg.particles, cfg.step, cfg.physical
+    streams = ParticleStreams(cfg.seed, n)
+    ens = init_ensemble(cfg, streams)
+    acc = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
+    negative = 0
+
+    def clamped_I_J(x):
+        nonlocal negative
+        args = interpolate(acc, x)
+        negative += int(np.count_nonzero(args.I < 0.0))
+        return np.maximum(args.I, 0.0), args.J
+
+    for k in range(cfg.n_steps):
+        accumulate_step(acc, ens.cloud(), n, cfg.kernel.bandwidth, dt)
+        noise = streams.normals()
+        alive = ens.alive.copy()
+        I, J = clamped_I_J(ens.positions[alive])
+        b = drift_b(I, J, params)
+        ens.positions[alive] = ens.positions[alive] + b * dt + np.sqrt(2.0 * dt) * noise[alive]
+        I, _ = clamped_I_J(ens.positions[alive])
+        ens.hazards[alive] += dt * reaction_rate(I, params)
+        ens.weights[alive] = np.exp(-ens.hazards[alive])
+        if cfg.mode == "killed":
+            dead_now = alive & (ens.hazards >= ens.thresholds)
+            ens.alive[dead_now] = False
+            ens.death_times[dead_now] = (k + 1) * dt
+    return ens, acc.out_of_domain, negative
+
+
+@pytest.mark.parametrize("mode, lower, upper, lam", [
+    ("feynman-kac", -10.0, 10.0, 1.0),
+    ("killed", -1.2, 1.2, 8.0),  # deaths every few steps, many reads off the grid
+])
+def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
+    cfg = SimConfig(particles=400, horizon=0.08, step=1e-3, seed=99, mode=mode,
+                    physical=PhysicalParams(lam=lam), grid=Grid1D(lower, upper, 0.05))
+    sim = run_simulation(cfg)
+    ref, out_of_domain, negative_I = _reference_steps(cfg)
+    ens = sim.ensemble
+    for name in ("positions", "hazards", "weights", "alive"):
+        assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+    assert np.array_equal(ens.death_times, ref.death_times, equal_nan=True)
+    assert sim.diagnostics["out_of_domain"] == out_of_domain
+    assert sim.diagnostics["negative_I"] == negative_I
+    if mode == "killed":
+        dead = ~ens.alive
+        assert 0 < dead.sum() < cfg.particles
+        assert len(np.unique(ens.death_times[dead])) > 5  # deaths spread over the run
+        assert out_of_domain > 0
+        assert np.any(np.abs(ens.positions[ens.alive]) > upper)  # survivors read off-grid
 
 
 def test_constant_rate_weights_exact(small_config):

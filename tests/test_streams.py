@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulfsim.streams import _MAIN_DOMAIN, ParticleStreams, _Domain, draw_thresholds
@@ -28,6 +28,7 @@ def test_streams_are_prefix_stable_in_ensemble_size(seed, small, extra, steps):
 @given(seed=st.integers(0, 2**32 - 1),
        perm=st.integers(1, 64).flatmap(lambda n: st.permutations(range(n))),
        steps=st.integers(1, 4))
+@example(seed=3, perm=list(range(50)), steps=2)  # identity: drawn without a gather
 def test_permuted_indices_permute_draws(seed, perm, steps):
     perm = np.array(perm)
     base = ParticleStreams(seed, len(perm))
