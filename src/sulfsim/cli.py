@@ -173,7 +173,7 @@ def _build_config(config_path, lam, c0, phi0, phi1, phi_bar, s0, bandwidth,
         cfg = replace(cfg, mode=_MODE_ALIASES.get(mode, mode))
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
-    return validate_config(cfg.with_grid())
+    return validate_config(cfg).with_grid()
 
 
 def _write_run_outputs(out: Path, sim, manifest: RunManifest,

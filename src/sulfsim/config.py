@@ -75,8 +75,8 @@ class KernelSpec:
 
     def violations(self) -> list[str]:
         out = []
-        if not (self.bandwidth > 0.0):
-            out.append(f"kernel bandwidth must be > 0, got {self.bandwidth}")
+        if not (0.0 < self.bandwidth < math.inf):
+            out.append(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.shape != "gaussian":
             out.append(f"kernel shape must be 'gaussian', got {self.shape!r}")
         return out
@@ -210,7 +210,13 @@ def derive_grid(
     """
     from .initial import support_radius
 
-    half = 6.0 * math.sqrt(2.0 * horizon) + support_radius(initial) + 8.0 * bandwidth
+    radius = support_radius(initial) if initial.family in INITIAL_FAMILIES else math.nan
+    if not (0.0 < horizon < math.inf and 0.0 < bandwidth < math.inf and math.isfinite(radius)):
+        raise ConfigError([
+            "the default grid needs a finite horizon > 0, bandwidth > 0 and initial support "
+            f"radius, got {horizon}, {bandwidth} and {radius}"
+        ])
+    half = 6.0 * math.sqrt(2.0 * horizon) + radius + 8.0 * bandwidth
     n_half = int(math.ceil(half / spacing))
     return Grid1D(lower=-n_half * spacing, upper=n_half * spacing, spacing=spacing)
 
@@ -222,21 +228,27 @@ def config_violations(config: SimConfig) -> list[str]:
     out: list[str] = []
     out.extend(config.physical.violations())
     out.extend(config.kernel.violations())
-    grid = config.resolved_grid()
-    out.extend(grid.violations())
+    horizon_ok = 0.0 < config.horizon < math.inf
+    step_ok = 0.0 < config.step < math.inf
+    try:
+        grid = config.resolved_grid()
+    except ConfigError:  # no default grid from a bad horizon, bandwidth or initial law
+        grid = None
+    if grid is not None:
+        out.extend(grid.violations())
 
-    if not (config.horizon > 0.0):
-        out.append(f"horizon must be > 0, got {config.horizon}")
-    if not (config.step > 0.0):
-        out.append(f"step must be > 0, got {config.step}")
-    if config.horizon > 0.0 and config.step > 0.0:
+    if not horizon_ok:
+        out.append(f"horizon must be finite and > 0, got {config.horizon}")
+    if not step_ok:
+        out.append(f"step must be finite and > 0, got {config.step}")
+    if horizon_ok and step_ok:
         k = round(config.horizon / config.step)
         if k < 1 or abs(config.horizon - k * config.step) > DT_DIVISION_RTOL * config.horizon:
             out.append(
                 f"step {config.step} does not divide horizon {config.horizon}"
             )
         # explicit-scheme stability for the shared PDE config
-        if not grid.violations():
+        if grid is not None and not grid.violations():
             cfl = grid.spacing**2 / 2.0
             if config.step > cfl * (1.0 + 1e-12):
                 out.append(

@@ -135,10 +135,10 @@ class LerpCoords(NamedTuple):
 
 
 def lerp_coords(grid: Grid1D, x) -> LerpCoords:
-    """Grid coordinates of positions x; off-grid positions are clamped to
-    read the boundary node."""
+    """Grid coordinates of positions x, as arrays of at least one dimension;
+    off-grid positions are clamped to read the boundary node."""
     m = grid.n_nodes
-    pos = np.asarray((x - grid.lower) / grid.spacing)  # updated in place below
+    pos = np.atleast_1d((x - grid.lower) / grid.spacing)  # updated in place below
     outside = (pos < 0.0) | (pos > m - 1)
     np.clip(pos, 0.0, m - 1, out=pos)
     j = pos.astype(np.int64)
@@ -147,9 +147,20 @@ def lerp_coords(grid: Grid1D, x) -> LerpCoords:
     return LerpCoords(j, pos, outside)
 
 
-def lerp(values: np.ndarray, j: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Linear read of the 1-d node values between nodes j and j + 1."""
-    return values[j] * (1.0 - frac) + values[j + 1] * frac
+def lerp(j: np.ndarray, frac: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+    """Linear reads v[j] (1 - frac) + v[j + 1] frac at array coordinates, one
+    per array v of 1-d node values.  j + 1 and 1 - frac are formed once for
+    all of them; the 1 - frac buffer then takes each v[j + 1] frac in turn,
+    so the reads hold no more arrays at once than separate reads did."""
+    right, buf = j + 1, 1.0 - frac
+    reads = [v[j] for v in values]
+    for read in reads:
+        read *= buf
+    for read, v in zip(reads, values):
+        np.take(v, right, out=buf, mode="clip")  # unbuffered; j + 1 is a node
+        buf *= frac
+        read += buf
+    return reads
 
 
 def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArgs:
@@ -160,14 +171,18 @@ def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArg
     out-of-domain counter, once per read; positions are never clamped, so
     the dynamics continue off-grid.
     """
+    scalar = False
     if not isinstance(x, LerpCoords):
-        x = lerp_coords(fields.grid, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        scalar, x = x.ndim == 0, lerp_coords(fields.grid, x)
     j, frac, outside = x
     fields.out_of_domain += int(np.count_nonzero(outside))
-    I = lerp(fields.A, j, frac)
-    J = lerp(fields.G, j, frac) if gradient else None
-    if I.ndim == 0:
-        return DriftArgs(float(I), None if J is None else float(J))
+    if gradient:
+        I, J = lerp(j, frac, fields.A, fields.G)
+    else:
+        (I,), J = lerp(j, frac, fields.A), None
+    if scalar:
+        return DriftArgs(float(I[0]), None if J is None else float(J[0]))
     return DriftArgs(I, J)
 
 

@@ -29,7 +29,7 @@ def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) ->
     prefix[1:] = dt * np.cumsum(u[:-1], axis=0)
     j, frac = lerp_coords(grid, paths)[:2]
     j += grid.n_nodes * np.arange(len(paths))[:, None]  # row s of the flat lattice
-    return lerp(prefix.ravel(), j, frac)
+    return lerp(j, frac, prefix.ravel())[0]
 
 
 def apply_mkfk_map(

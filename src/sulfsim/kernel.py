@@ -9,8 +9,13 @@ Two evaluation paths are provided:
   offset o (a = o*h/delta) K(o*h - r) = norm e^{-a^2/2} e^{-s^2/2} e^{as}.
   The Taylor series of e^{as} splits that into per-cell moments
   sum w e^{-s^2/2} s^p (one ``bincount`` each) convolved with fixed
-  per-offset stencils, cached per (spacing, bandwidth), for u and u'.
-  Single-threaded, with a fixed summation order.
+  per-offset stencils for u and u'.  The convolution is one matrix
+  product: the moments of each block of ``_BLOCK`` cells times a
+  block-Toeplitz matrix of the stencils, cached per (spacing, bandwidth),
+  give the nodes the block reaches, and the overlapping spans of
+  neighbouring blocks are then added in a fixed order.  BLAS may run the
+  product on several threads, but each node's sum has a fixed order that
+  does not depend on the thread count.
 - :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
   particles in index order with a hard 8-bandwidth cutoff; the test oracle
   and the exact-history field reader.
@@ -36,6 +41,9 @@ CUTOFF_BANDWIDTHS = 8.0
 
 _QUERY_CHUNK = 256
 
+# cells per block of the deposit's matrix product
+_BLOCK = 16
+
 
 @dataclass
 class WeightedPointCloud:
@@ -57,6 +65,14 @@ class WeightedPointCloud:
             raise ValueError("positions must be finite")
         if self.weights.size and (self.weights.min() < 0.0 or self.weights.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
+
+    @classmethod
+    def unchecked(cls, positions: np.ndarray, weights: np.ndarray) -> WeightedPointCloud:
+        """A cloud of float arrays whose caller guarantees what
+        ``__post_init__`` checks; nothing is copied or validated."""
+        cloud = object.__new__(cls)
+        cloud.positions, cloud.weights = positions, weights
+        return cloud
 
     def __len__(self) -> int:
         return self.positions.size
@@ -120,17 +136,18 @@ def _taylor_order(abs_a: np.ndarray, s_max: float) -> int:
     return order
 
 
-@functools.lru_cache(maxsize=16)
 def _stencils(h: float, delta: float) -> np.ndarray:
-    """Read-only (2, P+2, 2*half+1) stencils at offsets o = half..-half,
-    reversed so that ``np.correlate`` applies them as a convolution.
+    """(2, R, 2*half+1) stencils at offsets o = -half..half.
 
     Row p holds the s^p coefficients, times e^{-a^2/2}, of norm e^{as}
     (for u) and of (norm/delta) (s - a) e^{as} (for u'), a = o*h/delta.
+    R is the fewest rows whose dropped tail, summed over p at the largest
+    |s|, stays at most 1e-17 of the peak of K and of K' at every offset.
     """
     half = int(math.ceil(CUTOFF_BANDWIDTHS * delta / h + 0.5))
     a = np.arange(-half, half + 1) * (h / delta)
-    order = _taylor_order(np.abs(a), 0.5 * h / delta)
+    s_max = 0.5 * h / delta
+    order = _taylor_order(np.abs(a), s_max)
     t = np.zeros((order + 4, a.size))  # t[p] = a^p / p!, and t[-1] = 0
     t[0] = 1.0
     for p in range(1, order + 3):
@@ -138,9 +155,32 @@ def _stencils(h: float, delta: float) -> np.ndarray:
     gauss = np.exp(-0.5 * a * a) / (delta * SQRT_TWO_PI)
     p = np.arange(order + 2)
     out = np.stack([gauss * t[p], gauss / delta * (t[p - 1] - (p + 1)[:, None] * t[p + 1])])
-    out = np.ascontiguousarray(out[..., ::-1])
-    out.flags.writeable = False
-    return out
+    peak = np.array([1.0, math.exp(-0.5) / delta]) / (delta * SQRT_TWO_PI)
+    term = np.abs(out) * (s_max**p)[:, None] / peak[:, None, None]
+    tail = np.cumsum(term[:, ::-1], axis=1)[:, ::-1].max(axis=(0, 2))  # tail[R] = sum_{p>=R}
+    return out[:, : np.count_nonzero(tail > 1e-17)]
+
+
+@functools.lru_cache(maxsize=16)
+def _block_matrix(h: float, delta: float) -> tuple[np.ndarray, int]:
+    """Read-only block-Toeplitz matrix of the stencils, and half.
+
+    The matrix maps the moments of a block of _BLOCK cells, rows (r, p), to
+    the span of q*_BLOCK nodes they reach, columns (node, u or u'), with
+    q = ceil((_BLOCK + 2*half) / _BLOCK): row (r, p) holds the u and u'
+    stencil rows p at nodes r..r+2*half.  It is stored as q panels of
+    _BLOCK nodes each, shape (q, _BLOCK*R, 2*_BLOCK).
+    """
+    stencils = _stencils(h, delta)
+    n_rows, width = stencils.shape[1:]
+    q = -(-(_BLOCK + width - 1) // _BLOCK)
+    mat = np.zeros((_BLOCK, n_rows, q * _BLOCK, 2))
+    for r in range(_BLOCK):
+        mat[r, :, r : r + width] = stencils.transpose(1, 2, 0)
+    mat = mat.reshape(_BLOCK * n_rows, q, 2 * _BLOCK).transpose(1, 0, 2)
+    mat = np.ascontiguousarray(mat)
+    mat.flags.writeable = False
+    return mat, width // 2
 
 
 def grid_density(
@@ -159,8 +199,8 @@ def grid_density(
         raise ValueError("divisor n_total must be positive")
     m = grid.n_nodes
     h = grid.spacing
-    stencils = _stencils(h, delta)
-    half = stencils.shape[2] // 2
+    mat, half = _block_matrix(h, delta)
+    q, n_rows = mat.shape[0], mat.shape[1] // _BLOCK
     u, du = np.zeros(m), np.zeros(m)
 
     # nearest node j and scaled sub-spacing residual s = (x - x_j) / delta;
@@ -177,17 +217,24 @@ def grid_density(
     last = min(int(j.max()) + half, m - 1)
     cell = j  # j and term are updated in place, to keep a step's peak memory low
     cell -= first - half
-    n_cells = last - first + 1 + 2 * half
+    n_blocks = -(-(last - first + 1 + 2 * half) // _BLOCK)
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p
     term = -0.5 * s * s
     np.exp(term, out=term)
     term *= w
-    u_reached, du_reached = u[first : last + 1], du[first : last + 1]
-    for p, (stencil_u, stencil_du) in enumerate(zip(*stencils)):
+    moments = np.empty((n_blocks * _BLOCK, n_rows))
+    for p in range(n_rows):
         if p:
             term *= s
-        moment = np.bincount(cell, weights=term, minlength=n_cells)
-        u_reached += np.correlate(moment, stencil_u, "valid")
-        du_reached += np.correlate(moment, stencil_du, "valid")
+        moments[:, p] = np.bincount(cell, weights=term, minlength=n_blocks * _BLOCK)
+
+    # spans[k, b]: what the moments of block b give its k-th block of nodes;
+    # the spans of neighbouring blocks overlap and are added for k = 0..q-1
+    spans = moments.reshape(n_blocks, -1) @ mat
+    nodes = np.zeros((n_blocks + q - 1, 2 * _BLOCK))
+    for k in range(q):
+        nodes[k : k + n_blocks] += spans[k]
+    nodes = nodes.reshape(-1, 2)  # row i: (u, u') at node first - 2*half + i
+    u[first : last + 1], du[first : last + 1] = nodes[2 * half : 2 * half + last - first + 1].T
     return u / n_total, du / n_total

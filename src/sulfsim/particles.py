@@ -71,11 +71,13 @@ class ParticleEnsemble:
         Feynman-Kac: every particle with its discount weight.  Killed:
         surviving particles with weight 1; the dead carry weight 0, which
         is the cemetery convention (they drop out of every sum) while the
-        divisor stays the full ensemble size.
+        divisor stays the full ensemble size.  The arrays are not checked
+        again: the initial positions are finite draws, :func:`em_step`
+        checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
         if self.mode == "feynman-kac":
-            return WeightedPointCloud(self.positions, self.weights)
-        return WeightedPointCloud(self.positions, self.alive.astype(float))
+            return WeightedPointCloud.unchecked(self.positions, self.weights)
+        return WeightedPointCloud.unchecked(self.positions, self.alive.astype(float))
 
 
 def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> ParticleEnsemble:

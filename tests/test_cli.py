@@ -87,6 +87,33 @@ def test_simulate_invalid_config_exits_2(runner, cfg_file, tmp_path):
     assert "porosity" in res.output
 
 
+@pytest.mark.parametrize("body, key", [
+    ("kernel: {bandwidth: .nan}", "bandwidth"),
+    ("kernel: {bandwidth: .inf}", "bandwidth"),
+    ("kernel: {bandwidth: -0.3}", "bandwidth"),
+    ("horizon: .nan", "horizon"),
+    ("horizon: .inf", "horizon"),
+    ("horizon: -0.5", "horizon"),
+    ("step: .nan", "step"),
+    ("step: .inf", "step"),
+    ("{grid: {lower: -5, upper: 5, spacing: 0.05}, horizon: .inf}", "horizon"),
+    ("initial: {family: tabulated}", "table_x"),
+    ("initial: {family: bogus}", "initial family"),
+], ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-neg", "horizon-nan", "horizon-inf",
+        "horizon-neg", "step-nan", "step-inf", "grid-horizon-inf", "tabulated-no-table",
+        "unknown-family"])
+def test_bad_grid_input_exits_2(runner, tmp_path, body, key):
+    # with no grid block the default grid is derived from the horizon, the
+    # bandwidth and the initial law's support
+    path = tmp_path / "bad.yaml"
+    path.write_text(body + "\n")
+    res = runner.invoke(main, ["simulate", "--config", str(path), "--seed", "1",
+                               "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2, res.output
+    assert "invalid config" in res.output and key in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_simulate_numerical_abort_exits_3(runner, cfg_file, tmp_path, monkeypatch):
     from sulfsim.particles import NonFiniteStateError
     import sulfsim.cli as cli_mod

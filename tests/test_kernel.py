@@ -1,12 +1,18 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sulfsim
 from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value, mollify, mollify_grad
-from sulfsim.kernel import _stencils, grid_density
+from sulfsim.kernel import _BLOCK, _block_matrix, grid_density
 
 
 def test_kernel_value_closed_forms():
@@ -140,10 +146,93 @@ def test_grid_density_matches_offset_deposit_at_default_grid(rng):
     assert np.array_equal(u == 0.0, u_ref == 0.0)
 
 
+@pytest.mark.parametrize("span", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("where", ["inside", "past-lower", "past-upper", "past-both"])
+def test_grid_density_block_edges_match_offset_deposit(rng, span, where):
+    # clouds whose nearest nodes cover `span` cells, so that the cells they
+    # reach start and end at every offset inside a block of the product
+    grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
+    half = math.ceil(8.0 * delta / grid.spacing + 0.5)
+    start = {"inside": 40, "past-lower": -half // 2, "past-upper": grid.n_nodes - span + 3,
+             "past-both": -half // 2}[where]
+    if where == "past-both":
+        span += grid.n_nodes + half
+    for shift in range(_BLOCK):
+        cells = start + shift + rng.integers(0, span, 200)
+        cells[:2] = start + shift, start + shift + span - 1
+        pos = grid.lower + (cells + rng.uniform(-0.5, 0.5, cells.size)) * grid.spacing
+        cloud = WeightedPointCloud(pos, rng.random(pos.size))
+        u, du = grid_density(cloud, grid, delta, pos.size)
+        u_ref, du_ref = _offset_deposit(cloud, grid, delta, pos.size)
+        assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(u_ref)
+        assert np.max(np.abs(du - du_ref)) <= 1e-14 * np.max(np.abs(du_ref))
+        assert np.array_equal(u == 0.0, u_ref == 0.0)
+
+
+_DEPOSIT_DIGEST = """
+import hashlib
+import numpy as np
+from sulfsim import Grid1D, WeightedPointCloud
+from sulfsim.kernel import grid_density
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(11)
+for n, bound, h, delta in ((250, 14.4, 0.05, 0.3), (20000, 14.4, 0.05, 0.3), (3000, 4.0, 0.01, 0.2)):
+    cloud = WeightedPointCloud(rng.normal(0.0, 2.0, n), rng.random(n))
+    for values in grid_density(cloud, Grid1D(-bound, bound, h), delta, n):
+        digest.update(values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _run(args, cwd, blas_threads=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sulfsim.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(blas_threads)
+    res = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def _csv_digests(root: Path) -> dict:
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*.csv"))}
+
+
+def _tiny_config(tmp_path: Path) -> Path:
+    path = tmp_path / "tiny.yaml"
+    path.write_text("grid: {lower: -6.0, upper: 6.0, spacing: 0.05}\n"
+                    "horizon: 0.02\nstep: 0.001\nparticles: 500\n")
+    return path
+
+
+def test_deposit_and_simulate_bits_do_not_depend_on_blas_threads(tmp_path):
+    deposits = {threads: _run(["-c", _DEPOSIT_DIGEST], tmp_path, threads) for threads in (1, 2)}
+    assert deposits[1] == deposits[2]
+    cfg = _tiny_config(tmp_path)
+    for threads in (1, 2):
+        _run(["-m", "sulfsim.cli", "simulate", "--config", str(cfg), "--mode", "kill",
+              "--seed", "4", "--out", str(tmp_path / f"sim{threads}")], tmp_path, threads)
+    assert _csv_digests(tmp_path / "sim1") == _csv_digests(tmp_path / "sim2")
+
+
+def test_convergence_bits_do_not_depend_on_workers(tmp_path):
+    cfg = _tiny_config(tmp_path)
+    for workers in (1, 2):
+        _run(["-m", "sulfsim.cli", "convergence", "--config", str(cfg), "--n", "100,300",
+              "--seeds", "3", "--seed", "5", "--workers", str(workers),
+              "--out", str(tmp_path / f"conv{workers}")], tmp_path)
+    digests = _csv_digests(tmp_path / "conv1")
+    assert digests and digests == _csv_digests(tmp_path / "conv2")
+
+
 def test_grid_density_stencil_cache_keeps_bits(rng):
     cloud = WeightedPointCloud(rng.normal(0, 1, 2000), rng.random(2000))
     grid_a, grid_b = Grid1D(-8.0, 8.0, 0.05), Grid1D(-8.0, 8.0, 0.1)
-    _stencils.cache_clear()
+    _block_matrix.cache_clear()
     u1, g1 = grid_density(cloud, grid_a, 0.3, 2000)
     grid_density(cloud, grid_b, 0.45, 2000)
     u2, g2 = grid_density(cloud, grid_a, 0.3, 2000)
