@@ -36,7 +36,7 @@ def drift_b(I, J, p: PhysicalParams):
     """
     I = np.asarray(I, dtype=float)
     J = np.asarray(J, dtype=float)
-    if not (np.all(np.isfinite(I)) and np.all(np.isfinite(J))):
+    if not (np.isfinite(I).all() and np.isfinite(J).all()):
         raise ValueError("drift arguments must be finite")
     e = np.exp(-p.lam * I)  # e and out are updated in place: fewer temporaries per step
     out = -p.phi1 * p.lam * p.c0 * e
@@ -52,7 +52,7 @@ def drift_b(I, J, p: PhysicalParams):
 def reaction_rate(I, p: PhysicalParams):
     """Reaction/hazard rate lambda c0 exp(-lambda I), decreasing in I."""
     I = np.asarray(I, dtype=float)
-    if np.any(I < 0):
+    if (I < 0).any():
         raise ValueError("accumulated density integral I must be nonnegative")
     out = p.lam * p.c0 * np.exp(-p.lam * I)
     if out.ndim == 0:

@@ -107,7 +107,8 @@ def accumulate_step(
     """Add one left-endpoint quadrature term from the cloud at time fields.t.
 
     A(x_g) += dt * u(x_g), G(x_g) += dt * u'(x_g); the field time advances
-    by dt.  Returns ``fields`` (updated in place).
+    by dt.  ``fields`` is updated in place; returns the cloud's density u
+    at the nodes, so that a caller recording it need not deposit again.
     """
     if abs(delta - fields.delta) > 1e-15 * max(delta, fields.delta):
         raise ValueError(
@@ -118,7 +119,7 @@ def accumulate_step(
     fields.G += dt * du
     fields.t += dt
     fields.steps += 1
-    return fields
+    return u
 
 
 class LerpCoords(NamedTuple):

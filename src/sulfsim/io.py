@@ -26,20 +26,20 @@ ARCHIVE_VERSION = 1
 ARCHIVE_HEADER_BYTES = 32  # magic, version, n, snapshots, dt
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _column_text(column: np.ndarray) -> list[str]:
+    """The values of a column as CSV fields: ``repr`` (shortest round-trip)
+    for a float column, ``str`` for any other."""
+    column = np.asarray(column)
+    return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
 
 
 def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> Path:
     """Write columns to a CSV file with full-precision floats."""
     path = Path(path)
-    rows = zip(*columns)
+    rows = zip(*map(_column_text, columns))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     return path
 
 

@@ -13,9 +13,10 @@ Two evaluation paths are provided:
   product: the moments of each block of ``_BLOCK`` cells times a
   block-Toeplitz matrix of the stencils, cached per (spacing, bandwidth),
   give the nodes the block reaches, and the overlapping spans of
-  neighbouring blocks are then added in a fixed order.  BLAS may run the
-  product on several threads, but each node's sum has a fixed order that
-  does not depend on the thread count.
+  neighbouring blocks are then added in a fixed order.  Only the blocks
+  from the first to the last that holds a particle enter the product and
+  the adds.  BLAS may run the product on several threads, but each node's
+  sum has a fixed order that does not depend on the thread count.
 - :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
   particles in index order with a hard 8-bandwidth cutoff; the test oracle
   and the exact-history field reader.
@@ -193,7 +194,9 @@ def grid_density(
 
     Returns ``(u, du)`` with ``u[g] = mollify(cloud, delta, x_g, n_total)``
     up to the shared 8-bandwidth truncation and a Taylor remainder below
-    1e-17 of the kernel's peak.
+    1e-17 of the kernel's peak.  The bincounts, the matrix product and the
+    overlap-add run over the occupied blocks only: from the first to the
+    last block of cells that holds a particle reaching the grid.
     """
     if n_total <= 0:
         raise ValueError("divisor n_total must be positive")
@@ -215,9 +218,13 @@ def grid_density(
         return u, du
     first = max(int(j.min()) - half, 0)  # nodes first..last are reached
     last = min(int(j.max()) + half, m - 1)
+    # cells are numbered j - first + half and grouped in blocks of _BLOCK from
+    # cell 0; only blocks b0..b0 + n_blocks - 1, which hold particles, enter
+    # the product, so each of them groups the same cells for any b0
+    b0 = (int(j.min()) - first + half) // _BLOCK
+    n_blocks = (int(j.max()) - first + half) // _BLOCK - b0 + 1
     cell = j  # j and term are updated in place, to keep a step's peak memory low
-    cell -= first - half
-    n_blocks = -(-(last - first + 1 + 2 * half) // _BLOCK)
+    cell -= first - half + b0 * _BLOCK
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p
     term = -0.5 * s * s
@@ -235,6 +242,7 @@ def grid_density(
     nodes = np.zeros((n_blocks + q - 1, 2 * _BLOCK))
     for k in range(q):
         nodes[k : k + n_blocks] += spans[k]
-    nodes = nodes.reshape(-1, 2)  # row i: (u, u') at node first - 2*half + i
-    u[first : last + 1], du[first : last + 1] = nodes[2 * half : 2 * half + last - first + 1].T
+    nodes = nodes.reshape(-1, 2)  # row i: (u, u') at node first - 2*half + b0*_BLOCK + i
+    lo = 2 * half - b0 * _BLOCK
+    u[first : last + 1], du[first : last + 1] = nodes[lo : lo + last - first + 1].T
     return u / n_total, du / n_total

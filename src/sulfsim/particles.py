@@ -11,8 +11,9 @@ path-dependent drift; they differ in how the reaction enters:
   modes stay pathwise coupled under one seed.
 
 Per-step order: build the mode's cloud from the state at the step start,
-accumulate it into the fields, advance positions, then update hazards at
-the new positions with the fields through the current step.  The grid
+accumulate it into the fields (a recorded step keeps that deposit for its
+snapshot), advance positions, then update hazards at the new positions
+with the fields through the current step.  The grid
 coordinates of X_{k+1} are computed once, in the hazard update, which reads
 only I there; the next step's drift reads (I, J) at the same coordinates,
 kept for the survivors only.  Each of the two reads still counts its
@@ -109,10 +110,10 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
 def _clamp_negative_I(I, diagnostics: dict | None) -> np.ndarray:
     """Clamp interpolated I values below 0 to 0, counting them in diagnostics."""
     I = np.asarray(I, dtype=float)
-    neg = I < 0.0
-    if np.any(neg):
+    n_neg = np.count_nonzero(I < 0.0)
+    if n_neg:
         if diagnostics is not None:
-            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + int(neg.sum())
+            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + n_neg
         I = np.maximum(I, 0.0)
     return I
 
@@ -235,6 +236,12 @@ def run_simulation(
 ) -> SimulationOutput:
     """Run the configured particle system and record density snapshots.
 
+    Each cloud is deposited once: a recorded step keeps the density its
+    field accumulation computed, and only the final cloud, or every
+    recorded cloud when the fields are not accumulated on the grid, is
+    deposited for the record alone.  A field snapshot at step k holds A
+    and G before step k's term.
+
     ``zero_fields`` is a validation hook that skips field accumulation,
     so the hazard rate stays at its t=0 value lambda*c0 and the drift
     vanishes.  ``coupled_thresholds`` draws killing thresholds from the
@@ -272,8 +279,9 @@ def run_simulation(
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
     nodes = grid.nodes()
 
-    def record(k: int, cloud: WeightedPointCloud) -> None:
-        u, _ = grid_density(cloud, grid, delta, n)
+    def record(k: int, cloud: WeightedPointCloud, u: np.ndarray | None = None) -> None:
+        if u is None:  # the step did not deposit this cloud
+            u, _ = grid_density(cloud, grid, delta, n)
         times.append(k * dt)
         steps_rec.append(k)
         densities.append(u)
@@ -291,21 +299,23 @@ def run_simulation(
             vbar = float(np.mean(w * (1.0 - w)))
             coupled_alive.append(alive_frac)
             coupled_band.append(3.0 * np.sqrt(vbar / n))
-        if fields_stride and (k % fields_stride == 0 or k == n_steps):
-            field_snaps.append((k, acc.A.copy(), acc.G.copy()))
 
     coords = None  # of the alive positions, shared by the hazard update and the next drift
     for k in range(n_steps):
         cloud = ens.cloud()
-        if k % stride == 0:
-            record(k, cloud)
+        recording = k % stride == 0
+        if recording and fields_stride and k % fields_stride == 0:
+            field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
         if archiving:
             archive.append(cloud)
+        u = None
         if not exact_mode and not zero_fields:
-            accumulate_step(acc, cloud, n, delta, dt)
+            u = accumulate_step(acc, cloud, n, delta, dt)
         else:
             acc.t += dt
             acc.steps += 1
+        if recording:
+            record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
         em_step(ens, field_view, dt, streams, params, step=k, diagnostics=diagnostics,
                 coords=coords)
@@ -316,6 +326,8 @@ def run_simulation(
     final_cloud = ens.cloud()
     if archiving:
         archive.append(final_cloud)
+    if fields_stride:
+        field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
     record(n_steps, final_cloud)
 
     diagnostics["out_of_domain"] = acc.out_of_domain

@@ -33,6 +33,23 @@ def test_csv_header(tmp_path):
     assert first == "a,b"
 
 
+def test_csv_columns_format_like_per_value_path(tmp_path):
+    def fmt(value):  # the per-value formatting the column path replaced
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    columns = [np.array([3, -1, 0, 2**62]),
+               np.array([True, False, True, False]),
+               np.array([-0.0, 5e-324, 1e300, np.nan]),
+               np.array([0.1, -np.inf, 1.0, 2.5e-7], dtype=np.float32)]
+    path = write_csv(tmp_path / "c.csv", ["i", "b", "f", "g"], columns)
+    rows = ["i,b,f,g"] + [",".join(fmt(v) for v in row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(rows) + "\n"
+    assert rows[1] == "3,True,-0.0,0.10000000149011612"
+    assert rows[2] == "-1,False,5e-324,-inf"
+
+
 def test_snapshot_name_padding():
     assert snapshot_name("u", 7) == "u_000007.csv"
 

@@ -135,6 +135,25 @@ def _offset_deposit(cloud, grid, delta, n_total):
     return u / n_total, du / n_total
 
 
+def _assert_matches_offset_deposit(cloud, grid, delta, widen=False):
+    """grid_density against _offset_deposit, within 1e-14 of the peak u and
+    |u'| and with the same zero pattern; returns u.  With ``widen`` the peaks
+    are read on the grid widened by 2*half + 2*_BLOCK nodes at each end, so
+    that a cloud the grid sees only the tail of is held to its own scale."""
+    n, h = len(cloud), grid.spacing
+    u, du = grid_density(cloud, grid, delta, n)
+    u_ref, du_ref = _offset_deposit(cloud, grid, delta, n)
+    u_peak, du_peak = u_ref, du_ref
+    if widen:
+        pad = (2 * math.ceil(8.0 * delta / h + 0.5) + 2 * _BLOCK) * h
+        u_peak, du_peak = _offset_deposit(
+            cloud, Grid1D(grid.lower - pad, grid.upper + pad, h), delta, n)
+    assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(u_peak)
+    assert np.max(np.abs(du - du_ref)) <= 1e-14 * np.max(np.abs(du_peak))
+    assert np.array_equal(u == 0.0, u_ref == 0.0)
+    return u
+
+
 def test_grid_density_matches_offset_deposit_at_default_grid(rng):
     n = 10_000
     cloud = WeightedPointCloud(rng.normal(0, 1.5, n), rng.random(n))
@@ -147,26 +166,40 @@ def test_grid_density_matches_offset_deposit_at_default_grid(rng):
 
 
 @pytest.mark.parametrize("span", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
-@pytest.mark.parametrize("where", ["inside", "past-lower", "past-upper", "past-both"])
+@pytest.mark.parametrize("where", ["inside", "past-lower", "past-upper", "past-both",
+                                   "lowest-cell", "beyond-lower", "beyond-upper"])
 def test_grid_density_block_edges_match_offset_deposit(rng, span, where):
     # clouds whose nearest nodes cover `span` cells, so that the cells they
-    # reach start and end at every offset inside a block of the product
+    # reach start and end at every offset inside a block of the product.
+    # The product numbers the cells j - first + half; with the first reached
+    # node clamped to 0 ("lowest-cell"), the lowest occupied cell j + half
+    # takes every block and phase up to 2*half; some of these clouds reach
+    # the grid with their tails only.  "beyond-*" clouds lie wholly past one
+    # end of the grid and reach into it.
     grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
-    half = math.ceil(8.0 * delta / grid.spacing + 0.5)
-    start = {"inside": 40, "past-lower": -half // 2, "past-upper": grid.n_nodes - span + 3,
-             "past-both": -half // 2}[where]
+    m, half = grid.n_nodes, math.ceil(8.0 * delta / grid.spacing + 0.5)
+    start = {"inside": 40, "past-lower": -half // 2, "past-upper": m - span + 3,
+             "past-both": -half // 2, "lowest-cell": -half,
+             "beyond-lower": 1 - span - _BLOCK, "beyond-upper": m}[where]
     if where == "past-both":
-        span += grid.n_nodes + half
-    for shift in range(_BLOCK):
+        span += m + half
+    for shift in range(2 * half + 1 if where == "lowest-cell" else _BLOCK):
         cells = start + shift + rng.integers(0, span, 200)
         cells[:2] = start + shift, start + shift + span - 1
         pos = grid.lower + (cells + rng.uniform(-0.5, 0.5, cells.size)) * grid.spacing
-        cloud = WeightedPointCloud(pos, rng.random(pos.size))
-        u, du = grid_density(cloud, grid, delta, pos.size)
-        u_ref, du_ref = _offset_deposit(cloud, grid, delta, pos.size)
-        assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(u_ref)
-        assert np.max(np.abs(du - du_ref)) <= 1e-14 * np.max(np.abs(du_ref))
-        assert np.array_equal(u == 0.0, u_ref == 0.0)
+        _assert_matches_offset_deposit(WeightedPointCloud(pos, rng.random(pos.size)), grid, delta,
+                                       widen=where == "lowest-cell")
+
+
+def test_grid_density_single_particle_matches_offset_deposit(rng):
+    # one particle in every cell it can reach the grid from, and beyond
+    grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
+    half = math.ceil(8.0 * delta / grid.spacing + 0.5)
+    for cell in range(-half - 2, grid.n_nodes + half + 2):
+        pos = grid.lower + (cell + rng.uniform(-0.5, 0.5, 1)) * grid.spacing
+        u = _assert_matches_offset_deposit(WeightedPointCloud(pos, rng.uniform(0.5, 1.0, 1)),
+                                           grid, delta, widen=True)
+        assert u.any() == (-half <= cell < grid.n_nodes + half)
 
 
 _DEPOSIT_DIGEST = """

@@ -12,7 +12,9 @@ from sulfsim import (
 )
 from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
-from sulfsim.fields import AccumulatedFields, accumulate_step, interpolate
+import sulfsim.fields
+import sulfsim.particles
+from sulfsim.fields import AccumulatedFields, accumulate_from_archive, accumulate_step, interpolate
 from sulfsim.particles import NonFiniteStateError, em_step
 from sulfsim.streams import ParticleStreams
 
@@ -269,3 +271,48 @@ def test_modes_identical_when_lambda_zero(small_config):
     for ua, ub in zip(fk.densities, kl.densities):
         assert np.array_equal(ua, ub)
     assert kl.weight_or_alive[-1] == 1.0
+
+
+@pytest.mark.parametrize("mode", ["feynman-kac", "killed"])
+def test_run_deposits_each_cloud_once(monkeypatch, small_config, mode):
+    calls = []
+    for module in (sulfsim.fields, sulfsim.particles):
+        deposit = module.grid_density
+
+        def counted(*args, _deposit=deposit, **kwargs):
+            calls.append(args[0])
+            return _deposit(*args, **kwargs)
+
+        monkeypatch.setattr(module, "grid_density", counted)
+    cfg = replace(small_config, mode=mode, horizon=0.02)
+    sim = run_simulation(cfg, snapshot_stride=1)
+    assert len(sim.densities) == cfg.n_steps + 1
+    assert len(calls) == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("mode", ["feynman-kac", "killed"])
+def test_field_snapshots_hold_fields_before_their_step(small_config, mode):
+    cfg = replace(small_config, mode=mode, horizon=0.02,
+                  physical=PhysicalParams(lam=8.0))  # deaths in the killed run
+    sim = run_simulation(cfg, snapshot_stride=2, keep_archive=True, fields_stride=3)
+    steps = [s for s, _, _ in sim.field_snaps]
+    assert steps == [0, 6, 12, 18, cfg.n_steps]
+    _, a0, g0 = sim.field_snaps[0]
+    assert not a0.any() and not g0.any()
+    for s, a, g in sim.field_snaps:
+        replay = accumulate_from_archive(sim.archive, cfg.grid, cfg.kernel.bandwidth,
+                                         cfg.particles, steps=s)
+        assert np.array_equal(a, replay.A), s
+        assert np.array_equal(g, replay.G), s
+    if mode == "killed":
+        assert not sim.ensemble.alive.all()
+
+
+def test_killed_run_continues_after_every_particle_dies(small_config):
+    # with the fields held at zero the rate stays lambda c0: 10 per step
+    cfg = replace(small_config, mode="killed", horizon=0.01, physical=PhysicalParams(lam=1e4))
+    sim = run_simulation(cfg, snapshot_stride=1, zero_fields=True)
+    assert not sim.ensemble.alive.any()
+    assert sim.diagnostics["deaths"] == cfg.particles
+    assert np.all(sim.weight_or_alive[1:] == 0.0)
+    assert not np.any(sim.densities[-1])
