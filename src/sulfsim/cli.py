@@ -21,13 +21,10 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    INITIAL_FAMILIES,
     ConfigError,
     Grid1D,
-    InitialDensitySpec,
-    KernelSpec,
-    PhysicalParams,
     SimConfig,
-    config_from_dict,
     load_config,
     validate_config,
 )
@@ -91,89 +88,51 @@ def _out_dir(out: str | None, default: str) -> Path:
     return path
 
 
-_config_options = [
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                 help="YAML config file; flags override its fields."),
-    click.option("--lambda", "lam", type=float, default=None, help="reaction rate"),
-    click.option("--c0", type=float, default=None, help="initial calcite density"),
-    click.option("--phi0", type=float, default=None, help="porosity offset"),
-    click.option("--phi1", type=float, default=None, help="porosity slope"),
-    click.option("--phi-bar", type=float, default=None, help="porosity upper bound"),
-    click.option("--s0", type=float, default=None, help="initial-density sup bound"),
-    click.option("--bandwidth", type=float, default=None, help="kernel bandwidth"),
-    click.option("--lower", type=float, default=None, help="grid lower bound"),
-    click.option("--upper", type=float, default=None, help="grid upper bound"),
-    click.option("--spacing", type=float, default=None, help="grid spacing"),
-    click.option("--horizon", type=float, default=None, help="time horizon T"),
-    click.option("--step", type=float, default=None, help="time step dt"),
-    click.option("--particles", type=int, default=None, help="ensemble size N"),
-    click.option("--field-mode", type=click.Choice(["grid-accumulator", "exact-history"]),
-                 default=None),
-    click.option("--initial-family",
-                 type=click.Choice(["gaussian-bump", "truncated-cosine-bump", "tabulated"]),
-                 default=None),
-    click.option("--center", type=float, default=None, help="initial density center"),
-    click.option("--width", type=float, default=None, help="initial density width"),
-    click.option("--normalize/--no-normalize", "normalize", default=None,
-                 help="rescale a tabulated initial density to unit mass"),
+# (flag, YAML key path, type, help): one config option each, whose click
+# parameter is the key path with "__" for "."
+_CONFIG_FLAGS = [
+    ("--lambda", "physical.lambda", float, "reaction rate"),
+    ("--c0", "physical.c0", float, "initial calcite density"),
+    ("--phi0", "physical.phi0", float, "porosity offset"),
+    ("--phi1", "physical.phi1", float, "porosity slope"),
+    ("--phi-bar", "physical.phi_bar", float, "porosity upper bound"),
+    ("--s0", "physical.s0", float, "initial-density sup bound"),
+    ("--bandwidth", "kernel.bandwidth", float, "kernel bandwidth"),
+    ("--lower", "grid.lower", float, "grid lower bound"),
+    ("--upper", "grid.upper", float, "grid upper bound"),
+    ("--spacing", "grid.spacing", float, "grid spacing"),
+    ("--horizon", "horizon", float, "time horizon T"),
+    ("--step", "step", float, "time step dt"),
+    ("--particles", "particles", int, "ensemble size N"),
+    ("--initial-family", "initial.family", click.Choice(INITIAL_FAMILIES),
+     "initial density family"),
+    ("--center", "initial.center", float, "initial density center"),
+    ("--width", "initial.width", float, "initial density width"),
+    ("--normalize/--no-normalize", "initial.normalize", bool,
+     "rescale a tabulated initial density to unit mass"),
 ]
 
 
 def _with_config_options(fn):
-    for opt in reversed(_config_options):
-        fn = opt(fn)
-    return fn
+    for flag, path, kind, help_text in reversed(_CONFIG_FLAGS):
+        fn = click.option(flag, path.replace(".", "__"), type=kind, default=None,
+                          help=help_text)(fn)
+    return click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+                        help="YAML config file; flags override its fields.")(fn)
 
 
-def _build_config(config_path, lam, c0, phi0, phi1, phi_bar, s0, bandwidth,
-                  lower, upper, spacing, horizon, step, particles, field_mode,
-                  initial_family, center, width, normalize=None,
-                  mode=None, seed=None) -> SimConfig:
-    cfg = load_config(config_path) if config_path else SimConfig()
-    phys = cfg.physical
-    phys = PhysicalParams(
-        lam=phys.lam if lam is None else lam,
-        c0=phys.c0 if c0 is None else c0,
-        phi0=phys.phi0 if phi0 is None else phi0,
-        phi1=phys.phi1 if phi1 is None else phi1,
-        phi_bar=phys.phi_bar if phi_bar is None else phi_bar,
-        s0=phys.s0 if s0 is None else s0,
-    )
-    kern = cfg.kernel if bandwidth is None else KernelSpec(bandwidth=bandwidth)
-    grid = cfg.grid
-    if lower is not None or upper is not None or spacing is not None:
-        base = cfg.resolved_grid()
-        grid = Grid1D(
-            lower=base.lower if lower is None else lower,
-            upper=base.upper if upper is None else upper,
-            spacing=base.spacing if spacing is None else spacing,
-        )
-    ini = cfg.initial
-    if any(v is not None for v in (initial_family, center, width, normalize)):
-        ini = InitialDensitySpec(
-            family=ini.family if initial_family is None else initial_family,
-            center=ini.center if center is None else center,
-            width=ini.width if width is None else width,
-            normalize=ini.normalize if normalize is None else normalize,
-            table_x=ini.table_x,
-            table_p=ini.table_p,
-        )
-    cfg = replace(
-        cfg,
-        physical=phys,
-        kernel=kern,
-        grid=grid,
-        horizon=cfg.horizon if horizon is None else horizon,
-        step=cfg.step if step is None else step,
-        particles=cfg.particles if particles is None else particles,
-        field_mode=cfg.field_mode if field_mode is None else field_mode,
-        initial=ini,
-    )
-    if mode is not None:
-        cfg = replace(cfg, mode=_MODE_ALIASES.get(mode, mode))
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
-    return validate_config(cfg).with_grid()
+def _build_config(config_path=None, **values) -> SimConfig:
+    """The config file (or the defaults) with every given flag merged over it;
+    ``values`` are the config options' parameters, plus ``mode`` and ``seed``."""
+    overrides: dict = {}
+    for name, value in values.items():
+        if value is not None:
+            *sections, key = name.split("__")
+            node = overrides
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+    return validate_config(load_config(config_path, overrides)).with_grid()
 
 
 def _write_run_outputs(out: Path, sim, manifest: RunManifest,
@@ -262,7 +221,7 @@ def main():
 @main.command()
 @_with_config_options
 @click.option("--mode", type=click.Choice(["fk", "kill", "feynman-kac", "killed"]),
-              default="fk", show_default=True)
+              default=None, help="reaction mode (default: the config's mode)")
 @click.option("--seed", type=int, required=True, help="master RNG seed (required)")
 @click.option("--out", type=click.Path(), default=None, help="output directory")
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
@@ -276,7 +235,7 @@ def main():
 @_handle_errors
 def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cfg_kwargs):
     """Run the particle system and write snapshots, series, and manifest."""
-    cfg = _build_config(mode=mode, seed=seed, **cfg_kwargs)
+    cfg = _build_config(mode=_MODE_ALIASES.get(mode, mode), seed=seed, **cfg_kwargs)
     out_dir = _out_dir(out, "sim-out")
     sim = run_simulation(
         cfg,

@@ -6,19 +6,26 @@ immutable after validation and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 MODES = ("feynman-kac", "killed")
-FIELD_MODES = ("grid-accumulator", "exact-history")
 INITIAL_FAMILIES = ("gaussian-bump", "truncated-cosine-bump", "tabulated")
 
 # dt must divide the horizon to within this relative tolerance
 DT_DIVISION_RTOL = 1e-12
+
+# more grid nodes than this are refused before any array is allocated
+MAX_GRID_NODES = 10**7
+
+# field name -> YAML key, where the two differ
+_YAML_KEYS = {"lam": "lambda"}
 
 
 class ConfigError(ValueError):
@@ -47,6 +54,9 @@ class PhysicalParams:
     s0: float = 1.0
 
     def violations(self) -> list[str]:
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            return [f"physical {', '.join(_YAML_KEYS.get(b, b) for b in bad)} must be finite"]
         out = []
         if not (self.lam >= 0.0):
             out.append(f"lambda must be >= 0, got {self.lam}")
@@ -71,15 +81,11 @@ class KernelSpec:
     """Smoothing kernel: Gaussian with bandwidth ``bandwidth`` (> 0)."""
 
     bandwidth: float = 0.3
-    shape: str = "gaussian"
 
     def violations(self) -> list[str]:
-        out = []
         if not (0.0 < self.bandwidth < math.inf):
-            out.append(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
-        if self.shape != "gaussian":
-            out.append(f"kernel shape must be 'gaussian', got {self.shape!r}")
-        return out
+            return [f"kernel bandwidth must be finite and > 0, got {self.bandwidth}"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -98,13 +104,16 @@ class Grid1D:
         return self.lower + self.spacing * np.arange(self.n_nodes)
 
     def violations(self) -> list[str]:
-        out = []
+        if not all(map(math.isfinite, (self.lower, self.upper, self.spacing))):
+            return [f"grid lower, upper and spacing must be finite, got "
+                    f"[{self.lower}, {self.upper}] and {self.spacing}"]
         if not (self.spacing > 0.0):
-            out.append(f"grid spacing must be > 0, got {self.spacing}")
-            return out
+            return [f"grid spacing must be > 0, got {self.spacing}"]
         if not (self.upper > self.lower):
-            out.append(f"grid upper must exceed lower, got [{self.lower}, {self.upper}]")
-            return out
+            return [f"grid upper must exceed lower, got [{self.lower}, {self.upper}]"]
+        if self.n_nodes > MAX_GRID_NODES:
+            return [f"grid has {self.n_nodes} nodes, more than {MAX_GRID_NODES}"]
+        out = []
         m = (self.upper - self.lower) / self.spacing
         if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
             out.append(
@@ -146,7 +155,6 @@ class SimConfig:
     particles: int = 10_000
     mode: str = "feynman-kac"
     seed: int = 0
-    field_mode: str = "grid-accumulator"
     initial: InitialDensitySpec = field(default_factory=InitialDensitySpec)
 
     @property
@@ -165,36 +173,9 @@ class SimConfig:
         return replace(self, grid=self.resolved_grid())
 
     def to_dict(self) -> dict:
-        g = self.resolved_grid()
-        ini = self.initial
-        d = {
-            "physical": {
-                "lambda": self.physical.lam,
-                "c0": self.physical.c0,
-                "phi0": self.physical.phi0,
-                "phi1": self.physical.phi1,
-                "phi_bar": self.physical.phi_bar,
-                "s0": self.physical.s0,
-            },
-            "kernel": {"bandwidth": self.kernel.bandwidth, "shape": self.kernel.shape},
-            "grid": {"lower": g.lower, "upper": g.upper, "spacing": g.spacing},
-            "horizon": self.horizon,
-            "step": self.step,
-            "particles": self.particles,
-            "mode": self.mode,
-            "seed": self.seed,
-            "field_mode": self.field_mode,
-            "initial": {
-                "family": ini.family,
-                "center": ini.center,
-                "width": ini.width,
-                "normalize": ini.normalize,
-            },
-        }
-        if ini.table_x is not None:
-            d["initial"]["table_x"] = list(ini.table_x)
-            d["initial"]["table_p"] = list(ini.table_p)
-        return d
+        """The config in YAML layout, grid included; None values are left out."""
+        return asdict(self.with_grid(), dict_factory=lambda items: {
+            _YAML_KEYS.get(name, name): value for name, value in items if value is not None})
 
 
 def derive_grid(
@@ -258,8 +239,6 @@ def config_violations(config: SimConfig) -> list[str]:
         out.append(f"particles must be >= 1, got {config.particles}")
     if config.mode not in MODES:
         out.append(f"mode must be one of {MODES}, got {config.mode!r}")
-    if config.field_mode not in FIELD_MODES:
-        out.append(f"field-mode must be one of {FIELD_MODES}, got {config.field_mode!r}")
     if not (0 <= int(config.seed) < 2**64):
         out.append(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     out.extend(initial_violations(config.initial, config.physical.s0))
@@ -279,62 +258,96 @@ def validate_config(config: SimConfig) -> SimConfig:
     return config
 
 
-def _initial_from_dict(d: dict) -> InitialDensitySpec:
-    table_x = d.get("table_x")
-    table_p = d.get("table_p")
-    return InitialDensitySpec(
-        family=d.get("family", "gaussian-bump"),
-        center=float(d.get("center", 0.0)),
-        width=float(d.get("width", 1.0)),
-        normalize=bool(d.get("normalize", True)),
-        table_x=tuple(float(v) for v in table_x) if table_x is not None else None,
-        table_p=tuple(float(v) for v in table_p) if table_p is not None else None,
-    )
+_field_types = functools.cache(typing.get_type_hints)  # dataclass -> {field: type}
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
 
 
-def config_from_dict(d: dict) -> SimConfig:
-    """Build a :class:`SimConfig` from a nested dict (YAML layout)."""
-    phys = d.get("physical", {})
-    kern = d.get("kernel", {})
-    grid_d = d.get("grid")
-    grid = None
-    if grid_d:
-        grid = Grid1D(
-            lower=float(grid_d["lower"]),
-            upper=float(grid_d["upper"]),
-            spacing=float(grid_d["spacing"]),
-        )
-    return SimConfig(
-        physical=PhysicalParams(
-            lam=float(phys.get("lambda", 1.0)),
-            c0=float(phys.get("c0", 1.0)),
-            phi0=float(phys.get("phi0", 0.3)),
-            phi1=float(phys.get("phi1", 0.7)),
-            phi_bar=float(phys.get("phi_bar", 2.0)),
-            s0=float(phys.get("s0", 1.0)),
-        ),
-        kernel=KernelSpec(
-            bandwidth=float(kern.get("bandwidth", 0.3)),
-            shape=kern.get("shape", "gaussian"),
-        ),
-        grid=grid,
-        horizon=float(d.get("horizon", 0.5)),
-        step=float(d.get("step", 1e-3)),
-        particles=int(d.get("particles", 10_000)),
-        mode=str(d.get("mode", "feynman-kac")),
-        seed=int(d.get("seed", 0)),
-        field_mode=str(d.get("field_mode", d.get("field-mode", "grid-accumulator"))),
-        initial=_initial_from_dict(d.get("initial", {})),
-    )
+def _read(kind, value, path: str, errors: list[str]):
+    """``value`` read as a ``kind``; a dataclass is read as the dict of the
+    fields given.  Appends why to ``errors`` and returns None when it is not
+    one."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            errors.append(f"{path or 'config'} must be a mapping, got {value!r}")
+            return None
+        names = {_YAML_KEYS.get(f.name, f.name): f.name for f in fields(kind)}
+        types = _field_types(kind)
+        given = {}
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key in names:
+                given[names[key]] = _read(types[names[key]], item, where, errors)
+            else:
+                errors.append(f"{where} is not a config key")
+        return given
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+        return _read(kind, value, path, errors)
+    if typing.get_origin(kind) is tuple:  # tuple[float, ...]
+        if not isinstance(value, (list, tuple)):
+            errors.append(f"{path} must be a list of numbers, got {value!r}")
+            return None
+        return tuple(_read(args[0], v, f"{path}[{i}]", errors) for i, v in enumerate(value))
+    if isinstance(value, bool) is (kind is bool):  # bool is an int, but not a number here
+        if kind is float and isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, kind):
+            return value
+    errors.append(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return None
 
 
-def load_config(path: str | Path) -> SimConfig:
-    """Load a config from a YAML file (key/value with nested sections)."""
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
-    except yaml.YAMLError as err:
-        raise ConfigError([f"config file {path} is not valid YAML: {err}"]) from err
-    if not isinstance(data, dict):
-        raise ConfigError([f"config file {path} does not contain a mapping"])
-    return config_from_dict(data)
+def config_from_dict(d: dict, overrides: dict | None = None) -> SimConfig:
+    """Build a :class:`SimConfig` from a nested dict (YAML layout), with the
+    values of ``overrides`` (same layout) laid over those of ``d``.
+
+    Missing keys take the dataclass defaults.  Raises :class:`ConfigError`
+    naming every unknown key and every value of the wrong type, in either
+    dict, by its key path.  A grid block that gives only some of lower,
+    upper and spacing takes the others from the grid derived from the rest
+    of the config.
+    """
+    errors: list[str] = []
+    given = _read(SimConfig, d, "", errors)
+    laid_over = _read(SimConfig, overrides or {}, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    given = _merged(given, laid_over)
+    grid = given.pop("grid", None)
+    types = _field_types(SimConfig)
+    config = SimConfig(**{name: types[name](**value) if isinstance(value, dict) else value
+                          for name, value in given.items()})
+    if grid:
+        if len(grid) < len(fields(Grid1D)):
+            grid = {**asdict(config.resolved_grid()), **grid}
+        config = replace(config, grid=Grid1D(**grid))
+    return config
+
+
+def _merged(base: dict, overrides: dict) -> dict:
+    """``base`` with ``overrides`` laid over it key by key, nested dicts merged."""
+    out = dict(base)
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merged(out[key], value)
+        out[key] = value
+    return out
+
+
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> SimConfig:
+    """Load a config from a YAML file (key/value with nested sections), or
+    the defaults without one, with ``overrides`` (same layout) merged over it
+    by :func:`config_from_dict`."""
+    data: dict = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                data = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as err:
+            raise ConfigError([f"config file {path} is not valid YAML: {err}"]) from err
+        if not isinstance(data, dict):
+            raise ConfigError([f"config file {path} does not contain a mapping"])
+    return config_from_dict(data, overrides)

@@ -1,10 +1,11 @@
 """Path-dependent accumulated fields A(t,x) and G(t,x) on a grid.
 
 A and G hold left-endpoint time quadratures of the mollified density and
-its gradient.  The grid accumulator is the production bookkeeping; the
-trajectory archive supports an exact-history evaluation of the same sums
-with no spatial interpolation, used as an oracle.  :func:`lerp` is the
-one linear read of node values, shared with the fixed-point map.
+its gradient.  The grid accumulator is the one bookkeeping the dynamics
+read.  :func:`exact_history_args` evaluates the same sums from a
+trajectory archive with no spatial interpolation; it is the test oracle
+for the accumulator.  :func:`lerp` is the one linear read of node values,
+shared with the fixed-point map.
 """
 
 from __future__ import annotations
@@ -69,32 +70,6 @@ class TrajectoryArchive:
 
     def snapshot(self, k: int) -> WeightedPointCloud:
         return WeightedPointCloud(self.positions[k], self.weights[k])
-
-
-@dataclass
-class ExactHistoryFields:
-    """Field view that reads (I, J) straight off an archive.
-
-    Quadratic in step count; used when ``field_mode`` is exact-history so
-    the dynamics see the time integrals with no interpolation error.  Its
-    coordinates are a copy of the positions, and it always returns J.
-    """
-
-    archive: TrajectoryArchive
-    delta: float
-    n_total: int
-
-    def coords_at(self, x) -> np.ndarray:
-        return np.array(x, dtype=float)
-
-    def args_at(self, x, gradient: bool = True) -> DriftArgs:
-        x = np.asarray(x, dtype=float)
-        if len(self.archive) == 0:
-            zero = np.zeros(x.shape)
-            if zero.ndim == 0:
-                return DriftArgs(0.0, 0.0)
-            return DriftArgs(zero, zero.copy())
-        return exact_history_args(self.archive, x, self.delta, self.n_total)
 
 
 def accumulate_step(

@@ -92,7 +92,7 @@ def support_radius(spec: InitialDensitySpec) -> float:
         return abs(spec.center) + spec.width
     if spec.family == "tabulated":
         tx = np.asarray(spec.table_x, dtype=float)
-        return float(np.max(np.abs(tx)))
+        return float(np.max(np.abs(tx), initial=0.0))  # an empty table fails validation
     raise ValueError(f"unknown initial family {spec.family!r}")
 
 
@@ -122,10 +122,9 @@ def initial_violations(spec: InitialDensitySpec, s0: float) -> list[str]:
             out.append(f"tabulated density mass {mass} != 1 (set normalize to rescale)")
         if spec.normalize and mass <= 0:
             out.append("tabulated density has zero mass; cannot normalize")
-    else:
-        if not (spec.width > 0.0):
-            out.append(f"initial width must be > 0, got {spec.width}")
-            return out
+    elif not (0.0 < spec.width < math.inf and math.isfinite(spec.center)):
+        return [f"initial center must be finite and width finite and > 0, got "
+                f"{spec.center} and {spec.width}"]
     if not out:
         m = density_max(spec)
         if not (m < s0):

@@ -18,8 +18,8 @@ Two evaluation paths are provided:
   the adds.  BLAS may run the product on several threads, but each node's
   sum has a fixed order that does not depend on the thread count.
 - :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
-  particles in index order with a hard 8-bandwidth cutoff; the test oracle
-  and the exact-history field reader.
+  particles in index order with a hard 8-bandwidth cutoff; the test oracle,
+  and the sums behind the exact-history field oracle.
 
 Both paths skip contributions beyond 8 bandwidths, where the Gaussian
 tail is below 1e-15 relative.

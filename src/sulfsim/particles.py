@@ -29,12 +29,7 @@ import numpy as np
 
 from .config import SimConfig, validate_config
 from .dynamics import drift_b, reaction_rate
-from .fields import (
-    AccumulatedFields,
-    ExactHistoryFields,
-    TrajectoryArchive,
-    accumulate_step,
-)
+from .fields import AccumulatedFields, TrajectoryArchive, accumulate_step
 from .initial import transform_uniforms
 from .kernel import WeightedPointCloud, grid_density
 from .streams import ParticleStreams, draw_thresholds
@@ -189,7 +184,7 @@ def update_hazards(
     ensemble.weights[rows] = np.exp(-ensemble.hazards[rows])
     if ensemble.mode == "killed":
         dead_now = alive & (ensemble.hazards >= ensemble.thresholds)
-        if np.any(dead_now):
+        if dead_now.any():
             coords = coords.compress(~dead_now[alive])
             ensemble.alive[dead_now] = False
             ensemble.death_times[dead_now] = t_end
@@ -210,7 +205,7 @@ class SimulationOutput:
     hazard_digests: list[str]
     diagnostics: dict
     ensemble: ParticleEnsemble
-    fields: AccumulatedFields | None = None
+    fields: AccumulatedFields
     archive: TrajectoryArchive | None = None
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     coupled_alive: np.ndarray | None = None
@@ -236,9 +231,11 @@ def run_simulation(
 ) -> SimulationOutput:
     """Run the configured particle system and record density snapshots.
 
-    Each cloud is deposited once: a recorded step keeps the density its
-    field accumulation computed, and only the final cloud, or every
-    recorded cloud when the fields are not accumulated on the grid, is
+    The dynamics read the time integrals from grid fields
+    (:class:`AccumulatedFields`); :func:`sulfsim.fields.exact_history_args`
+    is their interpolation-free test oracle.  Each cloud is deposited once:
+    a recorded step keeps the density its field accumulation computed, and
+    only the final cloud, or every recorded cloud under ``zero_fields``, is
     deposited for the record alone.  A field snapshot at step k holds A
     and G before step k's term.
 
@@ -266,11 +263,8 @@ def run_simulation(
             raise ValueError("coupled_thresholds requires feynman-kac mode")
         thresholds = draw_thresholds(config.seed, streams.indices)
 
-    exact_mode = config.field_mode == "exact-history"
-    archiving = keep_archive or exact_mode
-    archive = TrajectoryArchive(dt=dt, n_total=n) if archiving else None
+    archive = TrajectoryArchive(dt=dt, n_total=n) if keep_archive else None
     acc = AccumulatedFields(grid=grid, delta=delta)
-    field_view = ExactHistoryFields(archive, delta, n) if exact_mode else acc
 
     diagnostics: dict = {"negative_I": 0}
     times, steps_rec, densities, mass = [], [], [], []
@@ -306,25 +300,20 @@ def run_simulation(
         recording = k % stride == 0
         if recording and fields_stride and k % fields_stride == 0:
             field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
-        if archiving:
+        if keep_archive:
             archive.append(cloud)
-        u = None
-        if not exact_mode and not zero_fields:
-            u = accumulate_step(acc, cloud, n, delta, dt)
-        else:
-            acc.t += dt
-            acc.steps += 1
+        u = None if zero_fields else accumulate_step(acc, cloud, n, delta, dt)
         if recording:
             record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
-        em_step(ens, field_view, dt, streams, params, step=k, diagnostics=diagnostics,
+        em_step(ens, acc, dt, streams, params, step=k, diagnostics=diagnostics,
                 coords=coords)
         del coords  # X_k's coordinates go before X_{k+1}'s are computed
-        coords = update_hazards(ens, field_view, dt, params, t_end=(k + 1) * dt,
+        coords = update_hazards(ens, acc, dt, params, t_end=(k + 1) * dt,
                                 diagnostics=diagnostics)
 
     final_cloud = ens.cloud()
-    if archiving:
+    if keep_archive:
         archive.append(final_cloud)
     if fields_stride:
         field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
@@ -346,7 +335,7 @@ def run_simulation(
         hazard_digests=digests,
         diagnostics=diagnostics,
         ensemble=ens,
-        fields=None if exact_mode else acc,
+        fields=acc,
         archive=archive,
         field_snaps=field_snaps,
         coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,

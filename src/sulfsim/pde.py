@@ -110,7 +110,7 @@ def pde_step(state: PdeState, params: PhysicalParams, delta: float, dt: float) -
     if dt > h * h / 2.0 * (1.0 + 1e-12):
         raise CflError(f"dt={dt} violates the stability bound h^2/2={h*h/2.0}")
     v = state.v
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFinitePdeStateError(f"non-finite PDE state at t={state.t}")
 
     u = convolve_density(v, state._k_taps)

@@ -8,6 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 from sulfsim.cli import main
+from sulfsim.config import InitialDensitySpec, derive_grid
 from sulfsim.io import read_csv
 
 
@@ -99,12 +100,26 @@ def test_simulate_invalid_config_exits_2(runner, cfg_file, tmp_path):
     ("{grid: {lower: -5, upper: 5, spacing: 0.05}, horizon: .inf}", "horizon"),
     ("initial: {family: tabulated}", "table_x"),
     ("initial: {family: bogus}", "initial family"),
+    ("horizon: abc", "horizon"),
+    ("horizon: [1, 2]", "horizon"),
+    ("physical: 3", "physical"),
+    ("particles: 1.5", "particles"),
+    ("particles: true", "particles"),
+    ('initial: {normalize: "no"}', "initial.normalize"),
+    ("initial: {table_x: 5}", "initial.table_x"),
+    ("bogus_key: 1", "bogus_key"),
+    ("grid: {spacing: 0.1, bogus: 1}", "grid.bogus"),
+    ("field_mode: grid-accumulator", "field_mode"),
+    ("kernel: {shape: gaussian}", "kernel.shape"),
 ], ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-neg", "horizon-nan", "horizon-inf",
         "horizon-neg", "step-nan", "step-inf", "grid-horizon-inf", "tabulated-no-table",
-        "unknown-family"])
+        "unknown-family", "horizon-str", "horizon-list", "physical-scalar", "particles-float",
+        "particles-bool", "normalize-str", "table-scalar", "unknown-key", "grid-unknown-key",
+        "field-mode-removed", "kernel-shape-removed"])
 def test_bad_grid_input_exits_2(runner, tmp_path, body, key):
     # with no grid block the default grid is derived from the horizon, the
-    # bandwidth and the initial law's support
+    # bandwidth and the initial law's support; a value of the wrong type or
+    # an unknown key is named by its key path
     path = tmp_path / "bad.yaml"
     path.write_text(body + "\n")
     res = runner.invoke(main, ["simulate", "--config", str(path), "--seed", "1",
@@ -112,6 +127,39 @@ def test_bad_grid_input_exits_2(runner, tmp_path, body, key):
     assert res.exit_code == 2, res.output
     assert "invalid config" in res.output and key in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def _manifest(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_partial_grid_is_completed_from_the_derived_grid(runner, tmp_path):
+    path = tmp_path / "g.yaml"
+    path.write_text("grid: {spacing: 0.1}\nparticles: 100\nhorizon: 0.01\n")
+    res = runner.invoke(main, ["simulate", "--config", str(path), "--seed", "1",
+                               "--out", str(tmp_path / "s")])
+    assert res.exit_code == 0, res.output
+    derived = derive_grid(0.01, 0.3, InitialDensitySpec())
+    assert _manifest(tmp_path / "s")["config"]["grid"] == {
+        "lower": derived.lower, "upper": derived.upper, "spacing": 0.1}
+    # the flags are merged before the missing grid values are derived
+    res = runner.invoke(main, ["pde", "--horizon", "2", "--step", "0.001", "--lower", "-9",
+                               "--out", str(tmp_path / "p")])
+    assert res.exit_code == 0, res.output
+    grid = _manifest(tmp_path / "p")["config"]["grid"]
+    assert grid["lower"] == -9.0
+    assert grid["upper"] == derive_grid(2.0, 0.3, InitialDensitySpec()).upper
+
+
+def test_simulate_mode_falls_back_to_the_config(runner, cfg_file, tmp_path):
+    cfg = yaml.safe_load(cfg_file.read_text())
+    cfg["mode"] = "killed"
+    cfg_file.write_text(yaml.safe_dump(cfg))
+    res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "1",
+                               "--out", str(tmp_path / "k")])
+    assert res.exit_code == 0, res.output
+    manifest = _manifest(tmp_path / "k")
+    assert manifest["config"]["mode"] == "killed" and "deaths" in manifest["diagnostics"]
 
 
 def test_simulate_numerical_abort_exits_3(runner, cfg_file, tmp_path, monkeypatch):

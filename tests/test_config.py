@@ -1,18 +1,25 @@
+import copy
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sulfsim import ConfigError, Grid1D, PhysicalParams, SimConfig, validate_config
+from sulfsim import ConfigError, Grid1D, KernelSpec, PhysicalParams, SimConfig, validate_config
 from sulfsim.config import (
+    MAX_GRID_NODES,
     InitialDensitySpec,
     config_from_dict,
     config_violations,
     derive_grid,
     load_config,
 )
+
+DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def test_porosity_example_valid():
@@ -105,3 +112,95 @@ def test_config_from_dict_accepts_partial():
     assert cfg.particles == 42
     assert cfg.physical.lam == 0.0
     assert cfg.mode == "feynman-kac"
+
+
+def test_default_yaml_loads_and_validates():
+    cfg = validate_config(load_config(DEFAULT_YAML))
+    assert cfg == SimConfig().with_grid()
+
+
+def test_grid_node_count_bounded_before_allocation():
+    msgs = config_violations(SimConfig(grid=Grid1D(-1e9, 1e9, 0.05)))
+    assert any(f"more than {MAX_GRID_NODES}" in m for m in msgs)
+
+
+def test_config_from_dict_names_every_bad_key_once():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"bogus": 1, "physical": {"lambda": "x", "typo": 2}, "seed": 2.9,
+                          "initial": {"table_x": [0.0, "a"]}})
+    v = err.value.violations
+    assert len(v) == 5
+    for path in ("bogus", "physical.lambda", "physical.typo", "seed", "initial.table_x[1]"):
+        assert sum(m.startswith(path + " ") for m in v) == 1, (path, v)
+
+
+def test_partial_grid_takes_the_rest_from_the_derived_grid():
+    cfg = config_from_dict({"horizon": 2.0, "grid": {"lower": -9.0}})
+    derived = derive_grid(2.0, 0.3, InitialDensitySpec())
+    assert cfg.grid == Grid1D(-9.0, derived.upper, derived.spacing)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+tables = st.none() | st.lists(finite).map(tuple)
+configs = st.builds(
+    SimConfig,
+    physical=st.builds(PhysicalParams, lam=finite, c0=finite, phi0=finite, phi1=finite,
+                       phi_bar=finite, s0=finite),
+    kernel=st.builds(KernelSpec, bandwidth=finite),
+    grid=st.builds(Grid1D, lower=finite, upper=finite, spacing=finite),
+    horizon=finite,
+    step=finite,
+    particles=st.integers(),
+    mode=st.text(),
+    seed=st.integers(),
+    initial=st.builds(InitialDensitySpec, family=st.text(), center=finite, width=finite,
+                      normalize=st.booleans(), table_x=tables, table_p=tables),
+)
+
+
+@given(configs)
+def test_to_dict_round_trips(cfg):
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def _leaves(d, path=()):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+DEFAULT_DICT = SimConfig().to_dict()
+nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+containers = st.lists(st.integers(), max_size=3) | st.dictionaries(st.text(), st.integers(),
+                                                                   max_size=2)
+# per leaf type: values of the wrong type, or non-finite ones
+BAD_LEAVES = {
+    float: st.text() | st.booleans() | st.none() | containers | nonfinite,
+    int: st.floats() | st.text() | st.booleans() | st.none() | containers,
+    str: st.floats() | st.integers() | st.booleans() | st.none() | containers,
+    bool: st.floats() | st.integers() | st.text() | st.none() | containers,
+}
+
+
+def _leaf_type(path):
+    node = DEFAULT_DICT
+    for key in path:
+        node = node[key]
+    return type(node)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(_leaves(DEFAULT_DICT))).flatmap(
+    lambda path: st.tuples(st.just(path), BAD_LEAVES[_leaf_type(path)])))
+def test_bad_leaf_raises_config_error(case):
+    path, value = case
+    d = copy.deepcopy(DEFAULT_DICT)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        validate_config(config_from_dict(d))
+    assert path[-1] in "\n".join(err.value.violations)

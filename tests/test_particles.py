@@ -14,8 +14,15 @@ from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
 import sulfsim.fields
 import sulfsim.particles
-from sulfsim.fields import AccumulatedFields, accumulate_from_archive, accumulate_step, interpolate
-from sulfsim.particles import NonFiniteStateError, em_step
+from sulfsim.fields import (
+    AccumulatedFields,
+    TrajectoryArchive,
+    accumulate_from_archive,
+    accumulate_step,
+    exact_history_args,
+    interpolate,
+)
+from sulfsim.particles import NonFiniteStateError, em_step, update_hazards
 from sulfsim.streams import ParticleStreams
 
 
@@ -239,12 +246,35 @@ def test_archive_snapshot_count(small_config):
     assert sim.archive.dt == small_config.step
 
 
+class _ExactHistoryView:
+    """Field view reading (I, J) straight off the archived clouds, with no
+    grid; its coordinates are a copy of the positions."""
+
+    def __init__(self, archive, delta, n_total):
+        self.archive, self.delta, self.n_total = archive, delta, n_total
+
+    def coords_at(self, x):
+        return np.array(x, dtype=float)
+
+    def args_at(self, x, gradient=True):
+        return exact_history_args(self.archive, x, self.delta, self.n_total)
+
+
 def test_exact_history_mode_matches_grid_mode_loosely(small_config):
-    # same dynamics up to interpolation error of the accumulated fields
+    # same dynamics up to interpolation error of the accumulated fields:
+    # the engine's step loop, with the fields read from the exact-history oracle
     cfg = replace(small_config, particles=50, horizon=0.05)
     grid_run = run_simulation(cfg)
-    exact_run = run_simulation(replace(cfg, field_mode="exact-history"))
-    gap = np.max(np.abs(grid_run.ensemble.positions - exact_run.ensemble.positions))
+    streams = ParticleStreams(cfg.seed, cfg.particles)
+    ens = init_ensemble(cfg, streams)
+    archive = TrajectoryArchive(dt=cfg.step, n_total=cfg.particles)
+    view = _ExactHistoryView(archive, cfg.kernel.bandwidth, cfg.particles)
+    coords = None
+    for k in range(cfg.n_steps):
+        archive.append(ens.cloud())
+        em_step(ens, view, cfg.step, streams, cfg.physical, step=k, coords=coords)
+        coords = update_hazards(ens, view, cfg.step, cfg.physical, t_end=(k + 1) * cfg.step)
+    gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
 
 
