@@ -25,11 +25,10 @@ from .fields import (
     AccumulatedFields,
     TrajectoryArchive,
     accumulate_step,
-    exact_history_args,
     interpolate,
 )
 from .fixedpoint import apply_mkfk_map, picard_solve
-from .kernel import WeightedPointCloud, kernel_grad, kernel_value, mollify, mollify_grad
+from .kernel import WeightedPointCloud, kernel_grad, kernel_value
 from .metrics import convergence_study, density_distance, total_mass
 from .particles import (
     ParticleEnsemble,
@@ -62,14 +61,11 @@ __all__ = [
     "density_distance",
     "drift_b",
     "em_step",
-    "exact_history_args",
     "init_ensemble",
     "interpolate",
     "kernel_grad",
     "kernel_value",
     "load_config",
-    "mollify",
-    "mollify_grad",
     "pde_step",
     "picard_solve",
     "reaction_rate",

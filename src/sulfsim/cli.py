@@ -47,8 +47,6 @@ EXIT_NUMERICAL = 3
 EXIT_DATA = 4
 
 _MODE_ALIASES = {"fk": "feynman-kac", "kill": "killed"}
-_WORKERS_HELP = ("threads running the (N, seed) jobs of `convergence`; the other "
-                 "commands accept it and run single-threaded")
 _SNAPSHOT_STRIDE_HELP = "record every k-th step (default: ~10 snapshots)"
 
 # glibc mallopt parameter numbers (malloc.h)
@@ -119,6 +117,11 @@ def _with_config_options(fn):
                           help=help_text)(fn)
     return click.option("--config", "config_path", type=click.Path(exists=True), default=None,
                         help="YAML config file; flags override its fields.")(fn)
+
+
+_workers_option = click.option(
+    "--workers", type=int, default=1, expose_value=False,
+    help="ignored: every command runs single-threaded (kept for existing scripts)")
 
 
 def _build_config(config_path=None, **values) -> SimConfig:
@@ -230,8 +233,7 @@ def main():
               help="also export accumulated fields every k-th step (0: off)")
 @click.option("--archive/--no-archive", "archive_flag", default=False,
               help="dump full trajectories for the fixedpoint command")
-@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
-              help=_WORKERS_HELP)
+@_workers_option
 @_handle_errors
 def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cfg_kwargs):
     """Run the particle system and write snapshots, series, and manifest."""
@@ -255,8 +257,7 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cf
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
-@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
-              help=_WORKERS_HELP)
+@_workers_option
 @_handle_errors
 def pde(out, snapshot_stride, **cfg_kwargs):
     """Solve the deterministic reference PDE on the configured grid."""
@@ -311,8 +312,7 @@ def _grid_from_nodes(xs: np.ndarray) -> Grid1D:
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
-@click.option("--workers", type=int, default=1, show_default=True, expose_value=False,
-              help=_WORKERS_HELP)
+@_workers_option
 @_handle_errors
 def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
     """Compare two snapshot directories, or regenerate both estimators and
@@ -390,14 +390,13 @@ def _ensemble_sizes(ctx, param, value: str) -> list[int]:
               show_default=True)
 @click.option("--seed", type=int, required=True, help="base seed (required)")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=1, show_default=True, help=_WORKERS_HELP)
+@_workers_option
 @_handle_errors
-def convergence(n_values, seeds_per_n, seed, out, workers, **cfg_kwargs):
+def convergence(n_values, seeds_per_n, seed, out, **cfg_kwargs):
     """Estimator-vs-reference error table across ensemble sizes."""
     cfg = _build_config(seed=seed, **cfg_kwargs)
     out_dir = _out_dir(out, "convergence-out")
-    table = convergence_study(cfg, n_values, seeds_per_n, base_seed=seed,
-                              workers=workers)
+    table = convergence_study(cfg, n_values, seeds_per_n, base_seed=seed)
     manifest = RunManifest(command="convergence", config=cfg.to_dict(),
                            diagnostics={"monotone_fk": table.monotone_fk,
                                         "monotone_kill": table.monotone_kill})
@@ -422,7 +421,7 @@ def convergence(n_values, seeds_per_n, seed, out, workers, **cfg_kwargs):
 @click.option("--archive", "archive_path", type=click.Path(exists=True), required=True,
               help="trajectory archive from simulate --archive")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iters", type=int, default=50, show_default=True)
+@click.option("--max-iters", type=click.IntRange(min=2), default=50, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_handle_errors
 def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):

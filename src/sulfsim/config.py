@@ -1,7 +1,7 @@
 """Domain types, configuration loading, and validation.
 
 Every simulation entry point takes a :class:`SimConfig`.  Configs are
-immutable after validation and safe to share across workers.
+immutable after validation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,13 @@ DT_DIVISION_RTOL = 1e-12
 
 # more grid nodes than this are refused before any array is allocated
 MAX_GRID_NODES = 10**7
+
+# a grid spacing above this many kernel bandwidths is refused: the deposit's
+# Taylor stencils and the PDE's kernel taps no longer resolve the kernel
+MAX_SPACING_PER_BANDWIDTH = 2.0
+
+# libyaml's loader where PyYAML was built with it: about 10x faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # field name -> YAML key, where the two differ
 _YAML_KEYS = {"lam": "lambda"}
@@ -215,8 +222,15 @@ def config_violations(config: SimConfig) -> list[str]:
         grid = config.resolved_grid()
     except ConfigError:  # no default grid from a bad horizon, bandwidth or initial law
         grid = None
+    grid_ok = False
     if grid is not None:
-        out.extend(grid.violations())
+        grid_errors = grid.violations()
+        out.extend(grid_errors)
+        grid_ok = not grid_errors
+    bandwidth = config.kernel.bandwidth
+    if grid_ok and bandwidth > 0.0 and grid.spacing > MAX_SPACING_PER_BANDWIDTH * bandwidth:
+        out.append(f"grid spacing {grid.spacing} exceeds {MAX_SPACING_PER_BANDWIDTH:g} times "
+                   f"the kernel bandwidth {bandwidth}")
 
     if not horizon_ok:
         out.append(f"horizon must be finite and > 0, got {config.horizon}")
@@ -229,7 +243,7 @@ def config_violations(config: SimConfig) -> list[str]:
                 f"step {config.step} does not divide horizon {config.horizon}"
             )
         # explicit-scheme stability for the shared PDE config
-        if grid is not None and not grid.violations():
+        if grid_ok:
             cfl = grid.spacing**2 / 2.0
             if config.step > cfl * (1.0 + 1e-12):
                 out.append(
@@ -308,7 +322,7 @@ def config_from_dict(d: dict, overrides: dict | None = None) -> SimConfig:
     naming every unknown key and every value of the wrong type, in either
     dict, by its key path.  A grid block that gives only some of lower,
     upper and spacing takes the others from the grid derived from the rest
-    of the config.
+    of the config, at its spacing when that is finite and > 0.
     """
     errors: list[str] = []
     given = _read(SimConfig, d, "", errors)
@@ -322,7 +336,10 @@ def config_from_dict(d: dict, overrides: dict | None = None) -> SimConfig:
                           for name, value in given.items()})
     if grid:
         if len(grid) < len(fields(Grid1D)):
-            grid = {**asdict(config.resolved_grid()), **grid}
+            spacing = grid.get("spacing", math.nan)  # a bad one is left to validation
+            at = {"spacing": spacing} if 0.0 < spacing < math.inf else {}
+            derived = derive_grid(config.horizon, config.kernel.bandwidth, config.initial, **at)
+            grid = {**asdict(derived), **grid}
         config = replace(config, grid=Grid1D(**grid))
     return config
 
@@ -345,7 +362,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         try:
             with open(path) as fh:
-                data = yaml.safe_load(fh) or {}
+                data = yaml.load(fh, Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as err:
             raise ConfigError([f"config file {path} is not valid YAML: {err}"]) from err
         if not isinstance(data, dict):

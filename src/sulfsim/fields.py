@@ -2,10 +2,9 @@
 
 A and G hold left-endpoint time quadratures of the mollified density and
 its gradient.  The grid accumulator is the one bookkeeping the dynamics
-read.  :func:`exact_history_args` evaluates the same sums from a
-trajectory archive with no spatial interpolation; it is the test oracle
-for the accumulator.  :func:`lerp` is the one linear read of node values,
-shared with the fixed-point map.
+read; the tests check it against the same sums evaluated from a
+trajectory archive with no spatial interpolation.  :func:`lerp` is the
+one linear read of node values, shared with the fixed-point map.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .config import Grid1D
 from .dynamics import DriftArgs
-from .kernel import WeightedPointCloud, grid_density, mollify, mollify_grad
+from .kernel import WeightedPointCloud, grid_density
 
 
 @dataclass
@@ -160,48 +159,3 @@ def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArg
     if scalar:
         return DriftArgs(float(I[0]), None if J is None else float(J[0]))
     return DriftArgs(I, J)
-
-
-def exact_history_args(
-    archive: TrajectoryArchive,
-    x,
-    delta: float,
-    n_total: int,
-    steps: int | None = None,
-) -> DriftArgs:
-    """Direct evaluation of the accumulated integrals from stored snapshots.
-
-    I = dt * sum_{k < steps} mollify(snapshot_k, x); same quadrature as the
-    grid accumulator but with no spatial interpolation.  ``steps`` defaults
-    to every stored snapshot.
-    """
-    if len(archive) == 0:
-        raise ValueError("archive is empty")
-    if steps is None:
-        steps = len(archive)
-    x = np.asarray(x, dtype=float)
-    I = np.zeros(x.shape)
-    J = np.zeros(x.shape)
-    for k in range(steps):
-        cloud = archive.snapshot(k)
-        I += archive.dt * np.asarray(mollify(cloud, delta, x, n_total))
-        J += archive.dt * np.asarray(mollify_grad(cloud, delta, x, n_total))
-    if I.ndim == 0:
-        return DriftArgs(float(I), float(J))
-    return DriftArgs(I, J)
-
-
-def accumulate_from_archive(
-    archive: TrajectoryArchive,
-    grid: Grid1D,
-    delta: float,
-    n_total: int,
-    steps: int | None = None,
-) -> AccumulatedFields:
-    """Replay an archive through the grid accumulator (for validation)."""
-    fields = AccumulatedFields(grid=grid, delta=delta)
-    if steps is None:
-        steps = len(archive)
-    for k in range(steps):
-        accumulate_step(fields, archive.snapshot(k), n_total, delta, archive.dt)
-    return fields

@@ -71,7 +71,8 @@ def write_archive(path: str | Path, archive: TrajectoryArchive) -> Path:
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
-    """Load an archive; ValueError unless the file is exactly one archive."""
+    """Load an archive; ValueError unless the file is exactly one archive of
+    finite positions and weights in [0, 1]."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
@@ -88,8 +89,13 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         if size != expected:
             raise ValueError(f"{path} has {size} bytes; its header needs exactly {expected}")
         payload = np.fromfile(fh, dtype="<f8", count=2 * n * snaps).reshape(snaps, 2, n)
-    return TrajectoryArchive(dt=dt, n_total=int(n), positions=list(payload[:, 0]),
-                             weights=list(payload[:, 1]))
+    positions, weights = payload[:, 0], payload[:, 1]
+    if not np.isfinite(positions).all():
+        raise ValueError(f"{path} holds non-finite positions")
+    if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
+        raise ValueError(f"{path} holds weights outside [0, 1]")
+    return TrajectoryArchive(dt=dt, n_total=int(n), positions=list(positions),
+                             weights=list(weights))
 
 
 def sha256_file(path: str | Path) -> str:

@@ -1,28 +1,24 @@
-"""Gaussian kernel, its derivative, and weighted empirical convolutions.
+"""Gaussian kernel, its derivative, and the weighted empirical convolution.
 
-Two evaluation paths are provided:
+:func:`grid_density` is the one deposit (fields, snapshots and the
+fixed-point map) on a whole uniform grid: a moment deposit after
+Greengard & Strain, "The fast Gauss transform" (1991).  A particle at
+x = x_j + r, with x_j its nearest node and s = r/delta, gives node
+offset o (a = o*h/delta) K(o*h - r) = norm e^{-a^2/2} e^{-s^2/2} e^{as}.
+The Taylor series of e^{as} splits that into per-cell moments
+sum w e^{-s^2/2} s^p (one ``bincount`` each) convolved with fixed
+per-offset stencils for u and u'.  The convolution is one matrix
+product: the moments of each block of ``_BLOCK`` cells times a
+block-Toeplitz matrix of the stencils, cached per (spacing, bandwidth),
+give the nodes the block reaches, and the overlapping spans of
+neighbouring blocks are then added in a fixed order.  Only the blocks
+from the first to the last that holds a particle enter the product and
+the adds.  BLAS may run the product on several threads, but each node's
+sum has a fixed order that does not depend on the thread count.
 
-- :func:`grid_density`: the one production deposit (fields, snapshots and
-  the fixed-point map) on a whole uniform grid: a moment deposit after
-  Greengard & Strain, "The fast Gauss transform" (1991).  A particle at
-  x = x_j + r, with x_j its nearest node and s = r/delta, gives node
-  offset o (a = o*h/delta) K(o*h - r) = norm e^{-a^2/2} e^{-s^2/2} e^{as}.
-  The Taylor series of e^{as} splits that into per-cell moments
-  sum w e^{-s^2/2} s^p (one ``bincount`` each) convolved with fixed
-  per-offset stencils for u and u'.  The convolution is one matrix
-  product: the moments of each block of ``_BLOCK`` cells times a
-  block-Toeplitz matrix of the stencils, cached per (spacing, bandwidth),
-  give the nodes the block reaches, and the overlapping spans of
-  neighbouring blocks are then added in a fixed order.  Only the blocks
-  from the first to the last that holds a particle enter the product and
-  the adds.  BLAS may run the product on several threads, but each node's
-  sum has a fixed order that does not depend on the thread count.
-- :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
-  particles in index order with a hard 8-bandwidth cutoff; the test oracle,
-  and the sums behind the exact-history field oracle.
-
-Both paths skip contributions beyond 8 bandwidths, where the Gaussian
-tail is below 1e-15 relative.
+Contributions beyond 8 bandwidths, where the Gaussian tail is below
+1e-15 relative, are skipped.  The tests compare the deposit with a dense
+sum over particles that has the same cutoff.
 """
 
 from __future__ import annotations
@@ -40,10 +36,11 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # relative truncation below 1e-15 beyond this many bandwidths
 CUTOFF_BANDWIDTHS = 8.0
 
-_QUERY_CHUNK = 256
-
 # cells per block of the deposit's matrix product
 _BLOCK = 16
+
+# the highest Taylor order a stencil may need; spacing/bandwidth = 10 needs 200
+_MAX_ORDER = 256
 
 
 @dataclass
@@ -92,46 +89,17 @@ def kernel_grad(x, delta: float):
     return -x / (delta * delta) * kernel_value(x, delta)
 
 
-def _mollify_sum(cloud: WeightedPointCloud, delta: float, query, n_total: int, grad: bool):
-    if n_total <= 0:
-        raise ValueError("divisor n_total must be positive")
-    q = np.atleast_1d(np.asarray(query, dtype=float))
-    out = np.zeros(q.shape)
-    cutoff = CUTOFF_BANDWIDTHS * delta
-    pos, w = cloud.positions, cloud.weights
-    for start in range(0, q.size, _QUERY_CHUNK):
-        qq = q[start : start + _QUERY_CHUNK, None]
-        diff = qq - pos[None, :]
-        vals = kernel_grad(diff, delta) if grad else kernel_value(diff, delta)
-        vals = np.where(np.abs(diff) <= cutoff, vals, 0.0)
-        out[start : start + _QUERY_CHUNK] = (vals * w[None, :]).sum(axis=1)
-    out /= n_total
-    if np.isscalar(query) or np.asarray(query).ndim == 0:
-        return float(out[0])
-    return out
-
-
-def mollify(cloud: WeightedPointCloud, delta: float, query, n_total: int):
-    """Weighted kernel sum (1/n_total) sum_i w_i K(query - x_i).
-
-    The divisor is the ensemble size, passed explicitly because it may
-    exceed the cloud length once dead particles are dropped.
-    """
-    return _mollify_sum(cloud, delta, query, n_total, grad=False)
-
-
-def mollify_grad(cloud: WeightedPointCloud, delta: float, query, n_total: int):
-    """Gradient counterpart of :func:`mollify`, using K' in place of K."""
-    return _mollify_sum(cloud, delta, query, n_total, grad=True)
-
-
 def _taylor_order(abs_a: np.ndarray, s_max: float) -> int:
     """Smallest order P whose Lagrange remainder of e^{as}, |s| <= s_max, is
-    at most 1e-17 of the peak of K and of K' at every stencil point a."""
+    at most 1e-17 of the peak of K and of K' at every stencil point a;
+    ValueError when no order up to _MAX_ORDER is."""
     x = abs_a * s_max
     envelope = np.exp(x - 0.5 * abs_a * abs_a) * np.maximum(1.0, (abs_a + s_max) * math.exp(0.5))
     remainder, order = envelope * x, 0
-    while remainder.max() > 1e-17:
+    while not remainder.max() <= 1e-17:  # an inf or NaN remainder runs into the cap
+        if order == _MAX_ORDER:
+            raise ValueError(f"spacing/bandwidth = {2.0 * s_max:g} needs a Taylor order "
+                             f"above {_MAX_ORDER}")
         order += 1
         remainder = remainder * x / (order + 1)
     return order
@@ -159,6 +127,8 @@ def _stencils(h: float, delta: float) -> np.ndarray:
     peak = np.array([1.0, math.exp(-0.5) / delta]) / (delta * SQRT_TWO_PI)
     term = np.abs(out) * (s_max**p)[:, None] / peak[:, None, None]
     tail = np.cumsum(term[:, ::-1], axis=1)[:, ::-1].max(axis=(0, 2))  # tail[R] = sum_{p>=R}
+    if not np.isfinite(tail).all():
+        raise ValueError(f"the Taylor tail overflows at spacing/bandwidth = {h / delta:g}")
     return out[:, : np.count_nonzero(tail > 1e-17)]
 
 
@@ -192,9 +162,11 @@ def grid_density(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the mollified density and its gradient at every grid node.
 
-    Returns ``(u, du)`` with ``u[g] = mollify(cloud, delta, x_g, n_total)``
-    up to the shared 8-bandwidth truncation and a Taylor remainder below
-    1e-17 of the kernel's peak.  The bincounts, the matrix product and the
+    Returns ``(u, du)`` with ``u[g] = (1/n_total) sum_i w_i K(x_g - x_i)``,
+    and K' in place of K for ``du``, up to the 8-bandwidth truncation and a
+    Taylor remainder below 1e-17 of the kernel's peak.  The divisor is the
+    ensemble size, which exceeds the number of contributing particles once
+    some have died.  The bincounts, the matrix product and the
     overlap-add run over the occupied blocks only: from the first to the
     last block of cells that holds a particle reaching the grid.
     """

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,12 +119,17 @@ def _monotone_within_2se(means: list[float], ses: list[float]) -> bool:
     return True
 
 
+def _mean_and_stderr(values: list[float]) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    x = np.array(values)
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
+
+
 def convergence_study(
     config: SimConfig,
     n_values: list[int],
     seeds_per_n: int,
     base_seed: int | None = None,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """Final-time L1 error of both estimators against the mollified PDE
     reference, across ensemble sizes.
@@ -139,42 +143,21 @@ def convergence_study(
     if base_seed is None:
         base_seed = config.seed
     grid = config.grid
-    delta = config.kernel.bandwidth
 
     ref = solve_pde(config, snapshot_stride=config.n_steps)
-    target = mollify_grid_function(ref.densities[-1], grid, delta)
+    target = mollify_grid_function(ref.densities[-1], grid, config.kernel.bandwidth)
 
-    seeds = [int(base_seed) + j for j in range(seeds_per_n)]
-    jobs = [(n, seed, mode) for n in n_values for seed in seeds for mode in ("feynman-kac", "killed")]
-
-    def one(job):
-        n, seed, mode = job
+    def final_error(n: int, seed: int, mode: str) -> float:
         cfg = replace(config, particles=n, seed=seed, mode=mode)
         out = run_simulation(cfg, snapshot_stride=cfg.n_steps)
         return density_distance(out.densities[-1], target, grid, "l1")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            errors = list(ex.map(one, jobs))
-    else:
-        errors = [one(j) for j in jobs]
-
+    seeds = [int(base_seed) + j for j in range(seeds_per_n)]
     rows = []
-    by_key: dict[tuple[int, str], list[float]] = {}
-    for job, err in zip(jobs, errors):
-        by_key.setdefault((job[0], job[2]), []).append(err)
     for n in n_values:
-        fk = np.array(by_key[(n, "feynman-kac")])
-        kl = np.array(by_key[(n, "killed")])
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                fk_mean_l1=float(fk.mean()),
-                fk_stderr=float(fk.std(ddof=1) / np.sqrt(len(fk))) if len(fk) > 1 else 0.0,
-                kill_mean_l1=float(kl.mean()),
-                kill_stderr=float(kl.std(ddof=1) / np.sqrt(len(kl))) if len(kl) > 1 else 0.0,
-            )
-        )
+        fk = _mean_and_stderr([final_error(n, s, "feynman-kac") for s in seeds])
+        kill = _mean_and_stderr([final_error(n, s, "killed") for s in seeds])
+        rows.append(ConvergenceRow(n, *fk, *kill))
     return ConvergenceTable(
         rows=rows,
         seeds=seeds,

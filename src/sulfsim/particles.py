@@ -22,7 +22,6 @@ off-grid queries in ``out_of_domain``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,7 +201,6 @@ class SimulationOutput:
     mass: np.ndarray
     weight_or_alive: np.ndarray
     escaped: np.ndarray
-    hazard_digests: list[str]
     diagnostics: dict
     ensemble: ParticleEnsemble
     fields: AccumulatedFields
@@ -214,10 +212,6 @@ class SimulationOutput:
     @property
     def grid(self):
         return self.config.grid
-
-
-def _hazard_digest(hazards: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(hazards).tobytes()).hexdigest()
 
 
 def run_simulation(
@@ -232,8 +226,8 @@ def run_simulation(
     """Run the configured particle system and record density snapshots.
 
     The dynamics read the time integrals from grid fields
-    (:class:`AccumulatedFields`); :func:`sulfsim.fields.exact_history_args`
-    is their interpolation-free test oracle.  Each cloud is deposited once:
+    (:class:`AccumulatedFields`); the tests hold their interpolation-free
+    exact-history oracle.  Each cloud is deposited once:
     a recorded step keeps the density its field accumulation computed, and
     only the final cloud, or every recorded cloud under ``zero_fields``, is
     deposited for the record alone.  A field snapshot at step k holds A
@@ -268,7 +262,7 @@ def run_simulation(
 
     diagnostics: dict = {"negative_I": 0}
     times, steps_rec, densities, mass = [], [], [], []
-    weight_or_alive, escaped, digests = [], [], []
+    weight_or_alive, escaped = [], []
     coupled_alive, coupled_band = [], []
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
     nodes = grid.nodes()
@@ -286,7 +280,6 @@ def run_simulation(
             weight_or_alive.append(float(ens.alive.mean()))
         outside = (cloud.positions < grid.lower) | (cloud.positions > grid.upper)
         escaped.append(float(cloud.weights[outside].sum() / n))
-        digests.append(_hazard_digest(ens.hazards))
         if coupled_thresholds:
             alive_frac = float(np.mean(ens.hazards < thresholds))
             w = ens.weights
@@ -332,7 +325,6 @@ def run_simulation(
         mass=np.asarray(mass),
         weight_or_alive=np.asarray(weight_or_alive),
         escaped=np.asarray(escaped),
-        hazard_digests=digests,
         diagnostics=diagnostics,
         ensemble=ens,
         fields=acc,

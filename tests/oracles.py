@@ -1,0 +1,121 @@
+"""Reference implementations the tests compare the production paths with.
+
+- :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
+  particles in index order, with the same 8-bandwidth cutoff as
+  :func:`sulfsim.kernel.grid_density`.
+- :func:`exact_history_args`: the accumulated integrals (I, J) evaluated
+  from a trajectory archive with no spatial interpolation.
+- :func:`accumulate_from_archive`: an archive replayed through the grid
+  accumulator.
+- :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
+  after every step.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+import sulfsim.particles
+from sulfsim.config import Grid1D
+from sulfsim.dynamics import DriftArgs
+from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step
+from sulfsim.kernel import CUTOFF_BANDWIDTHS, WeightedPointCloud, kernel_grad, kernel_value
+
+_QUERY_CHUNK = 256
+
+
+def _mollify_sum(cloud: WeightedPointCloud, delta: float, query, n_total: int, grad: bool):
+    if n_total <= 0:
+        raise ValueError("divisor n_total must be positive")
+    q = np.atleast_1d(np.asarray(query, dtype=float))
+    out = np.zeros(q.shape)
+    cutoff = CUTOFF_BANDWIDTHS * delta
+    pos, w = cloud.positions, cloud.weights
+    for start in range(0, q.size, _QUERY_CHUNK):
+        qq = q[start : start + _QUERY_CHUNK, None]
+        diff = qq - pos[None, :]
+        vals = kernel_grad(diff, delta) if grad else kernel_value(diff, delta)
+        vals = np.where(np.abs(diff) <= cutoff, vals, 0.0)
+        out[start : start + _QUERY_CHUNK] = (vals * w[None, :]).sum(axis=1)
+    out /= n_total
+    if np.isscalar(query) or np.asarray(query).ndim == 0:
+        return float(out[0])
+    return out
+
+
+def mollify(cloud: WeightedPointCloud, delta: float, query, n_total: int):
+    """Weighted kernel sum (1/n_total) sum_i w_i K(query - x_i).
+
+    The divisor is the ensemble size, passed explicitly because it may
+    exceed the cloud length once dead particles are dropped.
+    """
+    return _mollify_sum(cloud, delta, query, n_total, grad=False)
+
+
+def mollify_grad(cloud: WeightedPointCloud, delta: float, query, n_total: int):
+    """Gradient counterpart of :func:`mollify`, using K' in place of K."""
+    return _mollify_sum(cloud, delta, query, n_total, grad=True)
+
+
+def exact_history_args(
+    archive: TrajectoryArchive,
+    x,
+    delta: float,
+    n_total: int,
+    steps: int | None = None,
+) -> DriftArgs:
+    """Direct evaluation of the accumulated integrals from stored snapshots.
+
+    I = dt * sum_{k < steps} mollify(snapshot_k, x); same quadrature as the
+    grid accumulator but with no spatial interpolation.  ``steps`` defaults
+    to every stored snapshot.
+    """
+    if len(archive) == 0:
+        raise ValueError("archive is empty")
+    if steps is None:
+        steps = len(archive)
+    x = np.asarray(x, dtype=float)
+    I = np.zeros(x.shape)
+    J = np.zeros(x.shape)
+    for k in range(steps):
+        cloud = archive.snapshot(k)
+        I += archive.dt * np.asarray(mollify(cloud, delta, x, n_total))
+        J += archive.dt * np.asarray(mollify_grad(cloud, delta, x, n_total))
+    if I.ndim == 0:
+        return DriftArgs(float(I), float(J))
+    return DriftArgs(I, J)
+
+
+def accumulate_from_archive(
+    archive: TrajectoryArchive,
+    grid: Grid1D,
+    delta: float,
+    n_total: int,
+    steps: int | None = None,
+) -> AccumulatedFields:
+    """Replay an archive through the grid accumulator."""
+    fields = AccumulatedFields(grid=grid, delta=delta)
+    if steps is None:
+        steps = len(archive)
+    for k in range(steps):
+        accumulate_step(fields, archive.snapshot(k), n_total, delta, archive.dt)
+    return fields
+
+
+def run_with_hazard_digests(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)``, and the sha256 of the ensemble's hazards
+    after each of its calls to ``sulfsim.particles.update_hazards``."""
+    digests: list[str] = []
+    update = sulfsim.particles.update_hazards
+
+    def recorded(ensemble, *a, **k):
+        coords = update(ensemble, *a, **k)
+        digests.append(hashlib.sha256(ensemble.hazards.tobytes()).hexdigest())
+        return coords
+
+    with monkeypatch.context() as m:
+        m.setattr(sulfsim.particles, "update_hazards", recorded)
+        out = run(*args, **kwargs)
+    return out, digests

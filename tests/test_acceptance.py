@@ -26,7 +26,7 @@ from sulfsim import (
     solve_pde,
 )
 from sulfsim.cli import main
-from sulfsim.fields import accumulate_from_archive, exact_history_args
+from oracles import accumulate_from_archive, exact_history_args, run_with_hazard_digests
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -86,13 +86,15 @@ def test_criterion_2_constant_rate_survival():
     )
 
 
-def test_criterion_3_estimator_coupling():
-    # shared-path coupling on the default full scenario: hazards bit-equal,
-    # survival readout inside the conditional-Bernoulli band
+def test_criterion_3_estimator_coupling(monkeypatch):
+    # shared-path coupling on the default full scenario: hazards bit-equal
+    # after every step, survival readout inside the conditional-Bernoulli band
     cfg = SimConfig(particles=10_000, seed=99)
-    fk = run_simulation(cfg, snapshot_stride=25)
-    cp = run_coupled(cfg, snapshot_stride=25)
-    bit_exact = cp.hazard_digests == fk.hazard_digests
+    fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
+                                             snapshot_stride=25)
+    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_coupled, cfg,
+                                             snapshot_stride=25)
+    bit_exact = len(fk_digests) == cfg.n_steps and cp_digests == fk_digests
     diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
     exceed = int(np.sum(diff > cp.coupled_band))
     quota = int(0.05 * len(diff))

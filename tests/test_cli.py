@@ -51,6 +51,16 @@ def test_simulate_repeat_is_byte_identical(runner, cfg_file, tmp_path):
     assert _csv_digests(tmp_path / "r1") == _csv_digests(tmp_path / "r2")
 
 
+@pytest.mark.parametrize("args", [["pde"], ["compare", "--seed", "3"]], ids=["pde", "compare"])
+def test_workers_is_accepted_and_ignored(runner, cfg_file, tmp_path, args):
+    for workers in ("1", "3"):
+        res = runner.invoke(main, [*args, "--config", str(cfg_file), "--workers", workers,
+                                   "--out", str(tmp_path / workers)])
+        assert res.exit_code == 0, res.output
+    digests = _csv_digests(tmp_path / "1")
+    assert digests and digests == _csv_digests(tmp_path / "3")
+
+
 def test_simulate_missing_seed_exits_2(runner, cfg_file, tmp_path):
     res = runner.invoke(
         main, ["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "x")]
@@ -69,8 +79,9 @@ def test_simulate_missing_seed_exits_2(runner, cfg_file, tmp_path):
     (["convergence", "--seed", "1", "--n", ""], "--n"),
     (["convergence", "--seed", "1", "--n", "250,abc"], "--n"),
     (["convergence", "--seed", "1", "--n", "250,0"], "--n"),
+    (["fixedpoint", "--archive", __file__, "--max-iters", "1"], "--max-iters"),
 ], ids=["snapshot-neg", "snapshot-zero", "fields-neg", "pde-snapshot", "compare-snapshot",
-        "seeds-zero", "n-empty", "n-not-int", "n-zero"])
+        "seeds-zero", "n-empty", "n-not-int", "n-zero", "max-iters-one"])
 def test_out_of_range_option_exits_2(runner, cfg_file, tmp_path, args, option):
     res = runner.invoke(main, [*args, "--config", str(cfg_file), "--out", str(tmp_path / "x")])
     assert res.exit_code == 2, res.output
@@ -111,11 +122,14 @@ def test_simulate_invalid_config_exits_2(runner, cfg_file, tmp_path):
     ("grid: {spacing: 0.1, bogus: 1}", "grid.bogus"),
     ("field_mode: grid-accumulator", "field_mode"),
     ("kernel: {shape: gaussian}", "kernel.shape"),
+    ("kernel: {bandwidth: 0.0025}", "bandwidth"),
+    ("kernel: {bandwidth: 1.0e-6}", "bandwidth"),
 ], ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-neg", "horizon-nan", "horizon-inf",
         "horizon-neg", "step-nan", "step-inf", "grid-horizon-inf", "tabulated-no-table",
         "unknown-family", "horizon-str", "horizon-list", "physical-scalar", "particles-float",
         "particles-bool", "normalize-str", "table-scalar", "unknown-key", "grid-unknown-key",
-        "field-mode-removed", "kernel-shape-removed"])
+        "field-mode-removed", "kernel-shape-removed", "bandwidth-unresolved",
+        "bandwidth-tiny"])
 def test_bad_grid_input_exits_2(runner, tmp_path, body, key):
     # with no grid block the default grid is derived from the horizon, the
     # bandwidth and the initial law's support; a value of the wrong type or
@@ -139,7 +153,7 @@ def test_partial_grid_is_completed_from_the_derived_grid(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--config", str(path), "--seed", "1",
                                "--out", str(tmp_path / "s")])
     assert res.exit_code == 0, res.output
-    derived = derive_grid(0.01, 0.3, InitialDensitySpec())
+    derived = derive_grid(0.01, 0.3, InitialDensitySpec(), spacing=0.1)
     assert _manifest(tmp_path / "s")["config"]["grid"] == {
         "lower": derived.lower, "upper": derived.upper, "spacing": 0.1}
     # the flags are merged before the missing grid values are derived
@@ -335,6 +349,31 @@ def test_fixedpoint_cut_archive_exits_4(runner, cfg_file, tmp_path):
     )
     assert res.exit_code == 4, res.output
     assert "needs exactly" in res.output
+
+
+def test_fixedpoint_nonfinite_archive_exits_4(runner, cfg_file, tmp_path):
+    import struct
+
+    from sulfsim.io import ARCHIVE_HEADER_BYTES
+
+    run_dir = tmp_path / "arch"
+    res = runner.invoke(
+        main,
+        ["simulate", "--config", str(cfg_file), "--seed", "2", "--out", str(run_dir),
+         "--archive"],
+    )
+    assert res.exit_code == 0, res.output
+    archive = run_dir / "archive.bin"
+    data = bytearray(archive.read_bytes())
+    data[ARCHIVE_HEADER_BYTES : ARCHIVE_HEADER_BYTES + 8] = struct.pack("<d", float("nan"))
+    archive.write_bytes(bytes(data))
+    res = runner.invoke(
+        main,
+        ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file),
+         "--out", str(tmp_path / "fp")],
+    )
+    assert res.exit_code == 4, res.output
+    assert "non-finite positions" in res.output
 
 
 def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sulfsim import ConfigError, Grid1D, KernelSpec, PhysicalParams, SimConfig, validate_config
 from sulfsim.config import (
     MAX_GRID_NODES,
+    _YAML_LOADER,
     InitialDensitySpec,
     config_from_dict,
     config_violations,
@@ -119,6 +120,21 @@ def test_default_yaml_loads_and_validates():
     assert cfg == SimConfig().with_grid()
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_reads_the_default_yaml_like_the_python_one():
+    assert _YAML_LOADER is yaml.CSafeLoader
+    text = DEFAULT_YAML.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_spacing_above_twice_the_bandwidth_is_refused():
+    # the default grid's spacing is 0.05
+    for bandwidth in (0.0025, 1e-6):
+        assert config_violations(SimConfig(kernel=KernelSpec(bandwidth=bandwidth))) == [
+            f"grid spacing 0.05 exceeds 2 times the kernel bandwidth {bandwidth}"]
+    assert config_violations(SimConfig(kernel=KernelSpec(bandwidth=0.025))) == []
+
+
 def test_grid_node_count_bounded_before_allocation():
     msgs = config_violations(SimConfig(grid=Grid1D(-1e9, 1e9, 0.05)))
     assert any(f"more than {MAX_GRID_NODES}" in m for m in msgs)
@@ -138,6 +154,10 @@ def test_partial_grid_takes_the_rest_from_the_derived_grid():
     cfg = config_from_dict({"horizon": 2.0, "grid": {"lower": -9.0}})
     derived = derive_grid(2.0, 0.3, InitialDensitySpec())
     assert cfg.grid == Grid1D(-9.0, derived.upper, derived.spacing)
+    # a spacing alone gets the bounds derived at that spacing, which it divides
+    cfg = config_from_dict({"grid": {"spacing": 0.07}})
+    assert cfg.grid == derive_grid(0.5, 0.3, InitialDensitySpec(), spacing=0.07)
+    assert config_violations(cfg) == []
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sulfsim import Grid1D, WeightedPointCloud, accumulate_step, exact_history_args, interpolate
-from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_from_archive
+from sulfsim import Grid1D, WeightedPointCloud, accumulate_step, interpolate
+from sulfsim.fields import AccumulatedFields, TrajectoryArchive
+
+from oracles import accumulate_from_archive, exact_history_args
 
 
 def _single_particle_cloud():

@@ -6,6 +6,7 @@ import pytest
 from sulfsim import WeightedPointCloud
 from sulfsim.fields import TrajectoryArchive
 from sulfsim.io import (
+    ARCHIVE_HEADER_BYTES,
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
     RunManifest,
@@ -96,6 +97,20 @@ def test_archive_rejects_trailing_bytes(tmp_path, rng):
     bad = tmp_path / "long.bin"
     bad.write_bytes(_archive_bytes(tmp_path, rng) + b"\x00" * 24)
     with pytest.raises(ValueError, match="needs exactly"):
+        read_archive(bad)
+
+
+@pytest.mark.parametrize("field, value", [(0, np.nan), (0, -np.inf), (1, 1.5), (1, -0.1),
+                                          (1, np.nan)],
+                         ids=["position-nan", "position-inf", "weight-above-1",
+                              "weight-negative", "weight-nan"])
+def test_archive_rejects_bad_values(tmp_path, rng, field, value):
+    data = bytearray(_archive_bytes(tmp_path, rng))
+    at = ARCHIVE_HEADER_BYTES + 8 * (8 * field + 3)  # snapshot 0, particle 3
+    data[at : at + 8] = struct.pack("<d", value)
+    bad = tmp_path / "values.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="non-finite positions" if field == 0 else r"\[0, 1\]"):
         read_archive(bad)
 
 

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sulfsim
-from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value, mollify, mollify_grad
-from sulfsim.kernel import _BLOCK, _block_matrix, grid_density
+from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value
+import sulfsim.kernel
+from sulfsim.kernel import _BLOCK, _block_matrix, _stencils, grid_density
+
+from oracles import mollify, mollify_grad
 
 
 def test_kernel_value_closed_forms():
@@ -115,6 +118,19 @@ def test_grid_density_matches_mollify(rng):
     du_ref = mollify_grad(cloud, 0.3, nodes, 500)
     assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(u_ref)
     assert np.max(np.abs(du - du_ref)) <= 1e-12 * np.max(np.abs(du_ref))
+
+
+def test_stencils_refuse_a_bandwidth_the_grid_cannot_resolve(monkeypatch):
+    assert _stencils(0.05, 0.005).shape[1] == 123  # spacing/bandwidth = 10
+    with pytest.raises(ValueError, match="Taylor order above"):
+        _stencils(0.05, 0.0025)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="Taylor order above"):
+        _stencils(0.05, 1e-6)  # the remainder overflows
+    # with the order uncapped, s_max^p overflows in the tail
+    monkeypatch.setattr(sulfsim.kernel, "_MAX_ORDER", 10**4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="tail overflows"):
+        _stencils(0.05, 0.0025)
 
 
 def _offset_deposit(cloud, grid, delta, n_total):

@@ -14,16 +14,11 @@ from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
 import sulfsim.fields
 import sulfsim.particles
-from sulfsim.fields import (
-    AccumulatedFields,
-    TrajectoryArchive,
-    accumulate_from_archive,
-    accumulate_step,
-    exact_history_args,
-    interpolate,
-)
+from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step, interpolate
 from sulfsim.particles import NonFiniteStateError, em_step, update_hazards
 from sulfsim.streams import ParticleStreams
+
+from oracles import accumulate_from_archive, exact_history_args, run_with_hazard_digests
 
 
 def test_init_ensemble_state(small_config):
@@ -278,11 +273,12 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
 
 
-def test_coupled_run_matches_fk_and_bernoulli_band(small_config):
+def test_coupled_run_matches_fk_and_bernoulli_band(monkeypatch, small_config):
     cfg = replace(small_config, particles=5000)
-    fk = run_simulation(cfg)
-    cp = run_coupled(cfg)
-    assert cp.hazard_digests == fk.hazard_digests
+    fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg)
+    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_coupled, cfg)
+    assert len(fk_digests) == cfg.n_steps
+    assert cp_digests == fk_digests
     diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
     exceed = np.sum(diff > cp.coupled_band)
     assert exceed <= max(1, int(0.05 * len(diff)))
