@@ -31,6 +31,7 @@ from .config import (
 from .fixedpoint import picard_solve
 from .io import (
     RunManifest,
+    column_text,
     read_archive,
     read_csv,
     snapshot_name,
@@ -138,58 +139,43 @@ def _build_config(config_path=None, **values) -> SimConfig:
     return validate_config(load_config(config_path, overrides)).with_grid()
 
 
-def _write_run_outputs(out: Path, sim, manifest: RunManifest,
-                       keep_archive: bool) -> None:
-    grid = sim.config.grid
-    nodes = grid.nodes()
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    paths = []
-    for step, u in zip(sim.steps_recorded, sim.densities):
-        paths.append(write_csv(snap_dir / snapshot_name("u", int(step)), ["x", "u"], [nodes, u]))
-    paths.append(
-        write_csv(
-            out / "run.csv",
-            ["t", "mass", "alive_fraction_or_mean_weight", "escaped_mass"],
-            [sim.times, sim.mass, sim.weight_or_alive, sim.escaped],
-        )
-    )
+def _write_snapshots(directory: Path, prefix: str, header: list[str], nodes: list[str],
+                     steps, *series) -> list[Path]:
+    """One CSV per recorded step: the node column, which the caller formats
+    once (``column_text``) for all of its files, then the step's row of each
+    series."""
+    directory.mkdir(exist_ok=True)
+    return [write_csv(directory / snapshot_name(prefix, int(step)), header, [nodes, *values])
+            for step, *values in zip(steps, *series)]
+
+
+def _write_run_outputs(out: Path, sim, manifest: RunManifest) -> None:
+    nodes = column_text(sim.config.grid.nodes())
+    paths = _write_snapshots(out / "snapshots", "u", ["x", "u"], nodes,
+                             sim.steps_recorded, sim.densities)
+    paths.append(write_csv(out / "run.csv",
+                           ["t", "mass", "alive_fraction_or_mean_weight", "escaped_mass"],
+                           [sim.times, sim.mass, sim.weight_or_alive, sim.escaped]))
     if sim.field_snaps:
-        fdir = out / "fields"
-        fdir.mkdir(exist_ok=True)
-        for step, a_vals, g_vals in sim.field_snaps:
-            paths.append(
-                write_csv(fdir / snapshot_name("af", int(step)), ["x", "A", "G"],
-                          [nodes, a_vals, g_vals])
-            )
-    if keep_archive and sim.archive is not None:
+        paths += _write_snapshots(out / "fields", "af", ["x", "A", "G"], nodes,
+                                  *zip(*sim.field_snaps))
+    if sim.archive is not None:
         paths.append(write_archive(out / "archive.bin", sim.archive))
     for p in paths:
         manifest.add_output(out, p)
 
 
 def _write_pde_outputs(out: Path, res, manifest: RunManifest) -> None:
-    grid = res.config.grid
-    nodes = grid.nodes()
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    cal_dir = out / "calcite"
-    cal_dir.mkdir(exist_ok=True)
-    paths = []
-    for step, v, c in zip(res.steps_recorded, res.densities, res.calcite):
-        paths.append(write_csv(snap_dir / snapshot_name("u", int(step)), ["x", "u"], [nodes, v]))
-        paths.append(write_csv(cal_dir / snapshot_name("c", int(step)), ["x", "c"], [nodes, c]))
-    paths.append(
-        write_csv(out / "run.csv", ["t", "mass"], [res.times, res.mass])
-    )
+    nodes = column_text(res.config.grid.nodes())
+    paths = [*_write_snapshots(out / "snapshots", "u", ["x", "u"], nodes,
+                               res.steps_recorded, res.densities),
+             *_write_snapshots(out / "calcite", "c", ["x", "c"], nodes,
+                               res.steps_recorded, res.calcite)]
+    paths.append(write_csv(out / "run.csv", ["t", "mass"], [res.times, res.mass]))
     steps = np.arange(1, len(res.sink) + 1)
-    paths.append(
-        write_csv(
-            out / "ledger.csv",
-            ["step", "sink", "boundary_flux", "clamped", "residual"],
-            [steps, res.sink, res.boundary_flux, res.clamped, res.residual],
-        )
-    )
+    paths.append(write_csv(out / "ledger.csv",
+                           ["step", "sink", "boundary_flux", "clamped", "residual"],
+                           [steps, res.sink, res.boundary_flux, res.clamped, res.residual]))
     for p in paths:
         manifest.add_output(out, p)
 
@@ -247,7 +233,7 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cf
     )
     manifest = RunManifest(command="simulate", config=cfg.to_dict(),
                            diagnostics=sim.diagnostics)
-    _write_run_outputs(out_dir, sim, manifest, keep_archive=archive_flag)
+    _write_run_outputs(out_dir, sim, manifest)
     manifest.write(out_dir)
     click.echo(f"simulate: wrote {len(manifest.outputs)} files to {out_dir}")
 
@@ -432,6 +418,14 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
         archive = read_archive(archive_path)
     except ValueError as err:
         raise DataError(str(err)) from err
+    # the map runs on the archive's time steps and ensemble: a flag that says
+    # otherwise is an error, and the manifest records what the archive holds
+    held = {"horizon": archive.dt * (len(archive) - 1), "step": archive.dt,
+            "particles": archive.n_total}
+    for key, value in held.items():
+        if (flag := cfg_kwargs[key]) is not None and abs(flag - value) > 1e-12 * abs(value):
+            raise DataError(f"--{key} {flag} contradicts the archive, which holds {key} {value}")
+    cfg = replace(cfg, **held)
     result = picard_solve(archive, cfg.grid, cfg.kernel.bandwidth, cfg.physical,
                           max_iters=max_iters, tol=tol)
     manifest = RunManifest(command="fixedpoint", config=cfg.to_dict(),

@@ -104,10 +104,6 @@ class LerpCoords(NamedTuple):
     frac: np.ndarray
     outside: np.ndarray
 
-    def compress(self, keep: np.ndarray) -> LerpCoords:
-        """The coordinates of the positions where ``keep`` is true."""
-        return LerpCoords(self.j[keep], self.frac[keep], self.outside[keep])
-
 
 def lerp_coords(grid: Grid1D, x) -> LerpCoords:
     """Grid coordinates of positions x, as arrays of at least one dimension;

@@ -26,17 +26,20 @@ ARCHIVE_VERSION = 1
 ARCHIVE_HEADER_BYTES = 32  # magic, version, n, snapshots, dt
 
 
-def _column_text(column: np.ndarray) -> list[str]:
+def column_text(column: np.ndarray | list[str]) -> list[str]:
     """The values of a column as CSV fields: ``repr`` (shortest round-trip)
-    for a float column, ``str`` for any other."""
+    for a float column, ``str`` for any other; a list is already fields."""
+    if isinstance(column, list):
+        return column
     column = np.asarray(column)
     return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
 
 
-def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> Path:
-    """Write columns to a CSV file with full-precision floats."""
+def write_csv(path: str | Path, header: list[str], columns: list) -> Path:
+    """Write columns (arrays, or the fields of :func:`column_text`) to a CSV
+    file with full-precision floats."""
     path = Path(path)
-    rows = zip(*map(_column_text, columns))
+    rows = zip(*map(column_text, columns))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)

@@ -178,23 +178,31 @@ def grid_density(
     q, n_rows = mat.shape[0], mat.shape[1] // _BLOCK
     u, du = np.zeros(m), np.zeros(m)
 
-    # nearest node j and scaled sub-spacing residual s = (x - x_j) / delta;
-    # a particle reaches the nodes j - half .. j + half
+    # nearest node j and scaled sub-spacing residual s = (x - x_j) / delta,
+    # formed in the one buffer s; a particle reaches nodes j - half .. j + half
     pos, w = cloud.positions, cloud.weights
-    j = np.floor((pos - grid.lower) / h + 0.5).astype(np.int64)
-    s = (pos - (grid.lower + j * h)) / delta
-    reach = (j >= -half) & (j < m + half)
-    if not reach.all():
-        j, s, w = j[reach], s[reach], w[reach]
-    if j.size == 0:
+    if pos.size == 0:
         return u, du
-    first = max(int(j.min()) - half, 0)  # nodes first..last are reached
-    last = min(int(j.max()) + half, m - 1)
+    s = pos - grid.lower
+    s /= h
+    s += 0.5
+    j = np.floor(s, out=s).astype(np.int64)
+    np.subtract(pos, np.add(np.multiply(j, h, out=s), grid.lower, out=s), out=s)
+    s /= delta
+    j_min, j_max = int(j.min()), int(j.max())
+    if j_min < -half or j_max >= m + half:
+        reach = (j >= -half) & (j < m + half)
+        j, s, w = j[reach], s[reach], w[reach]
+        if j.size == 0:
+            return u, du
+        j_min, j_max = int(j.min()), int(j.max())
+    first = max(j_min - half, 0)  # nodes first..last are reached
+    last = min(j_max + half, m - 1)
     # cells are numbered j - first + half and grouped in blocks of _BLOCK from
     # cell 0; only blocks b0..b0 + n_blocks - 1, which hold particles, enter
     # the product, so each of them groups the same cells for any b0
-    b0 = (int(j.min()) - first + half) // _BLOCK
-    n_blocks = (int(j.max()) - first + half) // _BLOCK - b0 + 1
+    b0 = (j_min - first + half) // _BLOCK
+    n_blocks = (j_max - first + half) // _BLOCK - b0 + 1
     cell = j  # j and term are updated in place, to keep a step's peak memory low
     cell -= first - half + b0 * _BLOCK
 

@@ -6,18 +6,18 @@ path-dependent drift; they differ in how the reaction enters:
 - ``feynman-kac``: every particle survives and carries the discount
   weight exp(-Lambda_i), where Lambda_i is its cumulative hazard.
 - ``killed``: particle i dies once Lambda_i reaches an independent
-  Exp(1) threshold Z_i; dead particles freeze, keep weight 0 in every
-  density sum, and still consume their noise draws so runs of the two
-  modes stay pathwise coupled under one seed.
+  Exp(1) threshold Z_i; dead particles keep weight 0 in every density
+  sum and step with zero increments, so they freeze but still consume
+  their noise draws: runs of the two modes stay pathwise coupled.
 
 Per-step order: build the mode's cloud from the state at the step start,
 accumulate it into the fields (a recorded step keeps that deposit for its
 snapshot), advance positions, then update hazards at the new positions
-with the fields through the current step.  The grid
-coordinates of X_{k+1} are computed once, in the hazard update, which reads
-only I there; the next step's drift reads (I, J) at the same coordinates,
-kept for the survivors only.  Each of the two reads still counts its
-off-grid queries in ``out_of_domain``.
+with the fields through the current step.  Both modes step the same
+full-length arrays.  The grid coordinates of X_{k+1} are computed once,
+in the hazard update, which reads only I there; the next step's drift
+reads (I, J) at the same coordinates.  Each read counts the off-grid
+queries and negative-I clamps of alive particles only.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class ParticleEnsemble:
     alive: np.ndarray
     death_times: np.ndarray
     mode: str
-
-    @property
-    def n(self) -> int:
-        return self.positions.size
 
     def cloud(self) -> WeightedPointCloud:
         """The mode's density cloud at the current state.
@@ -101,21 +97,23 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     )
 
 
-def _clamp_negative_I(I, diagnostics: dict | None) -> np.ndarray:
-    """Clamp interpolated I values below 0 to 0, counting them in diagnostics."""
-    I = np.asarray(I, dtype=float)
-    n_neg = np.count_nonzero(I < 0.0)
-    if n_neg:
+def _read_fields(fields, coords, alive, diagnostics: dict | None, gradient: bool = True):
+    """(I, J) from ``fields`` at ``coords``, I clamped at 0.  Only the reads
+    of alive particles (all, when ``alive`` is None) count in
+    ``out_of_domain`` and ``negative_I``; coordinates without off-grid flags
+    (positions, as a grid-free field view gives them) are read as they are."""
+    outside = getattr(coords, "outside", None)
+    if alive is not None and outside is not None and outside.any():
+        outside &= alive  # the dead's flags go: coords are the step's own
+    I, J = fields.args_at(coords, gradient)
+    negative = I < 0.0
+    if negative.any():
+        if alive is not None:
+            negative &= alive
         if diagnostics is not None:
-            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + n_neg
+            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + np.count_nonzero(negative)
         I = np.maximum(I, 0.0)
-    return I
-
-
-def _rows(alive: np.ndarray):
-    """Index of the alive particles: a full slice while every particle is
-    alive, so that indexing gives views of the state instead of copies."""
-    return slice(None) if alive.all() else alive
+    return I, J
 
 
 def em_step(
@@ -130,32 +128,33 @@ def em_step(
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step: Y += b(I, J) dt + sqrt(2 dt) xi.
 
-    (I, J) are read from ``fields`` at each alive particle's position, at
-    ``coords`` when given (``fields.coords_at`` of the alive positions, as
-    :func:`update_hazards` returns them); dead particles are untouched but
-    their noise draw is still consumed so stream alignment across modes
-    is preserved.  b dt and then sqrt(2 dt) xi are added to the position;
-    adding their sum instead would round differently.
+    (I, J) are read at every position, at ``coords`` when given (as
+    :func:`update_hazards` returns them).  In killed mode b dt and
+    sqrt(2 dt) xi, both finite, are multiplied by the alive mask: a dead
+    particle stays put but still consumes its noise draw, which keeps the
+    streams of the two modes aligned.  b dt and then sqrt(2 dt) xi are
+    added to the position; adding their sum instead would round differently.
 
-    While every particle is alive the positions are updated in place,
-    before the finiteness check: after a :class:`NonFiniteStateError` the
-    ensemble holds the non-finite positions and is no longer valid.  With
-    dead particles the check comes first and the ensemble is unchanged.
+    The positions are updated in place, before the finiteness check:
+    after a :class:`NonFiniteStateError` the ensemble holds the
+    non-finite positions and is no longer valid.
     """
-    rows = _rows(ensemble.alive)
-    x = ensemble.positions[rows]  # a view while every particle is alive
-    args = fields.args_at(fields.coords_at(x) if coords is None else coords)
-    b = drift_b(_clamp_negative_I(args.I, diagnostics), args.J, params)
+    alive = ensemble.alive if ensemble.mode == "killed" else None
+    x = ensemble.positions
+    I, J = _read_fields(fields, fields.coords_at(x) if coords is None else coords,
+                        alive, diagnostics)
+    b = drift_b(I, J, params)
     b *= dt
-    x += b
-    noise = streams.normals()[rows]  # drawn after the drift, to keep the peak memory low
+    noise = streams.normals()  # drawn after the drift, to keep the peak memory low
     noise *= np.sqrt(2.0 * dt)
+    if alive is not None:
+        b *= alive
+        noise *= alive
+    x += b
     x += noise
     finite = np.isfinite(x)
     if not finite.all():
-        raise NonFiniteStateError(step, np.flatnonzero(ensemble.alive)[~finite])
-    if rows is ensemble.alive:  # x is a copy once particles have died
-        ensemble.positions[rows] = x
+        raise NonFiniteStateError(step, np.flatnonzero(~finite))
     return ensemble
 
 
@@ -167,26 +166,26 @@ def update_hazards(
     t_end: float,
     diagnostics: dict | None = None,
 ):
-    """Accumulate dt * rate(I) into each alive particle's hazard.
+    """Accumulate dt * rate(I) into each particle's hazard and set its
+    weight to exp(-Lambda); only I is read.
 
-    Weights track exp(-Lambda) exactly; in killed mode a particle whose
-    hazard reaches its threshold dies at the step-end time with its
-    position frozen at the current value.  Only I is read.  Returns the
-    field coordinates of the survivors' positions, which the next
-    :func:`em_step` reads again.
+    In killed mode the increment is multiplied by the alive mask, so a dead
+    particle keeps its hazard and weight, and a particle whose hazard
+    reaches its threshold dies at the step-end time.  Returns the field
+    coordinates of the positions, which the next :func:`em_step` reads again.
     """
-    alive = ensemble.alive
-    rows = _rows(alive)
-    coords = fields.coords_at(ensemble.positions[rows])
-    I = _clamp_negative_I(fields.args_at(coords, gradient=False).I, diagnostics)
-    ensemble.hazards[rows] += dt * np.asarray(reaction_rate(I, params))
-    ensemble.weights[rows] = np.exp(-ensemble.hazards[rows])
-    if ensemble.mode == "killed":
+    alive = ensemble.alive if ensemble.mode == "killed" else None
+    coords = fields.coords_at(ensemble.positions)
+    I, _ = _read_fields(fields, coords, alive, diagnostics, gradient=False)
+    increment = dt * reaction_rate(I, params)
+    if alive is not None:
+        increment *= alive
+    ensemble.hazards += increment
+    np.exp(-ensemble.hazards, out=ensemble.weights)
+    if alive is not None:
         dead_now = alive & (ensemble.hazards >= ensemble.thresholds)
-        if dead_now.any():
-            coords = coords.compress(~dead_now[alive])
-            ensemble.alive[dead_now] = False
-            ensemble.death_times[dead_now] = t_end
+        alive[dead_now] = False
+        ensemble.death_times[dead_now] = t_end
     return coords
 
 
@@ -287,7 +286,7 @@ def run_simulation(
             coupled_alive.append(alive_frac)
             coupled_band.append(3.0 * np.sqrt(vbar / n))
 
-    coords = None  # of the alive positions, shared by the hazard update and the next drift
+    coords = None  # of the positions, shared by the hazard update and the next drift
     for k in range(n_steps):
         cloud = ens.cloud()
         recording = k % stride == 0

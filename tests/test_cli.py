@@ -393,6 +393,48 @@ def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     assert "Traceback" not in res.output
 
 
+def _archive_run(runner, cfg_file, run_dir, *flags):
+    res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "2",
+                               "--out", str(run_dir), "--archive", *flags])
+    assert res.exit_code == 0, res.output
+    return run_dir / "archive.bin"
+
+
+@pytest.mark.parametrize("flag, value, held", [
+    ("--horizon", "0.1", "0.05"),
+    ("--step", "0.0005", "0.001"),
+    ("--particles", "7", "300"),
+])
+def test_fixedpoint_flag_contradicting_archive_exits_4(runner, cfg_file, tmp_path,
+                                                         flag, value, held):
+    archive = _archive_run(runner, cfg_file, tmp_path / "arch")  # horizon 0.05, N = 300
+    res = runner.invoke(
+        main,
+        ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file), flag, value,
+         "--out", str(tmp_path / "fp")],
+    )
+    assert res.exit_code == 4, res.output
+    assert f"{flag} {value} contradicts the archive" in res.output
+    assert held in res.output
+    assert not (tmp_path / "fp" / "manifest.json").exists()
+
+
+def test_fixedpoint_takes_run_values_from_archive_not_config(runner, cfg_file, tmp_path):
+    archive = _archive_run(runner, cfg_file, tmp_path / "arch",
+                           "--horizon", "0.02", "--particles", "100")
+    for name, flags in (("fp", []), ("fp-flags", ["--horizon", "0.02", "--particles", "100"])):
+        res = runner.invoke(
+            main,
+            ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file), *flags,
+             "--out", str(tmp_path / name)],
+        )
+        assert res.exit_code == 0, res.output  # the config file says 0.05 and 300
+        config = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+        assert config["horizon"] == pytest.approx(0.02, rel=1e-12)
+        assert config["step"] == 1e-3
+        assert config["particles"] == 100
+
+
 def test_pde_nonfinite_state_exits_3(runner, cfg_file, tmp_path, monkeypatch):
     import sulfsim.pde as pde_mod
 

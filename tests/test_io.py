@@ -10,6 +10,7 @@ from sulfsim.io import (
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
     RunManifest,
+    column_text,
     read_archive,
     read_csv,
     sha256_file,
@@ -49,6 +50,9 @@ def test_csv_columns_format_like_per_value_path(tmp_path):
     assert path.read_text() == "\n".join(rows) + "\n"
     assert rows[1] == "3,True,-0.0,0.10000000149011612"
     assert rows[2] == "-1,False,5e-324,-inf"
+    # columns formatted once ahead (as the CLI does for the node column) write the same bytes
+    text = write_csv(tmp_path / "t.csv", ["i", "b", "f", "g"], [column_text(c) for c in columns])
+    assert text.read_bytes() == path.read_bytes()
 
 
 def test_snapshot_name_padding():

@@ -94,6 +94,26 @@ def test_em_step_nonfinite_position_aborts(small_config):
     assert 3 in err.value.indices
 
 
+def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
+    cfg = replace(small_config, mode="killed")
+    streams = ParticleStreams(cfg.seed, cfg.particles)
+    ens = init_ensemble(cfg, streams)
+    ens.alive[::2] = False  # 100 of 200 dead
+    ens.positions[:50] = cfg.grid.upper + 1.0  # 50 off the grid, 25 of them alive
+    dead = ~ens.alive
+    frozen = {name: getattr(ens, name)[dead].copy() for name in ("positions", "hazards", "weights")}
+    negative_A = np.full(cfg.grid.n_nodes, -1.0)  # every read of I is clamped
+    fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth, A=negative_A)
+    diagnostics = {"negative_I": 0}
+    em_step(ens, fields, cfg.step, streams, cfg.physical, diagnostics=diagnostics)
+    assert (diagnostics["negative_I"], fields.out_of_domain) == (100, 25)
+    update_hazards(ens, fields, cfg.step, cfg.physical, t_end=cfg.step, diagnostics=diagnostics)
+    assert (diagnostics["negative_I"], fields.out_of_domain) == (200, 50)
+    for name, before in frozen.items():
+        assert np.array_equal(getattr(ens, name)[dead], before), name
+    assert np.all(ens.hazards[~dead] > 0.0)
+
+
 def _reference_steps(cfg):
     """Steps the ensemble with one full field read per use: (I, J) through
     ``fields.interpolate`` at the alive positions for the drift, and again
@@ -131,6 +151,7 @@ def _reference_steps(cfg):
 @pytest.mark.parametrize("mode, lower, upper, lam", [
     ("feynman-kac", -10.0, 10.0, 1.0),
     ("killed", -1.2, 1.2, 8.0),  # deaths every few steps, many reads off the grid
+    ("killed", -1.2, 1.2, 40.0),  # most of the ensemble dies: mostly zero increments
 ])
 def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
     cfg = SimConfig(particles=400, horizon=0.08, step=1e-3, seed=99, mode=mode,
@@ -149,6 +170,25 @@ def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
         assert len(np.unique(ens.death_times[dead])) > 5  # deaths spread over the run
         assert out_of_domain > 0
         assert np.any(np.abs(ens.positions[ens.alive]) > upper)  # survivors read off-grid
+        if lam == 40.0:
+            assert dead.sum() > 0.75 * cfg.particles
+
+
+def test_dead_particles_stay_at_their_death_position(small_config):
+    cfg = replace(small_config, mode="killed", particles=500, horizon=0.05,
+                  physical=PhysicalParams(lam=20.0))
+    sim = run_simulation(cfg, keep_archive=True)
+    ens = sim.ensemble
+    dead = np.flatnonzero(~ens.alive)
+    assert dead.size > cfg.particles // 4
+    death_steps = np.rint(ens.death_times[dead] / cfg.step).astype(int)
+    assert len(np.unique(death_steps)) > 5
+    for i, k in zip(dead, death_steps):
+        assert ens.positions[i] == sim.archive.positions[k][i]
+        # every later snapshot holds the same position, with weight 0
+        later = np.array([sim.archive.positions[s][i] for s in range(k, len(sim.archive))])
+        assert np.all(later == ens.positions[i])
+        assert sim.archive.weights[k][i] == 0.0
 
 
 def test_constant_rate_weights_exact(small_config):
