@@ -418,6 +418,9 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
         archive = read_archive(archive_path)
     except ValueError as err:
         raise DataError(str(err)) from err
+    if archive.mode != "feynman-kac":
+        raise DataError(f"{archive_path} holds a {archive.mode} run, whose dead particles are "
+                        "not paths of the map: re-run `simulate --mode fk --archive`")
     # the map runs on the archive's time steps and ensemble: a flag that says
     # otherwise is an error, and the manifest records what the archive holds
     held = {"horizon": archive.dt * (len(archive) - 1), "step": archive.dt,

@@ -6,10 +6,14 @@ The map sends a candidate lattice function u to
                      sum_{s<t} exp(-lambda dt sum_{r<s} u(r, X_s^i)))
 
 with the inner sums read off the archived paths by linear interpolation
-in space: one time prefix sum of u, then one read of row s at X_s, which
-is O(SN) for S snapshots of N paths, plus one ``grid_density`` per output
-row.  Iterating from u == 0 gives the constant-rate discount as the first
-iterate; the distance trace records the empirical contraction.
+in space.  The map streams over the time rows t in order, carrying two
+running sums: sum_{r<t} u(r) on the lattice, and sum_{s<t} exp(-lambda
+I(s, X_s^i)) per path.  Row t reads the first at X_t and deposits the
+discounted cloud of X_t with one ``grid_density``, so one map is O(SN)
+work for S snapshots of N paths, and besides the archive and the (S, m)
+lattices it holds O(m + N) memory.  Iterating from u == 0 gives the
+constant-rate discount as the first iterate; the distance trace records
+the empirical contraction.
 """
 
 from __future__ import annotations
@@ -23,15 +27,6 @@ from .fields import TrajectoryArchive, lerp, lerp_coords
 from .kernel import WeightedPointCloud, grid_density
 
 
-def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) -> np.ndarray:
-    """I[s, i] = dt * sum_{r<s} u(r, X_s^i) for lattice u and (S+1, N) paths."""
-    prefix = np.zeros(u.shape)
-    prefix[1:] = dt * np.cumsum(u[:-1], axis=0)
-    j, frac = lerp_coords(grid, paths)[:2]
-    j += grid.n_nodes * np.arange(len(paths))[:, None]  # row s of the flat lattice
-    return lerp(j, frac, prefix.ravel())[0]
-
-
 def apply_mkfk_map(
     u: np.ndarray,
     archive: TrajectoryArchive,
@@ -42,10 +37,11 @@ def apply_mkfk_map(
     """One application of the discounted-kernel map to the lattice ``u``.
 
     ``u`` has shape (n_snapshots, n_nodes) over the archive's time lattice.
-    The archive must hold full (never-killed) paths.
+    The archive must hold the never-killed paths of a feynman-kac run.
     """
-    paths = np.stack(archive.positions)  # (S+1, N)
-    n_times = len(paths)
+    if archive.mode != "feynman-kac":
+        raise ValueError(f"the map needs never-killed paths, not a {archive.mode} run's")
+    n_times = len(archive)
     if u.shape != (n_times, grid.n_nodes):
         raise ValueError(
             f"lattice shape {u.shape} does not match archive times {n_times} "
@@ -53,17 +49,21 @@ def apply_mkfk_map(
         )
     dt = archive.dt
     lam, c0 = params.lam, params.c0
-    inner = inner_integral(u, paths, grid, dt)
-
-    # discount D[t, i] = exp(-lambda c0 dt sum_{s<t} exp(-lambda I[s, i]))
-    hazard = np.zeros(inner.shape)
-    hazard[1:] = lam * c0 * dt * np.cumsum(np.exp(-lam * inner[:-1]), axis=0)
-    discount = np.exp(-hazard)
-
-    return np.stack([
-        grid_density(WeightedPointCloud(x, w), grid, delta, archive.n_total)[0]
-        for x, w in zip(paths, discount)
-    ])
+    u_sum = np.zeros(grid.n_nodes)  # sum_{r<t} u[r]
+    e_sum = np.zeros(archive.n_total)  # sum_{s<t} exp(-lambda I[s])
+    out = np.empty(u.shape)
+    for t, x in enumerate(archive.positions):
+        # discount exp(-lambda c0 dt sum_{s<t} exp(-lambda I[s]))
+        discount = lam * c0 * dt * e_sum
+        np.exp(-discount, out=discount)
+        out[t] = grid_density(WeightedPointCloud.unchecked(x, discount), grid, delta,
+                              archive.n_total)[0]
+        if t + 1 < n_times:  # I[t] = dt sum_{r<t} u(r, X_t)
+            j, frac = lerp_coords(grid, x)[:2]
+            inner = lerp(j, frac, dt * u_sum)[0]
+            e_sum += np.exp(-lam * inner)
+            u_sum += u[t]
+    return out
 
 
 @dataclass

@@ -3,8 +3,8 @@
 CSV is the single interchange format: one header row, comma separators,
 full-precision (shortest round-trip) decimal floats.  Trajectory archives
 use a small binary layout documented in the README: an ASCII magic, a
-version word, ensemble size, snapshot count, dt, then per snapshot the
-positions and weights as little-endian 64-bit floats.
+version word, ensemble size, snapshot count, dt and a mode word, then per
+snapshot the positions and weights as little-endian 64-bit floats.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ import numpy as np
 from .fields import TrajectoryArchive
 
 ARCHIVE_MAGIC = b"SSAR"
-ARCHIVE_VERSION = 1
-ARCHIVE_HEADER_BYTES = 32  # magic, version, n, snapshots, dt
+ARCHIVE_VERSION = 2  # version 1 had no mode word
+ARCHIVE_HEADER = struct.Struct("<4sIQQdQ")  # magic, version, n, snapshots, dt, mode
+ARCHIVE_HEADER_BYTES = ARCHIVE_HEADER.size
+ARCHIVE_MODES = ("feynman-kac", "killed")  # the mode word indexes this
 
 
 def column_text(column: np.ndarray | list[str]) -> list[str]:
@@ -63,42 +65,48 @@ def snapshot_name(prefix: str, step: int) -> str:
 def write_archive(path: str | Path, archive: TrajectoryArchive) -> Path:
     """Dump an archive: header then the (snapshots, 2, n) float payload."""
     path = Path(path)
-    n = archive.n_total
     snaps = len(archive)
-    payload = np.stack([archive.positions, archive.weights], axis=1) if snaps else np.empty(0)
     with open(path, "wb") as fh:
-        fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<IQQd", ARCHIVE_VERSION, n, snaps, archive.dt))
-        payload.astype("<f8", copy=False).tofile(fh)
+        fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, archive.n_total, snaps,
+                                     archive.dt, ARCHIVE_MODES.index(archive.mode)))
+        archive.payload[:snaps].astype("<f8", copy=False).tofile(fh)
     return path
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
     """Load an archive; ValueError unless the file is exactly one archive of
-    finite positions and weights in [0, 1]."""
+    the current version, of a known mode, with finite positions and weights
+    in [0, 1]."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
         if header[:4] != ARCHIVE_MAGIC or len(header) < ARCHIVE_HEADER_BYTES:
             raise ValueError(f"{path} does not start with a trajectory archive header")
-        version, n, snaps, dt = struct.unpack("<IQQd", header[4:])
+        _, version, n, snaps, dt, mode = ARCHIVE_HEADER.unpack(header)
         if version != ARCHIVE_VERSION:
-            raise ValueError(f"unsupported archive version {version}")
+            raise ValueError(f"{path} is a version {version} archive; only version "
+                             f"{ARCHIVE_VERSION}, which records the run's mode, is read: "
+                             "re-run `simulate --archive`")
+        if mode >= len(ARCHIVE_MODES):
+            raise ValueError(f"{path} has the unknown mode word {mode}")
         if n == 0 or snaps == 0:
             raise ValueError(f"{path} declares {n} particles and {snaps} snapshots; "
                              "both must be positive")
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"{path} declares the time step {dt}; it must be positive and finite")
         size = os.fstat(fh.fileno()).st_size
         expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
         if size != expected:
             raise ValueError(f"{path} has {size} bytes; its header needs exactly {expected}")
         payload = np.fromfile(fh, dtype="<f8", count=2 * n * snaps).reshape(snaps, 2, n)
-    positions, weights = payload[:, 0], payload[:, 1]
-    if not np.isfinite(positions).all():
+    archive = TrajectoryArchive(dt=dt, n_total=int(n), mode=ARCHIVE_MODES[mode],
+                                payload=payload, filled=int(snaps))
+    if not np.isfinite(archive.positions).all():
         raise ValueError(f"{path} holds non-finite positions")
+    weights = archive.weights
     if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
         raise ValueError(f"{path} holds weights outside [0, 1]")
-    return TrajectoryArchive(dt=dt, n_total=int(n), positions=list(positions),
-                             weights=list(weights))
+    return archive
 
 
 def sha256_file(path: str | Path) -> str:

@@ -256,7 +256,8 @@ def run_simulation(
             raise ValueError("coupled_thresholds requires feynman-kac mode")
         thresholds = draw_thresholds(config.seed, streams.indices)
 
-    archive = TrajectoryArchive(dt=dt, n_total=n) if keep_archive else None
+    archive = (TrajectoryArchive(dt, n, config.mode, np.empty((n_steps + 1, 2, n)))
+               if keep_archive else None)  # a row per step and one for the final cloud
     acc = AccumulatedFields(grid=grid, delta=delta)
 
     diagnostics: dict = {"negative_I": 0}

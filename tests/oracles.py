@@ -9,6 +9,9 @@
   accumulator.
 - :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
   after every step.
+- :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
+  map evaluated on the whole (S, N) lattice at once, with ``np.cumsum``
+  time prefix sums and one flat-lattice read.
 """
 
 from __future__ import annotations
@@ -18,10 +21,16 @@ import hashlib
 import numpy as np
 
 import sulfsim.particles
-from sulfsim.config import Grid1D
+from sulfsim.config import Grid1D, PhysicalParams
 from sulfsim.dynamics import DriftArgs
-from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step
-from sulfsim.kernel import CUTOFF_BANDWIDTHS, WeightedPointCloud, kernel_grad, kernel_value
+from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step, lerp, lerp_coords
+from sulfsim.kernel import (
+    CUTOFF_BANDWIDTHS,
+    WeightedPointCloud,
+    grid_density,
+    kernel_grad,
+    kernel_value,
+)
 
 _QUERY_CHUNK = 256
 
@@ -119,3 +128,35 @@ def run_with_hazard_digests(monkeypatch, run, *args, **kwargs):
         m.setattr(sulfsim.particles, "update_hazards", recorded)
         out = run(*args, **kwargs)
     return out, digests
+
+
+def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) -> np.ndarray:
+    """I[s, i] = dt * sum_{r<s} u(r, X_s^i) for lattice u and (S, N) paths."""
+    prefix = np.zeros(u.shape)
+    prefix[1:] = dt * np.cumsum(u[:-1], axis=0)
+    j, frac = lerp_coords(grid, paths)[:2]
+    j += grid.n_nodes * np.arange(len(paths))[:, None]  # row s of the flat lattice
+    return lerp(j, frac, prefix.ravel())[0]
+
+
+def whole_lattice_map(
+    u: np.ndarray,
+    archive: TrajectoryArchive,
+    grid: Grid1D,
+    delta: float,
+    params: PhysicalParams,
+) -> np.ndarray:
+    """The discounted-kernel map of :func:`sulfsim.fixedpoint.apply_mkfk_map`
+    with every (S, N) intermediate formed at once."""
+    paths = np.stack(archive.positions)
+    dt = archive.dt
+    lam, c0 = params.lam, params.c0
+    inner = inner_integral(u, paths, grid, dt)
+    # discount D[t, i] = exp(-lambda c0 dt sum_{s<t} exp(-lambda I[s, i]))
+    hazard = np.zeros(inner.shape)
+    hazard[1:] = lam * c0 * dt * np.cumsum(np.exp(-lam * inner[:-1]), axis=0)
+    discount = np.exp(-hazard)
+    return np.stack([
+        grid_density(WeightedPointCloud(x, w), grid, delta, archive.n_total)[0]
+        for x, w in zip(paths, discount)
+    ])

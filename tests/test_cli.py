@@ -2,14 +2,20 @@ import hashlib
 import json
 from pathlib import Path
 
+import struct
+
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sulfsim import WeightedPointCloud
 from sulfsim.cli import main
 from sulfsim.config import InitialDensitySpec, derive_grid
-from sulfsim.io import read_csv
+from sulfsim.fields import TrajectoryArchive
+from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv, write_archive
 
 
 @pytest.fixture
@@ -352,10 +358,6 @@ def test_fixedpoint_cut_archive_exits_4(runner, cfg_file, tmp_path):
 
 
 def test_fixedpoint_nonfinite_archive_exits_4(runner, cfg_file, tmp_path):
-    import struct
-
-    from sulfsim.io import ARCHIVE_HEADER_BYTES
-
     run_dir = tmp_path / "arch"
     res = runner.invoke(
         main,
@@ -377,12 +379,10 @@ def test_fixedpoint_nonfinite_archive_exits_4(runner, cfg_file, tmp_path):
 
 
 def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
-    import struct
-
     from sulfsim.io import ARCHIVE_MAGIC, ARCHIVE_VERSION
 
     archive = tmp_path / "empty.bin"
-    archive.write_bytes(ARCHIVE_MAGIC + struct.pack("<IQQd", ARCHIVE_VERSION, 0, 5, 1e-3))
+    archive.write_bytes(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, 0, 5, 1e-3, 0))
     res = runner.invoke(
         main,
         ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file),
@@ -391,6 +391,74 @@ def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     assert res.exit_code == 4, res.output
     assert "both must be positive" in res.output
     assert "Traceback" not in res.output
+
+
+def test_fixedpoint_killed_archive_exits_4(runner, cfg_file, tmp_path):
+    archive = _archive_run(runner, cfg_file, tmp_path / "arch", "--mode", "kill",
+                           "--lambda", "20")
+    res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
+                               str(cfg_file), "--out", str(tmp_path / "fp")])
+    assert res.exit_code == 4, res.output
+    assert "holds a killed run" in res.output and "simulate --mode fk --archive" in res.output
+    assert not (tmp_path / "fp" / "manifest.json").exists()
+
+
+def test_fixedpoint_version_1_archive_exits_4(runner, cfg_file, tmp_path):
+    archive = _archive_run(runner, cfg_file, tmp_path / "arch")
+    data = archive.read_bytes()
+    archive.write_bytes(data[:4] + struct.pack("<IQQd", 1, 300, 51, 1e-3)
+                        + data[ARCHIVE_HEADER_BYTES:])
+    res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
+                               str(cfg_file), "--out", str(tmp_path / "fp")])
+    assert res.exit_code == 4, res.output
+    assert "version 1 archive" in res.output and "simulate --archive" in res.output
+
+
+def _small_archive_bytes(path: Path) -> bytes:
+    """A valid feynman-kac archive of 3 particles and 4 snapshots."""
+    archive = TrajectoryArchive(dt=0.01, n_total=3)
+    for k in range(4):
+        archive.append(WeightedPointCloud(np.array([-1.0, 0.0, 1.0]) * k, np.full(3, 0.5)))
+    return write_archive(path, archive).read_bytes()
+
+
+def _set_value(data: bytes, snapshot: int, field: int, particle: int, value: float) -> bytes:
+    at = ARCHIVE_HEADER_BYTES + 8 * (3 * (2 * snapshot + field) + particle)
+    return data[:at] + struct.pack("<d", value) + data[at + 8:]
+
+
+_BAD_WEIGHTS = st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 2**-52),
+                         st.just(float("nan")))
+
+# each mutation turns the valid archive into one that must be refused
+_ARCHIVE_MUTATIONS = st.one_of(
+    st.integers(1, 231).map(lambda cut: lambda data: data[:-cut]),
+    st.binary(min_size=1, max_size=64).map(lambda tail: lambda data: data + tail),
+    st.integers(0, 2**32 - 1).filter(lambda v: v != 2).map(
+        lambda v: lambda data: data[:4] + struct.pack("<I", v) + data[8:]),
+    st.integers(1, 2**64 - 1).map(
+        lambda m: lambda data: data[:32] + struct.pack("<Q", m) + data[40:]),
+    st.sampled_from([0.0, -0.01, float("inf"), float("nan")]).map(
+        lambda dt: lambda data: data[:24] + struct.pack("<d", dt) + data[32:]),
+    st.tuples(st.integers(0, 3), st.integers(0, 2),
+              st.sampled_from([float("nan"), float("inf"), -float("inf")])).map(
+        lambda a: lambda data: _set_value(data, a[0], 0, a[1], a[2])),
+    st.tuples(st.integers(0, 3), st.integers(0, 2), _BAD_WEIGHTS).map(
+        lambda a: lambda data: _set_value(data, a[0], 1, a[1], a[2])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ARCHIVE_MUTATIONS)
+def test_fixedpoint_refuses_every_malformed_archive(tmp_path_factory, mutate):
+    root = tmp_path_factory.mktemp("fuzz")
+    archive = root / "archive.bin"
+    archive.write_bytes(mutate(_small_archive_bytes(archive)))
+    res = CliRunner().invoke(main, ["fixedpoint", "--archive", str(archive),
+                                    "--out", str(root / "fp")])
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit) and "data error" in res.output
+    assert not (root / "fp" / "manifest.json").exists()
 
 
 def _archive_run(runner, cfg_file, run_dir, *flags):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulfsim import (
@@ -14,8 +16,9 @@ from sulfsim import (
     run_simulation,
 )
 from sulfsim.fields import TrajectoryArchive
-from sulfsim.fixedpoint import inner_integral
 from sulfsim.kernel import grid_density
+
+from oracles import inner_integral, whole_lattice_map
 
 
 def _toy_archive(rng, n=20, steps=15, dt=0.01):
@@ -108,6 +111,33 @@ def test_shape_mismatch_rejected(rng, default_params):
         apply_mkfk_map(np.zeros((3, 3)), archive, GRID, 0.3, default_params)
 
 
+def test_killed_archive_rejected(rng, default_params):
+    archive = _toy_archive(rng)
+    archive.mode = "killed"
+    with pytest.raises(ValueError, match="never-killed"):
+        apply_mkfk_map(np.zeros((len(archive), GRID.n_nodes)), archive, GRID, 0.3,
+                       default_params)
+
+
+def test_map_holds_no_time_by_particle_array(default_params):
+    n_times, n = 201, 4000
+    r = np.random.default_rng(5)
+    archive = TrajectoryArchive(dt=1e-3, n_total=n, payload=np.empty((n_times, 2, n)))
+    pos = r.normal(0.0, 1.0, n)
+    for _ in range(n_times):
+        archive.append(WeightedPointCloud(pos, np.ones(n)))
+        pos = pos + np.sqrt(2e-3) * r.normal(0.0, 1.0, n)
+    u = np.full((n_times, GRID.n_nodes), 0.1)
+    apply_mkfk_map(u, archive, GRID, 0.3, default_params)  # fills the stencil cache
+    tracemalloc.start()
+    try:
+        apply_mkfk_map(u, archive, GRID, 0.3, default_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_times * n * 8  # one (S, N) float64 array, 6.1 MiB
+
+
 def test_max_iters_too_small_rejected(rng, default_params):
     archive = _toy_archive(rng)
     with pytest.raises(ValueError):
@@ -195,3 +225,28 @@ def test_output_rows_are_deposits_of_discounted_cloud(case, lam, c0, delta):
         cloud = WeightedPointCloud(x, np.exp(-hazard[t]))
         expected = grid_density(cloud, grid, delta, n)[0]
         assert np.all(np.abs(out[t] - expected) <= 1e-12 * expected.max())
+
+
+def _small_case(n_times, n):
+    """A fixed map case on a 5-node grid whose paths run on and off it."""
+    grid = Grid1D(-1.0, 1.0, 0.5)
+    paths = np.linspace(-2.0, 2.0, n_times * n).reshape(n_times, n)
+    return grid, paths, 0.05, np.linspace(0.0, 2.0, n_times * 5).reshape(n_times, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map_case(), st.integers(1, 7), st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       st.floats(0.5, 2.0), st.floats(0.1, 1.0))
+@example(case=_small_case(1, 1), keep=1, lam=1.0, c0=1.0, delta=0.3)
+@example(case=_small_case(4, 1), keep=1, lam=0.0, c0=1.0, delta=0.3)
+@example(case=_small_case(1, 3), keep=3, lam=0.0, c0=2.0, delta=0.5)
+def test_streaming_map_equals_whole_lattice_oracle(case, keep, lam, c0, delta):
+    grid, paths, dt, u = case
+    paths = paths[:, -keep:]  # the last path crosses the grid and leaves it
+    n = paths.shape[1]
+    archive = TrajectoryArchive(dt=dt, n_total=n)
+    for x in paths:
+        archive.append(WeightedPointCloud(x, np.ones(n)))
+    params = PhysicalParams(lam=lam, c0=c0)
+    streamed = apply_mkfk_map(u, archive, grid, delta, params)
+    assert np.array_equal(streamed, whole_lattice_map(u, archive, grid, delta, params))

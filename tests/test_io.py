@@ -6,6 +6,7 @@ import pytest
 from sulfsim import WeightedPointCloud
 from sulfsim.fields import TrajectoryArchive
 from sulfsim.io import (
+    ARCHIVE_HEADER,
     ARCHIVE_HEADER_BYTES,
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
@@ -73,6 +74,26 @@ def test_archive_roundtrip_bit_exact(tmp_path, rng):
         assert np.array_equal(loaded.weights[k], archive.weights[k])
 
 
+def test_archive_roundtrip_after_appending_past_reserved_rows(tmp_path, rng):
+    archive = TrajectoryArchive(dt=0.02, n_total=6, mode="killed", payload=np.empty((2, 2, 6)))
+    clouds = [WeightedPointCloud(rng.normal(0, 1, 6), rng.random(6)) for _ in range(5)]
+    for cloud in clouds:
+        archive.append(cloud)
+    assert len(archive) == 5 and len(archive.payload) == 8
+    loaded = read_archive(write_archive(tmp_path / "a.bin", archive))
+    assert loaded.mode == "killed" and len(loaded) == 5
+    assert np.array_equal(loaded.positions, [c.positions for c in clouds])
+    assert np.array_equal(loaded.weights, [c.weights for c in clouds])
+
+
+def test_read_archive_views_one_array(tmp_path, rng):
+    loaded = read_archive(_archive_path(tmp_path, rng))
+    assert loaded.positions.shape == loaded.weights.shape == (5, 8)
+    assert loaded.payload.shape == (5, 2, 8)
+    assert np.shares_memory(loaded.positions, loaded.payload)
+    assert np.shares_memory(loaded.weights, loaded.payload)
+
+
 def test_archive_rejects_bad_magic(tmp_path):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -80,17 +101,21 @@ def test_archive_rejects_bad_magic(tmp_path):
         read_archive(bad)
 
 
-def _archive_bytes(tmp_path, rng):
+def _archive_path(tmp_path, rng):
     archive = TrajectoryArchive(dt=0.01, n_total=8)
     for _ in range(5):
         archive.append(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
-    return write_archive(tmp_path / "a.bin", archive).read_bytes()
+    return write_archive(tmp_path / "a.bin", archive)
+
+
+def _archive_bytes(tmp_path, rng):
+    return _archive_path(tmp_path, rng).read_bytes()
 
 
 @pytest.mark.parametrize("cut", [8, 16, 64])
 def test_archive_rejects_cut_file(tmp_path, rng, cut):
     data = _archive_bytes(tmp_path, rng)
-    assert len(data) == 32 + 16 * 8 * 5
+    assert len(data) == 40 + 16 * 8 * 5
     bad = tmp_path / "cut.bin"
     bad.write_bytes(data[:-cut])
     with pytest.raises(ValueError, match="needs exactly"):
@@ -118,17 +143,28 @@ def test_archive_rejects_bad_values(tmp_path, rng, field, value):
         read_archive(bad)
 
 
-def _bare_header(n, snaps):
+def _bare_header(n, snaps, version=ARCHIVE_VERSION, dt=0.01, mode=0):
     # an empty archive's bare header has exactly the length it declares
-    return ARCHIVE_MAGIC + struct.pack("<IQQd", ARCHIVE_VERSION, n, snaps, 0.01)
+    return ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, version, n, snaps, dt, mode)
+
+
+def _version_1(data):
+    """The version-1 layout of the same archive: no mode word."""
+    return (ARCHIVE_MAGIC + struct.pack("<IQQd", 1, 8, 5, 0.01)
+            + data[ARCHIVE_HEADER_BYTES:])
 
 
 @pytest.mark.parametrize(
     "make, match",
     [(lambda data: data[:20], "archive header"),
      (lambda data: _bare_header(0, 5), "both must be positive"),
-     (lambda data: _bare_header(8, 0), "both must be positive")],
-    ids=["cut", "no-particles", "no-snapshots"],
+     (lambda data: _bare_header(8, 0), "both must be positive"),
+     (lambda data: _bare_header(8, 5, dt=0.0) + data[ARCHIVE_HEADER_BYTES:], "time step"),
+     (lambda data: _bare_header(8, 5, dt=np.nan) + data[ARCHIVE_HEADER_BYTES:], "time step"),
+     (lambda data: _bare_header(8, 5, mode=2) + data[ARCHIVE_HEADER_BYTES:], "mode word 2"),
+     (_version_1, "version 1 archive.*re-run `simulate --archive`")],
+    ids=["cut", "no-particles", "no-snapshots", "dt-zero", "dt-nan", "unknown-mode",
+         "version-1"],
 )
 def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad = tmp_path / "head.bin"
