@@ -37,6 +37,7 @@ from .particles import (
     init_ensemble,
     run_coupled,
     run_simulation,
+    run_simulations,
     update_hazards,
 )
 from .pde import PdeState, pde_step, solve_pde
@@ -72,6 +73,7 @@ __all__ = [
     "recover_calcite",
     "run_coupled",
     "run_simulation",
+    "run_simulations",
     "solve_pde",
     "total_mass",
     "update_hazards",

@@ -39,7 +39,7 @@ from .io import (
     write_csv,
 )
 from .metrics import compare_series, convergence_study, density_distance, total_mass
-from .particles import NonFiniteStateError, run_simulation
+from .particles import NonFiniteStateError, run_simulation, run_simulations
 from .pde import NonFinitePdeStateError, mollify_grid_function, solve_pde
 from .plots import emit_plot_scripts, render_scripts
 
@@ -326,8 +326,8 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
         cfg = _build_config(seed=seed, **cfg_kwargs)
         manifest.config = cfg.to_dict()
         stride = snapshot_stride or max(1, cfg.n_steps // 10)
-        fk = run_simulation(replace(cfg, mode="feynman-kac"), snapshot_stride=stride)
-        kl = run_simulation(replace(cfg, mode="killed"), snapshot_stride=stride)
+        fk, kl = run_simulations([replace(cfg, mode="feynman-kac"), replace(cfg, mode="killed")],
+                                 snapshot_stride=stride)
         ref = solve_pde(cfg, snapshot_stride=stride)
         grid = cfg.grid
         target = [mollify_grid_function(v, grid, cfg.kernel.bandwidth)
@@ -402,11 +402,18 @@ def convergence(n_values, seeds_per_n, seed, out, **cfg_kwargs):
     click.echo(table.summary())
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    if not 0.0 <= value < float("inf"):  # 0 is valid: the map can reach it exactly
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 @main.command()
 @_with_config_options
 @click.option("--archive", "archive_path", type=click.Path(exists=True), required=True,
               help="trajectory archive from simulate --archive")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance,
+              help="stop once the sup distance of two iterates is at most this")
 @click.option("--max-iters", type=click.IntRange(min=2), default=50, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_handle_errors

@@ -21,7 +21,9 @@ from .kernel import WeightedPointCloud, grid_density
 
 @dataclass
 class AccumulatedFields:
-    """Grid samples of the running time integrals, plus the current time."""
+    """Grid samples of the running time integrals, plus the current time.
+    A and G hold m node values, or (R, m) for a stack of R replicas, whose
+    row r is read at j + r*m of ``A.ravel()`` and counted off-grid apart."""
 
     grid: Grid1D
     delta: float
@@ -29,7 +31,7 @@ class AccumulatedFields:
     G: np.ndarray = field(default=None)  # type: ignore[assignment]
     t: float = 0.0
     steps: int = 0
-    out_of_domain: int = 0  # interpolation queries beyond the grid
+    out_of_domain: int | np.ndarray = 0  # interpolation queries beyond the grid
 
     def __post_init__(self):
         m = self.grid.n_nodes
@@ -37,11 +39,15 @@ class AccumulatedFields:
             self.A = np.zeros(m)
         if self.G is None:
             self.G = np.zeros(m)
-        if self.A.shape != (m,) or self.G.shape != (m,):
+        if self.A.shape[-1:] != (m,) or self.A.ndim > 2 or self.G.shape != self.A.shape:
             raise ValueError("A and G must have one entry per grid node")
 
     def coords_at(self, x) -> LerpCoords:
-        return lerp_coords(self.grid, np.asarray(x, dtype=float))
+        """Coordinates of x, one row per row of A, into the flat node values."""
+        coords = lerp_coords(self.grid, np.asarray(x, dtype=float))
+        if self.A.size > self.grid.n_nodes:
+            coords.j[...] += self.grid.n_nodes * np.arange(len(self.A))[:, None]
+        return coords
 
     def args_at(self, x, gradient: bool = True) -> DriftArgs:
         return interpolate(self, x, gradient)
@@ -161,19 +167,20 @@ def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArg
     :class:`LerpCoords`; with ``gradient`` false only A is read and J is None.
 
     Queries beyond the grid return the boundary-node values and bump the
-    out-of-domain counter, once per read; positions are never clamped, so
-    the dynamics continue off-grid.
+    out-of-domain counter (of each row of a stack), once per read; positions
+    are never clamped, so the dynamics continue off-grid.
     """
     scalar = False
     if not isinstance(x, LerpCoords):
         x = np.asarray(x, dtype=float)
-        scalar, x = x.ndim == 0, lerp_coords(fields.grid, x)
+        scalar, x = x.ndim == 0, fields.coords_at(x)
     j, frac, outside = x
-    fields.out_of_domain += int(np.count_nonzero(outside))
+    if outside.any():
+        fields.out_of_domain = fields.out_of_domain + np.count_nonzero(outside, axis=-1)
     if gradient:
-        I, J = lerp(j, frac, fields.A, fields.G)
+        I, J = lerp(j, frac, fields.A.ravel(), fields.G.ravel())
     else:
-        (I,), J = lerp(j, frac, fields.A), None
+        (I,), J = lerp(j, frac, fields.A.ravel()), None
     if scalar:
         return DriftArgs(float(I[0]), None if J is None else float(J[0]))
     return DriftArgs(I, J)

@@ -14,7 +14,9 @@ give the nodes the block reaches, and the overlapping spans of
 neighbouring blocks are then added in a fixed order.  Only the blocks
 from the first to the last that holds a particle enter the product and
 the adds.  BLAS may run the product on several threads, but each node's
-sum has a fixed order that does not depend on the thread count.
+sum has a fixed order that does not depend on the thread count.  The rows
+of a stacked (R, N) cloud share the bincounts, product and overlap-add,
+their blocks laid one after the other; each row equals its 1-d deposit.
 
 Contributions beyond 8 bandwidths, where the Gaussian tail is below
 1e-15 relative, are skipped.  The tests compare the deposit with a dense
@@ -169,6 +171,9 @@ def grid_density(
     some have died.  The bincounts, the matrix product and the
     overlap-add run over the occupied blocks only: from the first to the
     last block of cells that holds a particle reaching the grid.
+    A stacked (R, N) cloud gives (R, m) arrays, row r the deposit of its
+    row r alone: each row keeps its own first node, block phase and reach,
+    and q - 1 empty blocks, which add only zeros, separate the rows.
     """
     if n_total <= 0:
         raise ValueError("divisor n_total must be positive")
@@ -176,53 +181,65 @@ def grid_density(
     h = grid.spacing
     mat, half = _block_matrix(h, delta)
     q, n_rows = mat.shape[0], mat.shape[1] // _BLOCK
-    u, du = np.zeros(m), np.zeros(m)
+    stacked = cloud.positions.ndim == 2
+    pos, w = np.atleast_2d(cloud.positions, cloud.weights)
+    u, du = np.zeros((len(pos), m)), np.zeros((len(pos), m))
+    out = (u, du) if stacked else (u[0], du[0])  # views, filled in place below
+    if pos.size == 0:
+        return out
 
     # nearest node j and scaled sub-spacing residual s = (x - x_j) / delta,
     # formed in the one buffer s; a particle reaches nodes j - half .. j + half
-    pos, w = cloud.positions, cloud.weights
-    if pos.size == 0:
-        return u, du
     s = pos - grid.lower
     s /= h
     s += 0.5
     j = np.floor(s, out=s).astype(np.int64)
     np.subtract(pos, np.add(np.multiply(j, h, out=s), grid.lower, out=s), out=s)
     s /= delta
-    j_min, j_max = int(j.min()), int(j.max())
-    if j_min < -half or j_max >= m + half:
+    j_min, j_max = j.min(axis=1).tolist(), j.max(axis=1).tolist()
+    reach = None
+    if min(j_min) < -half or max(j_max) >= m + half:
         reach = (j >= -half) & (j < m + half)
-        j, s, w = j[reach], s[reach], w[reach]
-        if j.size == 0:
-            return u, du
-        j_min, j_max = int(j.min()), int(j.max())
-    first = max(j_min - half, 0)  # nodes first..last are reached
-    last = min(j_max + half, m - 1)
-    # cells are numbered j - first + half and grouped in blocks of _BLOCK from
-    # cell 0; only blocks b0..b0 + n_blocks - 1, which hold particles, enter
-    # the product, so each of them groups the same cells for any b0
-    b0 = (j_min - first + half) // _BLOCK
-    n_blocks = (j_max - first + half) // _BLOCK - b0 + 1
+        j_min = np.where(reach, j, m + half).min(axis=1).tolist()  # a row that reaches
+        j_max = np.where(reach, j, -half - 1).max(axis=1).tolist()  # no node gets no blocks
+    # a row reaches nodes first..last; its cells are numbered j - first + half
+    # and grouped in blocks of _BLOCK from cell 0; only its blocks b0..b0 +
+    # n_blocks - 1, which hold particles, enter at block ``start`` of the product
+    rows, shift, start = [], [], 0
+    for r, (lo_j, hi_j) in enumerate(zip(j_min, j_max)):
+        first, last = max(lo_j - half, 0), min(hi_j + half, m - 1)
+        b0 = (lo_j - first + half) // _BLOCK
+        n_blocks = (hi_j - first + half) // _BLOCK - b0 + 1
+        shift.append(first - half + (b0 - start) * _BLOCK)
+        if n_blocks > 0:  # node row (start - b0)*_BLOCK + 2*half of the add is node first
+            rows.append((r, first, last, (start - b0) * _BLOCK + 2 * half))
+            start += n_blocks + q - 1
+    if not rows:
+        return out
+    # at least two blocks: numpy takes a one-row product as a vector product,
+    # which sums in another order than the matrix product of more rows
+    total = max(start - (q - 1), 2)
     cell = j  # j and term are updated in place, to keep a step's peak memory low
-    cell -= first - half + b0 * _BLOCK
+    cell -= np.array(shift)[:, None]
+    cell, s, w = (v.ravel() if reach is None else v[reach] for v in (cell, s, w))
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p
     term = -0.5 * s * s
     np.exp(term, out=term)
     term *= w
-    moments = np.empty((n_blocks * _BLOCK, n_rows))
+    moments = np.empty((total * _BLOCK, n_rows))
     for p in range(n_rows):
         if p:
             term *= s
-        moments[:, p] = np.bincount(cell, weights=term, minlength=n_blocks * _BLOCK)
+        moments[:, p] = np.bincount(cell, weights=term, minlength=total * _BLOCK)
 
     # spans[k, b]: what the moments of block b give its k-th block of nodes;
     # the spans of neighbouring blocks overlap and are added for k = 0..q-1
-    spans = moments.reshape(n_blocks, -1) @ mat
-    nodes = np.zeros((n_blocks + q - 1, 2 * _BLOCK))
+    spans = moments.reshape(total, -1) @ mat
+    nodes = np.zeros((total + q - 1, 2 * _BLOCK))
     for k in range(q):
-        nodes[k : k + n_blocks] += spans[k]
-    nodes = nodes.reshape(-1, 2)  # row i: (u, u') at node first - 2*half + b0*_BLOCK + i
-    lo = 2 * half - b0 * _BLOCK
-    u[first : last + 1], du[first : last + 1] = nodes[lo : lo + last - first + 1].T
-    return u / n_total, du / n_total
+        nodes[k : k + total] += spans[k]
+    nodes = nodes.reshape(-1, 2) / n_total
+    for r, first, last, lo in rows:
+        u[r, first : last + 1], du[r, first : last + 1] = nodes[lo : lo + last - first + 1].T
+    return out

@@ -7,10 +7,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Grid1D, SimConfig, validate_config
-from .particles import run_simulation
+from .particles import run_simulations
 from .pde import mollify_grid_function, solve_pde
 
 NORMS = ("l1", "l2", "sup")
+
+# replicas of one ensemble size step together up to this many particles: the
+# stack's gain over solo runs is gone by then, and beyond it only memory grows
+STACK_PARTICLES = 1 << 16
 
 
 def density_distance(a: np.ndarray, b: np.ndarray, grid: Grid1D, norm: str = "l1") -> float:
@@ -135,6 +139,8 @@ def convergence_study(
     reference, across ensemble sizes.
 
     The reference is solved once; each (N, seed) pair runs both modes.
+    The runs of one N step in stacks of at most ``STACK_PARTICLES``
+    particles (at least one run each), which give each run's solo outputs.
     The comparison target is K*v, the PDE solution mollified with the
     same kernel, so that the kernel bias is excluded from the reported
     Monte Carlo error.
@@ -147,17 +153,19 @@ def convergence_study(
     ref = solve_pde(config, snapshot_stride=config.n_steps)
     target = mollify_grid_function(ref.densities[-1], grid, config.kernel.bandwidth)
 
-    def final_error(n: int, seed: int, mode: str) -> float:
-        cfg = replace(config, particles=n, seed=seed, mode=mode)
-        out = run_simulation(cfg, snapshot_stride=cfg.n_steps)
-        return density_distance(out.densities[-1], target, grid, "l1")
-
     seeds = [int(base_seed) + j for j in range(seeds_per_n)]
     rows = []
     for n in n_values:
-        fk = _mean_and_stderr([final_error(n, s, "feynman-kac") for s in seeds])
-        kill = _mean_and_stderr([final_error(n, s, "killed") for s in seeds])
-        rows.append(ConvergenceRow(n, *fk, *kill))
+        runs = [replace(config, particles=n, seed=s, mode=mode)
+                for s in seeds for mode in ("feynman-kac", "killed")]
+        per_stack = max(1, STACK_PARTICLES // n)
+        errors: dict[str, list[float]] = {"feynman-kac": [], "killed": []}
+        for i in range(0, len(runs), per_stack):
+            stack = runs[i : i + per_stack]
+            for cfg, out in zip(stack, run_simulations(stack, snapshot_stride=config.n_steps)):
+                errors[cfg.mode].append(density_distance(out.densities[-1], target, grid, "l1"))
+        rows.append(ConvergenceRow(n, *_mean_and_stderr(errors["feynman-kac"]),
+                                   *_mean_and_stderr(errors["killed"])))
     return ConvergenceTable(
         rows=rows,
         seeds=seeds,

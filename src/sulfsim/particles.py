@@ -18,11 +18,16 @@ full-length arrays.  The grid coordinates of X_{k+1} are computed once,
 in the hazard update, which reads only I there; the next step's drift
 reads (I, J) at the same coordinates.  Each read counts the off-grid
 queries and negative-I clamps of alive particles only.
+
+:func:`run_simulations`, the one stepping loop, steps replicas that differ
+only in seed and mode as one ensemble of (R, N) arrays: one pass of array
+operations per step for all R, rows kept apart by the deposit and the field
+reads, one draw per seed, and each replica's outputs bit for bit its solo run's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,16 +53,38 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass
 class ParticleEnsemble:
+    """One ensemble, or R replicas as (R, N) arrays; ``killed`` flags the
+    killed-mode replicas, shaped () or (R, 1).  ``thresholds`` is None exactly
+    when none is killed; else a feynman-kac row has thresholds +inf, so its
+    alive mask stays all True and multiplying by it changes no bit."""
+
     positions: np.ndarray
     hazards: np.ndarray
     weights: np.ndarray
     thresholds: np.ndarray | None
     alive: np.ndarray
     death_times: np.ndarray
-    mode: str
+    killed: np.ndarray
+
+    @classmethod
+    def stack(cls, members: list[ParticleEnsemble]) -> ParticleEnsemble:
+        """The (R, N) ensemble whose row r is the 1-d ensemble ``members[r]``."""
+        killed = np.array([[bool(e.killed)] for e in members])
+        thresholds = np.stack([np.full(e.positions.shape, np.inf) if e.thresholds is None
+                               else e.thresholds for e in members]) if killed.any() else None
+        return cls(**{name: np.stack([getattr(e, name) for e in members]) for name in
+                      ("positions", "hazards", "weights", "alive", "death_times")},
+                   thresholds=thresholds, killed=killed)
+
+    def row(self, r: int) -> ParticleEnsemble:
+        """Replica r of a stack, as views of its rows."""
+        killed = self.killed[r, 0]
+        return ParticleEnsemble(self.positions[r], self.hazards[r], self.weights[r],
+                                self.thresholds[r] if killed else None, self.alive[r],
+                                self.death_times[r], killed)
 
     def cloud(self) -> WeightedPointCloud:
-        """The mode's density cloud at the current state.
+        """The density cloud of each replica's mode at the current state.
 
         Feynman-Kac: every particle with its discount weight.  Killed:
         surviving particles with weight 1; the dead carry weight 0, which
@@ -66,9 +93,10 @@ class ParticleEnsemble:
         again: the initial positions are finite draws, :func:`em_step`
         checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
-        if self.mode == "feynman-kac":
+        if self.thresholds is None:
             return WeightedPointCloud.unchecked(self.positions, self.weights)
-        return WeightedPointCloud.unchecked(self.positions, self.alive.astype(float))
+        return WeightedPointCloud.unchecked(self.positions,
+                                            np.where(self.killed, self.alive, self.weights))
 
 
 def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> ParticleEnsemble:
@@ -93,15 +121,30 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
         thresholds=thresholds,
         alive=np.ones(n, dtype=bool),
         death_times=np.full(n, np.nan),
-        mode=config.mode,
+        killed=np.array(config.mode == "killed"),
     )
+
+
+class _SharedDraws:
+    """A stack's step draws: one :class:`ParticleStreams` per distinct seed,
+    whose draw row r takes when ``seeds[r]`` is that seed."""
+
+    def __init__(self, streams: dict[int, ParticleStreams], seeds: list[int]):
+        self.streams, self.seeds = streams, seeds
+
+    def normals(self) -> np.ndarray:
+        draws = {seed: s.normals() for seed, s in self.streams.items()}
+        if len(self.seeds) == 1:
+            return draws[self.seeds[0]][None]
+        return np.stack([draws[seed] for seed in self.seeds])
 
 
 def _read_fields(fields, coords, alive, diagnostics: dict | None, gradient: bool = True):
     """(I, J) from ``fields`` at ``coords``, I clamped at 0.  Only the reads
     of alive particles (all, when ``alive`` is None) count in
-    ``out_of_domain`` and ``negative_I``; coordinates without off-grid flags
-    (positions, as a grid-free field view gives them) are read as they are."""
+    ``out_of_domain`` and ``negative_I``, per row of a stack; coordinates
+    without off-grid flags (positions, as a grid-free field view gives them)
+    are read as they are."""
     outside = getattr(coords, "outside", None)
     if alive is not None and outside is not None and outside.any():
         outside &= alive  # the dead's flags go: coords are the step's own
@@ -111,7 +154,8 @@ def _read_fields(fields, coords, alive, diagnostics: dict | None, gradient: bool
         if alive is not None:
             negative &= alive
         if diagnostics is not None:
-            diagnostics["negative_I"] = diagnostics.get("negative_I", 0) + np.count_nonzero(negative)
+            diagnostics["negative_I"] = (diagnostics.get("negative_I", 0)
+                                         + np.count_nonzero(negative, axis=-1))
         I = np.maximum(I, 0.0)
     return I, J
 
@@ -136,10 +180,10 @@ def em_step(
     added to the position; adding their sum instead would round differently.
 
     The positions are updated in place, before the finiteness check:
-    after a :class:`NonFiniteStateError` the ensemble holds the
-    non-finite positions and is no longer valid.
+    after a :class:`NonFiniteStateError` (indices within their rows) the
+    ensemble holds the non-finite positions and is no longer valid.
     """
-    alive = ensemble.alive if ensemble.mode == "killed" else None
+    alive = ensemble.alive if ensemble.thresholds is not None else None
     x = ensemble.positions
     I, J = _read_fields(fields, fields.coords_at(x) if coords is None else coords,
                         alive, diagnostics)
@@ -154,7 +198,7 @@ def em_step(
     x += noise
     finite = np.isfinite(x)
     if not finite.all():
-        raise NonFiniteStateError(step, np.flatnonzero(~finite))
+        raise NonFiniteStateError(step, np.nonzero(~finite)[-1])
     return ensemble
 
 
@@ -174,7 +218,7 @@ def update_hazards(
     reaches its threshold dies at the step-end time.  Returns the field
     coordinates of the positions, which the next :func:`em_step` reads again.
     """
-    alive = ensemble.alive if ensemble.mode == "killed" else None
+    alive = ensemble.alive if ensemble.thresholds is not None else None
     coords = fields.coords_at(ensemble.positions)
     I, _ = _read_fields(fields, coords, alive, diagnostics, gradient=False)
     increment = dt * reaction_rate(I, params)
@@ -213,16 +257,20 @@ class SimulationOutput:
         return self.config.grid
 
 
-def run_simulation(
-    config: SimConfig,
+def run_simulations(
+    configs: list[SimConfig],
     snapshot_stride: int | None = None,
     keep_archive: bool = False,
     fields_stride: int = 0,
     zero_fields: bool = False,
     stream_indices: np.ndarray | None = None,
     coupled_thresholds: bool = False,
-) -> SimulationOutput:
-    """Run the configured particle system and record density snapshots.
+) -> list[SimulationOutput]:
+    """Run the configured particle systems and record density snapshots.
+
+    The configs may differ only in ``seed`` and ``mode``: they step as one
+    (R, N) stack, and each replica's outputs are bit for bit those of its
+    run alone.  A non-finite position in any replica aborts the stack.
 
     The dynamics read the time integrals from grid fields
     (:class:`AccumulatedFields`); the tests hold their interpolation-free
@@ -239,7 +287,12 @@ def run_simulation(
     survival readout alongside the weights, realizing the conditional
     Bernoulli coupling of the two interpretations on shared paths.
     """
-    config = validate_config(config.with_grid())
+    configs = [validate_config(c.with_grid()) for c in configs]
+    config = configs[0]
+    if any(replace(c, seed=config.seed, mode=config.mode) != config for c in configs):
+        raise ValueError("stacked configs may differ only in seed and mode")
+    if len(configs) > 1 and (keep_archive or coupled_thresholds):
+        raise ValueError("keep_archive and coupled_thresholds need a single config")
     grid = config.grid
     params = config.physical
     delta = config.kernel.bandwidth
@@ -248,41 +301,41 @@ def run_simulation(
     n_steps = config.n_steps
     stride = snapshot_stride if snapshot_stride else max(1, n_steps // 10)
 
-    streams = ParticleStreams(config.seed, n, stream_indices)
-    ens = init_ensemble(config, streams)
+    streams = {c.seed: ParticleStreams(c.seed, n, stream_indices) for c in configs}
+    draws = _SharedDraws(streams, [c.seed for c in configs])
+    ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
     thresholds = None
     if coupled_thresholds:
         if config.mode != "feynman-kac":
             raise ValueError("coupled_thresholds requires feynman-kac mode")
-        thresholds = draw_thresholds(config.seed, streams.indices)
+        thresholds = draw_thresholds(config.seed, streams[config.seed].indices)
 
     archive = (TrajectoryArchive(dt, n, config.mode, np.empty((n_steps + 1, 2, n)))
                if keep_archive else None)  # a row per step and one for the final cloud
-    acc = AccumulatedFields(grid=grid, delta=delta)
+    acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
+                            out_of_domain=np.zeros(len(configs), dtype=np.int64))
 
-    diagnostics: dict = {"negative_I": 0}
-    times, steps_rec, densities, mass = [], [], [], []
-    weight_or_alive, escaped = [], []
+    diagnostics: dict = {"negative_I": np.zeros(len(configs), dtype=np.int64)}
+    times, steps_rec = [], []
+    densities, mass, weight_or_alive, escaped = ([[] for _ in configs] for _ in range(4))
     coupled_alive, coupled_band = [], []
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
-    nodes = grid.nodes()
 
     def record(k: int, cloud: WeightedPointCloud, u: np.ndarray | None = None) -> None:
         if u is None:  # the step did not deposit this cloud
             u, _ = grid_density(cloud, grid, delta, n)
         times.append(k * dt)
         steps_rec.append(k)
-        densities.append(u)
-        mass.append(float(np.trapezoid(u, dx=grid.spacing)))
-        if config.mode == "feynman-kac":
-            weight_or_alive.append(float(ens.weights.mean()))
-        else:
-            weight_or_alive.append(float(ens.alive.mean()))
         outside = (cloud.positions < grid.lower) | (cloud.positions > grid.upper)
-        escaped.append(float(cloud.weights[outside].sum() / n))
+        for r, c in enumerate(configs):
+            densities[r].append(u[r])
+            mass[r].append(float(np.trapezoid(u[r], dx=grid.spacing)))
+            alive_or_weights = ens.alive[r] if c.mode == "killed" else ens.weights[r]
+            weight_or_alive[r].append(float(alive_or_weights.mean()))
+            escaped[r].append(float(cloud.weights[r][outside[r]].sum() / n))
         if coupled_thresholds:
-            alive_frac = float(np.mean(ens.hazards < thresholds))
-            w = ens.weights
+            alive_frac = float(np.mean(ens.hazards[0] < thresholds))
+            w = ens.weights[0]
             vbar = float(np.mean(w * (1.0 - w)))
             coupled_alive.append(alive_frac)
             coupled_band.append(3.0 * np.sqrt(vbar / n))
@@ -299,7 +352,7 @@ def run_simulation(
         if recording:
             record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
-        em_step(ens, acc, dt, streams, params, step=k, diagnostics=diagnostics,
+        em_step(ens, acc, dt, draws, params, step=k, diagnostics=diagnostics,
                 coords=coords)
         del coords  # X_k's coordinates go before X_{k+1}'s are computed
         coords = update_hazards(ens, acc, dt, params, t_end=(k + 1) * dt,
@@ -312,27 +365,35 @@ def run_simulation(
         field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
     record(n_steps, final_cloud)
 
-    diagnostics["out_of_domain"] = acc.out_of_domain
-    diagnostics["final_escaped_mass"] = escaped[-1]
-    if config.mode == "killed":
-        diagnostics["deaths"] = int(np.count_nonzero(~ens.alive))
+    outputs = []
+    for r, c in enumerate(configs):
+        diag = {"negative_I": int(diagnostics["negative_I"][r]),
+                "out_of_domain": int(acc.out_of_domain[r]), "final_escaped_mass": escaped[r][-1]}
+        if c.mode == "killed":
+            diag["deaths"] = int(np.count_nonzero(~ens.alive[r]))
+        outputs.append(SimulationOutput(
+            config=c,
+            times=np.asarray(times),
+            steps_recorded=np.asarray(steps_rec, dtype=int),
+            densities=densities[r],
+            mass=np.asarray(mass[r]),
+            weight_or_alive=np.asarray(weight_or_alive[r]),
+            escaped=np.asarray(escaped[r]),
+            diagnostics=diag,
+            ensemble=ens.row(r),
+            fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], acc.t, acc.steps,
+                                     diag["out_of_domain"]),
+            archive=archive,
+            field_snaps=[(k, a[r], g[r]) for k, a, g in field_snaps],
+            coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,
+            coupled_band=np.asarray(coupled_band) if coupled_thresholds else None,
+        ))
+    return outputs
 
-    return SimulationOutput(
-        config=config,
-        times=np.asarray(times),
-        steps_recorded=np.asarray(steps_rec, dtype=int),
-        densities=densities,
-        mass=np.asarray(mass),
-        weight_or_alive=np.asarray(weight_or_alive),
-        escaped=np.asarray(escaped),
-        diagnostics=diagnostics,
-        ensemble=ens,
-        fields=acc,
-        archive=archive,
-        field_snaps=field_snaps,
-        coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,
-        coupled_band=np.asarray(coupled_band) if coupled_thresholds else None,
-    )
+
+def run_simulation(config: SimConfig, **options) -> SimulationOutput:
+    """One run of :func:`run_simulations`, with the same options."""
+    return run_simulations([config], **options)[0]
 
 
 def run_coupled(
@@ -348,8 +409,6 @@ def run_coupled(
     |mean weight - alive fraction| <= 3 sqrt(vbar / N) the calibrated
     coupling band recorded in ``coupled_band``.
     """
-    from dataclasses import replace
-
     config = replace(config, mode="feynman-kac")
     return run_simulation(
         config,

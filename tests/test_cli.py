@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+import signal
 from pathlib import Path
 
 import struct
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sulfsim import WeightedPointCloud
@@ -545,3 +547,76 @@ def test_emit_plots_convergence_script(runner, cfg_file, tmp_path):
     assert res.exit_code == 0, res.output
     script = (out / "plot_convergence.py").read_text()
     assert "N^(-1/2)" in script
+
+
+@contextlib.contextmanager
+def _wall_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass, so
+    that a hang fails the example instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_NON_FINITE = ["nan", "inf", "-inf"]
+# 0, negative, non-finite, non-integer, tiny and huge iteration counts
+_MAX_ITERS = st.one_of(st.integers(-2**70, 0), st.integers(1, 3), st.integers(2**31, 2**70),
+                    st.sampled_from(_NON_FINITE + ["1.5", "1e3", ""])).map(str)
+# ensemble sizes and seeds are capped: a large valid size is more work, not bad input
+_SIZES = st.one_of(st.integers(-2**70, 0), st.integers(1, 64),
+                   st.sampled_from(_NON_FINITE + ["1.5", "1e3", ""])).map(str)
+_SEEDS = st.one_of(st.integers(-2**70, 0), st.integers(1, 3),
+                   st.sampled_from(_NON_FINITE + ["1.5", ""])).map(str)
+_TOLERANCES = st.one_of(st.floats().map(repr), st.sampled_from(
+    ["0", "-0.0", "5e-324", "1e-300", "1e300", "1e999", "-1e999", "tiny"]))
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _assert_clean_exit(res):
+    event(f"exit {res.exit_code}")
+    assert res.exit_code in (0, 2, 3, 4), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+
+
+@settings(max_examples=60, deadline=None)
+@given(tol=_TOLERANCES, max_iters=_MAX_ITERS)
+def test_fixedpoint_numeric_flags_exit_cleanly(tmp_path_factory, tol, max_iters):
+    root = tmp_path_factory.mktemp("fp-flags")
+    archive = root / "archive.bin"
+    _small_archive_bytes(archive)  # the map reaches distance 0 within 3 iterations
+    with _wall_limit(20.0):
+        res = CliRunner().invoke(main, ["fixedpoint", "--archive", str(archive), "--tol", tol,
+                                        "--max-iters", max_iters, "--out", str(root / "fp")])
+    _assert_clean_exit(res)
+    valid_tol = 0.0 <= _number(tol) < float("inf")
+    valid_iters = max_iters.lstrip("-").isdigit() and int(max_iters) >= 2
+    assert (res.exit_code == 0) == (valid_tol and valid_iters), res.output
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.lists(_SIZES, min_size=1, max_size=3).map(",".join), seeds=_SEEDS)
+def test_convergence_numeric_flags_exit_cleanly(tmp_path_factory, n, seeds):
+    root = tmp_path_factory.mktemp("conv-flags")
+    with _wall_limit(30.0):
+        res = CliRunner().invoke(main, ["convergence", "--horizon", "0.003", "--n", n,
+                                        "--seeds", seeds, "--seed", "1",
+                                        "--out", str(root / "conv")])
+    _assert_clean_exit(res)
+    sizes = [v for v in n.split(",") if v]  # --n skips empty entries
+    valid = (bool(sizes) and all(v.isdigit() and int(v) >= 1 for v in sizes)
+             and seeds.isdigit() and int(seeds) >= 1)
+    assert (res.exit_code == 0) == valid, res.output

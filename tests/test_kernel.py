@@ -339,3 +339,24 @@ def test_grid_density_of_massless_cloud_is_zero(case):
                   WeightedPointCloud(cloud.positions, np.zeros(len(cloud)))):
         u, du = grid_density(empty, grid, delta, 7)
         assert np.all(u == 0.0) and np.all(du == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deposit_case(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_grid_density_of_a_stack_equals_its_rows(case, n_rows, seed):
+    # row 0 is the case's cloud, the others that cloud squeezed (into one block
+    # of cells, some of them) and shifted, some of them past the deposit's reach
+    cloud, grid, delta, half = case
+    r = np.random.default_rng(seed)
+    reach = grid.upper - grid.lower + 2.0 * (half + 1) * grid.spacing
+    shift = r.uniform(-1.5, 1.5, (n_rows, 1)) * reach
+    scale = r.choice([1.0, 1e-3], (n_rows, 1))
+    shift[0], scale[0] = 0.0, 1.0
+    pos = cloud.positions * scale + shift
+    w = np.stack([r.permutation(cloud.weights) for _ in range(n_rows)])
+    n = len(cloud) + 1
+    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, delta, n)
+    assert u.shape == du.shape == (n_rows, grid.n_nodes)
+    for row in range(n_rows):
+        u_row, du_row = grid_density(WeightedPointCloud(pos[row], w[row]), grid, delta, n)
+        assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sulfsim import (
     Grid1D,
+    InitialDensitySpec,
     PhysicalParams,
     SimConfig,
     init_ensemble,
     run_coupled,
     run_simulation,
+    run_simulations,
 )
 from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
@@ -382,3 +386,81 @@ def test_killed_run_continues_after_every_particle_dies(small_config):
     assert sim.diagnostics["deaths"] == cfg.particles
     assert np.all(sim.weight_or_alive[1:] == 0.0)
     assert not np.any(sim.densities[-1])
+
+
+def _assert_same_run(got, ref):
+    """Every recorded series, diagnostic, field and final array of two runs
+    is bit for bit the same."""
+    for name in ("times", "steps_recorded", "mass", "weight_or_alive", "escaped"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert len(got.densities) == len(ref.densities)
+    for a, b in zip(got.densities, ref.densities):
+        assert np.array_equal(a, b)
+    assert got.diagnostics == ref.diagnostics
+    for name in ("positions", "hazards", "weights", "alive", "death_times"):
+        assert np.array_equal(getattr(got.ensemble, name), getattr(ref.ensemble, name),
+                              equal_nan=name == "death_times"), name
+    assert (got.ensemble.thresholds is None) == (ref.ensemble.thresholds is None)
+    if ref.ensemble.thresholds is not None:
+        assert np.array_equal(got.ensemble.thresholds, ref.ensemble.thresholds)
+    assert np.array_equal(got.fields.A, ref.fields.A) and np.array_equal(got.fields.G, ref.fields.G)
+    assert [k for k, _, _ in got.field_snaps] == [k for k, _, _ in ref.field_snaps]
+    for (_, a, g), (_, a_ref, g_ref) in zip(got.field_snaps, ref.field_snaps):
+        assert np.array_equal(a, a_ref) and np.array_equal(g, g_ref)
+
+
+def _stack_equals_solo_runs(configs, **options):
+    stacked = run_simulations(configs, **options)
+    assert len(stacked) == len(configs)
+    for cfg, got in zip(configs, stacked):
+        assert got.config == cfg
+        _assert_same_run(got, run_simulation(cfg, **options))
+    return stacked
+
+
+# a grid far narrower than the initial law: reads off the grid, and clouds of
+# two particles that may all lie beyond the deposit's reach (|x| > 1 + 2.45)
+_NARROW = SimConfig(particles=2, horizon=0.01, step=1e-3, physical=PhysicalParams(lam=300.0),
+                    grid=Grid1D(-1.0, 1.0, 0.05), initial=InitialDensitySpec(width=6.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(replicas=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["feynman-kac", "killed"])),
+                         min_size=1, max_size=5),
+       n=st.integers(1, 60), lam=st.sampled_from([0.0, 1.0, 300.0]),
+       width=st.sampled_from([0.5, 1.0, 6.0]))
+@example(replicas=[(3, "feynman-kac"), (0, "killed"), (2, "killed"), (1, "feynman-kac")],
+         n=2, lam=300.0, width=6.0)
+def test_stacked_run_equals_solo_runs_bit_for_bit(replicas, n, lam, width):
+    base = replace(_NARROW, particles=n, physical=PhysicalParams(lam=lam),
+                   initial=InitialDensitySpec(width=width))
+    _stack_equals_solo_runs([replace(base, seed=s, mode=m) for s, m in replicas],
+                            snapshot_stride=3, fields_stride=2)
+
+
+def test_stack_holds_a_dead_replica_and_one_beyond_the_deposit():
+    configs = [replace(_NARROW, seed=s, mode=m)
+               for s, m in [(3, "feynman-kac"), (0, "killed"), (2, "killed"), (1, "feynman-kac")]]
+    beyond, dead, off_grid, _ = _stack_equals_solo_runs(configs, snapshot_stride=1)
+    assert np.all(np.abs(beyond.ensemble.positions) > 3.45)
+    assert not any(u.any() for u in beyond.densities)  # nothing reached the grid
+    assert dead.diagnostics["deaths"] == 2 and not dead.densities[-1].any()
+    assert off_grid.diagnostics["out_of_domain"] > 0 and 0 < off_grid.diagnostics["deaths"] < 2
+
+
+@pytest.mark.parametrize("change", [
+    {"particles": 201},
+    {"horizon": 0.2},
+    {"physical": PhysicalParams(lam=2.0)},
+    {"grid": Grid1D(-8.0, 8.0, 0.05)},
+    {"initial": InitialDensitySpec(width=0.5)},
+])
+def test_run_simulations_refuses_configs_that_differ_beyond_seed_and_mode(small_config, change):
+    with pytest.raises(ValueError, match="seed and mode"):
+        run_simulations([small_config, replace(small_config, seed=5, mode="killed", **change)])
+
+
+@pytest.mark.parametrize("option", ["keep_archive", "coupled_thresholds"])
+def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, option):
+    with pytest.raises(ValueError, match="single config"):
+        run_simulations([small_config, replace(small_config, seed=5)], **{option: True})
