@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid config/usage, 3 numerical abort,
-4 missing or mismatched data.  Every command is a pure function of
-(config file, flags, seed); manifests record output checksums so
-reruns can be verified byte-for-byte.
+Exit codes: 0 success, 2 invalid config/usage (an ensemble too large to
+allocate included), 3 numerical abort, 4 missing or mismatched data.
+Every command is a pure function of (config file, flags, seed); manifests
+record output checksums so reruns can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def _handle_errors(fn):
             click.echo("invalid config:", err=True)
             for v in err.violations:
                 click.echo(f"  - {v}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except MemoryError as err:
+            click.echo(f"out of memory: {err}", err=True)
             sys.exit(EXIT_CONFIG)
         except (NonFiniteStateError, NonFinitePdeStateError) as err:
             click.echo(f"numerical abort: {err}", err=True)

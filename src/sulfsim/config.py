@@ -28,6 +28,10 @@ MAX_GRID_NODES = 10**7
 # Taylor stencils and the PDE's kernel taps no longer resolve the kernel
 MAX_SPACING_PER_BANDWIDTH = 2.0
 
+# a kernel bandwidth above this many grid spacings is refused: the deposit's
+# block matrix and the PDE's taps grow with the 8-bandwidth reach in nodes
+MAX_BANDWIDTH_PER_SPACING = 1024.0
+
 # libyaml's loader where PyYAML was built with it: about 10x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -118,10 +122,11 @@ class Grid1D:
             return [f"grid spacing must be > 0, got {self.spacing}"]
         if not (self.upper > self.lower):
             return [f"grid upper must exceed lower, got [{self.lower}, {self.upper}]"]
-        if self.n_nodes > MAX_GRID_NODES:
-            return [f"grid has {self.n_nodes} nodes, more than {MAX_GRID_NODES}"]
-        out = []
         m = (self.upper - self.lower) / self.spacing
+        if not math.isfinite(m) or self.n_nodes > MAX_GRID_NODES:  # n_nodes cannot round inf
+            return [f"grid [{self.lower}, {self.upper}] at spacing {self.spacing} has more "
+                    f"than {MAX_GRID_NODES} nodes"]
+        out = []
         if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
             out.append(
                 f"grid spacing {self.spacing} does not divide [{self.lower}, {self.upper}]"
@@ -204,8 +209,8 @@ def derive_grid(
             "the default grid needs a finite horizon > 0, bandwidth > 0 and initial support "
             f"radius, got {horizon}, {bandwidth} and {radius}"
         ])
-    half = 6.0 * math.sqrt(2.0 * horizon) + radius + 8.0 * bandwidth
-    n_half = int(math.ceil(half / spacing))
+    half = (6.0 * math.sqrt(2.0 * horizon) + radius + 8.0 * bandwidth) / spacing
+    n_half = int(math.ceil(half)) if half < math.inf else half  # an infinite grid is refused
     return Grid1D(lower=-n_half * spacing, upper=n_half * spacing, spacing=spacing)
 
 
@@ -228,16 +233,21 @@ def config_violations(config: SimConfig) -> list[str]:
         out.extend(grid_errors)
         grid_ok = not grid_errors
     bandwidth = config.kernel.bandwidth
-    if grid_ok and bandwidth > 0.0 and grid.spacing > MAX_SPACING_PER_BANDWIDTH * bandwidth:
-        out.append(f"grid spacing {grid.spacing} exceeds {MAX_SPACING_PER_BANDWIDTH:g} times "
-                   f"the kernel bandwidth {bandwidth}")
+    if grid_ok and 0.0 < bandwidth < math.inf:
+        if grid.spacing > MAX_SPACING_PER_BANDWIDTH * bandwidth:
+            out.append(f"grid spacing {grid.spacing} exceeds {MAX_SPACING_PER_BANDWIDTH:g} "
+                       f"times the kernel bandwidth {bandwidth}")
+        elif bandwidth > MAX_BANDWIDTH_PER_SPACING * grid.spacing:
+            out.append(f"kernel bandwidth {bandwidth} exceeds {MAX_BANDWIDTH_PER_SPACING:g} "
+                       f"times the grid spacing {grid.spacing}")
 
     if not horizon_ok:
         out.append(f"horizon must be finite and > 0, got {config.horizon}")
     if not step_ok:
         out.append(f"step must be finite and > 0, got {config.step}")
     if horizon_ok and step_ok:
-        k = round(config.horizon / config.step)
+        ratio = config.horizon / config.step
+        k = round(ratio) if math.isfinite(ratio) else 0  # a step too small to count is refused
         if k < 1 or abs(config.horizon - k * config.step) > DT_DIVISION_RTOL * config.horizon:
             out.append(
                 f"step {config.step} does not divide horizon {config.horizon}"

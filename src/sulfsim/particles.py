@@ -12,12 +12,18 @@ path-dependent drift; they differ in how the reaction enters:
 
 Per-step order: build the mode's cloud from the state at the step start,
 accumulate it into the fields (a recorded step keeps that deposit for its
-snapshot), advance positions, then update hazards at the new positions
-with the fields through the current step.  Both modes step the same
-full-length arrays.  The grid coordinates of X_{k+1} are computed once,
-in the hazard update, which reads only I there; the next step's drift
-reads (I, J) at the same coordinates.  Each read counts the off-grid
-queries and negative-I clamps of alive particles only.
+snapshot), draw the step's noise for the whole ensemble, then sweep once
+over slices of at most ``SLICE_PARTICLES`` particles.  Each slice reads
+(I, J) at X_k, takes its Euler-Maruyama step with its columns of the noise,
+checks that its positions are finite, and updates its hazards, weights and
+deaths with I read at X_{k+1}, so its temporaries stay in cache whatever
+N is.  When one slice holds the whole ensemble, the grid coordinates of
+X_{k+1} computed for the hazard read serve the next step's drift;
+otherwise each slice computes those of X_k again and no full-length
+coordinate array outlives a step.  Both modes step the same full-length
+arrays, and every element goes through the same operations whatever the
+slicing.  Each read counts the off-grid queries and negative-I clamps of
+alive particles only.
 
 :func:`run_simulations`, the one stepping loop, steps replicas that differ
 only in seed and mode as one ensemble of (R, N) arrays: one pass of array
@@ -37,6 +43,10 @@ from .fields import AccumulatedFields, TrajectoryArchive, accumulate_step
 from .initial import transform_uniforms
 from .kernel import WeightedPointCloud, grid_density
 from .streams import ParticleStreams, draw_thresholds
+
+# particles per slice of a step's sweep: the slice's dozen float64
+# temporaries (2^14 * 8 B = 128 KiB each) stay within a 2 MiB L2 cache
+SLICE_PARTICLES = 1 << 14
 
 
 class NonFiniteStateError(RuntimeError):
@@ -70,9 +80,11 @@ class ParticleEnsemble:
     def stack(cls, members: list[ParticleEnsemble]) -> ParticleEnsemble:
         """The (R, N) ensemble whose row r is the 1-d ensemble ``members[r]``."""
         killed = np.array([[bool(e.killed)] for e in members])
-        thresholds = np.stack([np.full(e.positions.shape, np.inf) if e.thresholds is None
-                               else e.thresholds for e in members]) if killed.any() else None
-        return cls(**{name: np.stack([getattr(e, name) for e in members]) for name in
+        # one member's arrays are wrapped as a row, not copied
+        join = np.stack if len(members) > 1 else (lambda arrays: arrays[0][None])
+        thresholds = join([np.full(e.positions.shape, np.inf) if e.thresholds is None
+                           else e.thresholds for e in members]) if killed.any() else None
+        return cls(**{name: join([getattr(e, name) for e in members]) for name in
                       ("positions", "hazards", "weights", "alive", "death_times")},
                    thresholds=thresholds, killed=killed)
 
@@ -82,6 +94,13 @@ class ParticleEnsemble:
         return ParticleEnsemble(self.positions[r], self.hazards[r], self.weights[r],
                                 self.thresholds[r] if killed else None, self.alive[r],
                                 self.death_times[r], killed)
+
+    def columns(self, cols: slice) -> ParticleEnsemble:
+        """The particles in columns ``cols`` of every row, as views."""
+        return ParticleEnsemble(self.positions[..., cols], self.hazards[..., cols],
+                                self.weights[..., cols],
+                                None if self.thresholds is None else self.thresholds[..., cols],
+                                self.alive[..., cols], self.death_times[..., cols], self.killed)
 
     def cloud(self) -> WeightedPointCloud:
         """The density cloud of each replica's mode at the current state.
@@ -146,7 +165,7 @@ def _read_fields(fields, coords, alive, diagnostics: dict | None, gradient: bool
     without off-grid flags (positions, as a grid-free field view gives them)
     are read as they are."""
     outside = getattr(coords, "outside", None)
-    if alive is not None and outside is not None and outside.any():
+    if alive is not None and outside is not None:
         outside &= alive  # the dead's flags go: coords are the step's own
     I, J = fields.args_at(coords, gradient)
     negative = I < 0.0
@@ -164,13 +183,14 @@ def em_step(
     ensemble: ParticleEnsemble,
     fields,
     dt: float,
-    streams: ParticleStreams,
+    noise: np.ndarray,
     params,
     step: int = 0,
     diagnostics: dict | None = None,
     coords=None,
 ) -> ParticleEnsemble:
-    """One Euler-Maruyama step: Y += b(I, J) dt + sqrt(2 dt) xi.
+    """One Euler-Maruyama step: Y += b(I, J) dt + sqrt(2 dt) xi, with xi the
+    standard normals ``noise`` (one per particle, scaled in place).
 
     (I, J) are read at every position, at ``coords`` when given (as
     :func:`update_hazards` returns them).  In killed mode b dt and
@@ -189,7 +209,6 @@ def em_step(
                         alive, diagnostics)
     b = drift_b(I, J, params)
     b *= dt
-    noise = streams.normals()  # drawn after the drift, to keep the peak memory low
     noise *= np.sqrt(2.0 * dt)
     if alive is not None:
         b *= alive
@@ -303,7 +322,11 @@ def run_simulations(
 
     streams = {c.seed: ParticleStreams(c.seed, n, stream_indices) for c in configs}
     draws = _SharedDraws(streams, [c.seed for c in configs])
-    ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
+    try:
+        ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
+    except MemoryError as err:
+        stack = f" in each of {len(configs)} replicas" if len(configs) > 1 else ""
+        raise MemoryError(f"an ensemble of {n} particles{stack} is too large ({err})") from err
     thresholds = None
     if coupled_thresholds:
         if config.mode != "feynman-kac":
@@ -340,7 +363,9 @@ def run_simulations(
             coupled_alive.append(alive_frac)
             coupled_band.append(3.0 * np.sqrt(vbar / n))
 
-    coords = None  # of the positions, shared by the hazard update and the next drift
+    width = max(1, SLICE_PARTICLES // len(configs))  # columns per slice of the sweep
+    one_slice = n <= width
+    coords = None  # of X_k, from the hazard update; read again when one slice holds all
     for k in range(n_steps):
         cloud = ens.cloud()
         recording = k % stride == 0
@@ -352,11 +377,22 @@ def run_simulations(
         if recording:
             record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
-        em_step(ens, acc, dt, draws, params, step=k, diagnostics=diagnostics,
-                coords=coords)
-        del coords  # X_k's coordinates go before X_{k+1}'s are computed
-        coords = update_hazards(ens, acc, dt, params, t_end=(k + 1) * dt,
-                                diagnostics=diagnostics)
+        noise = draws.normals()
+        moved = True
+        for lo in range(0, n, width):
+            part = ens.columns(slice(lo, lo + width))
+            try:
+                em_step(part, acc, dt, noise[:, lo:lo + width], params, step=k,
+                        diagnostics=diagnostics, coords=coords if one_slice else None)
+            except NonFiniteStateError:
+                moved = False  # the other slices still move, as in one whole-ensemble step
+            coords = None  # X_k's coordinates go before X_{k+1}'s are computed
+            if moved:
+                coords = update_hazards(part, acc, dt, params, t_end=(k + 1) * dt,
+                                        diagnostics=diagnostics)
+        del noise, part
+        if not moved:
+            raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
 
     final_cloud = ens.cloud()
     if keep_archive:

@@ -35,44 +35,49 @@ class _Domain:
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self._state = self._gen.bit_generator.state  # counter 0, empty buffer
 
-    def draw(self, counter: int, indices: np.ndarray, method: str,
-             identity: bool = False) -> np.ndarray:
-        """Draw number ``counter`` of every stream, gathered at ``indices``;
-        ``identity`` says that indices is 0..n-1, so no gather is needed."""
+    def draw(self, counter: int, indices, method: str) -> np.ndarray:
+        """Draw number ``counter`` of every stream, gathered at ``indices``,
+        an array of stream indices; ``range(n)`` stands for streams 0..n-1,
+        which need no index array and no gather."""
         # the state np.random.Philox(key=key, counter=[0, counter, 0, 0]) starts in
         self._state["state"]["counter"][1] = counter
         self._gen.bit_generator.state = self._state
-        block = getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)
-        return block if identity else block[indices]
+        if isinstance(indices, range):
+            return getattr(self._gen, method)(len(indices))
+        indices = np.asarray(indices, dtype=np.int64)
+        return getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)[indices]
 
 
-def draw_thresholds(seed: int, indices: np.ndarray) -> np.ndarray:
-    """One Exp(1) threshold per particle from the disjoint threshold domain."""
-    domain = _Domain(seed, _THRESHOLD_DOMAIN)
-    return domain.draw(0, np.asarray(indices, dtype=np.int64), "standard_exponential")
+def draw_thresholds(seed: int, indices) -> np.ndarray:
+    """One Exp(1) threshold per particle from the disjoint threshold domain;
+    ``indices`` as for :meth:`_Domain.draw`."""
+    return _Domain(seed, _THRESHOLD_DOMAIN).draw(0, indices, "standard_exponential")
 
 
 class ParticleStreams:
     """Main-domain streams of the ensemble; the only state is the step.
 
-    ``indices`` maps ensemble slot -> stream index (defaults to 0..n-1);
-    permuting it permutes the streams, and with them the trajectories.
+    ``indices`` maps ensemble slot -> stream index; permuting it permutes
+    the streams, and with them the trajectories.  Without it the streams
+    are 0..n-1, held as ``range(n)``: no array of n indices.
     """
 
     def __init__(self, seed: int, n: int, indices: np.ndarray | None = None):
         self.n = int(n)
-        self.indices = np.asarray(np.arange(n) if indices is None else indices, dtype=np.int64)
-        if self.indices.shape != (self.n,):
-            raise ValueError("indices must have one entry per particle")
-        self._identity = bool(np.array_equal(self.indices, np.arange(self.n)))
+        if indices is None:
+            self.indices = range(self.n)
+        else:
+            self.indices = np.asarray(indices, dtype=np.int64)
+            if self.indices.shape != (self.n,):
+                raise ValueError("indices must have one entry per particle")
         self._main = _Domain(seed, _MAIN_DOMAIN)
         self._step = 0
 
     def initial_uniforms(self) -> np.ndarray:
         """Initial-position uniform in [0, 1) of every particle (counter 0)."""
-        return self._main.draw(0, self.indices, "random", self._identity)
+        return self._main.draw(0, self.indices, "random")
 
     def normals(self) -> np.ndarray:
         """Next standard-normal increment for every particle (one per step)."""
         self._step += 1
-        return self._main.draw(self._step, self.indices, "standard_normal", self._identity)
+        return self._main.draw(self._step, self.indices, "standard_normal")

@@ -620,3 +620,84 @@ def test_convergence_numeric_flags_exit_cleanly(tmp_path_factory, n, seeds):
     valid = (bool(sizes) and all(v.isdigit() and int(v) >= 1 for v in sizes)
              and seeds.isdigit() and int(seeds) >= 1)
     assert (res.exit_code == 0) == valid, res.output
+
+
+# 10^12 particles: the ensemble's first array alone would take 7.3 TiB, so the
+# allocation fails at once and nothing is committed
+_UNALLOCATABLE = "1000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--particles", _UNALLOCATABLE, "--seed", "1"],
+    ["compare", "--particles", _UNALLOCATABLE, "--seed", "1"],
+    ["convergence", "--n", _UNALLOCATABLE, "--seeds", "1", "--seed", "1"],
+], ids=["simulate", "compare", "convergence"])
+def test_unallocatable_ensemble_exits_2(runner, cfg_file, tmp_path, args):
+    res = runner.invoke(main, [*args, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"out of memory: an ensemble of {_UNALLOCATABLE} particles" in res.output
+
+
+# every combination of the valid values is a valid run of _FUZZ_CONFIG that
+# takes at most 8 steps of at most 64 particles; the other values are 0,
+# negative, non-finite, non-numeric, tiny, huge and non-dividing, none of them
+# a valid run of many steps or nodes (a valid huge horizon is more work, not
+# bad input)
+_FUZZ_CONFIG = {"grid": {"lower": -6.0, "upper": 6.0, "spacing": 0.05}, "horizon": 0.002,
+                "step": 1e-3, "particles": 16}
+_BAD_FLOATS = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e999", "-1e999", "tiny", ""]
+_BAD_COUNTS = st.one_of(st.integers(-2**70, 0).map(str),
+                        st.sampled_from(["nan", "inf", "1.5", "1e3", ""]))
+_NUMERIC_FLAGS = {  # flag: (valid values, other values)
+    "--particles": (["1", "7", "64"], st.one_of(_BAD_COUNTS, st.just(_UNALLOCATABLE))),
+    "--horizon": (["0.002", "0.004"], st.sampled_from(_BAD_FLOATS + ["5e-324"])),
+    "--step": (["0.001", "0.0005"],
+               st.sampled_from(_BAD_FLOATS + ["5e-324", "1e300", "0.0007", "0.002"])),
+    "--bandwidth": (["0.3", "0.5", "2"],
+                    st.sampled_from(_BAD_FLOATS + ["5e-324", "1e-6", "1e6", "1e300"])),
+    "--spacing": (["0.05", "0.1"],
+                  st.sampled_from(_BAD_FLOATS + ["5e-324", "1e-300", "0.07", "1e300"])),
+    "--snapshot-stride": (["1", "3", str(2**70)], _BAD_COUNTS),
+    "--fields-stride": (["0", "2", str(2**70)],
+                        st.one_of(st.integers(-2**70, -1).map(str),
+                                  st.sampled_from(["nan", "1.5", ""]))),
+}
+_COMMAND_FLAGS = {
+    "simulate": list(_NUMERIC_FLAGS),
+    "pde": [f for f in _NUMERIC_FLAGS if f != "--fields-stride"],
+    "compare": [f for f in _NUMERIC_FLAGS if f != "--fields-stride"],
+}
+
+
+@st.composite
+def _numeric_flags(draw):
+    """A command, its flags, and whether every value is valid: at most two
+    flags take other values, the rest a valid one or none."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    others = draw(st.sets(st.sampled_from(flags), max_size=2))
+    given, valid = [], True
+    for flag in flags:
+        good, bad = _NUMERIC_FLAGS[flag]
+        value = draw(bad if flag in others else st.one_of(st.none(), st.sampled_from(good)))
+        if value is not None:
+            given += [flag, value]
+            valid &= value in good
+    return command, given, valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_numeric_flags())
+def test_simulate_pde_compare_numeric_flags_exit_cleanly(tmp_path_factory, case):
+    command, flags, valid = case
+    root = tmp_path_factory.mktemp("numeric-flags")
+    cfg = root / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(_FUZZ_CONFIG))
+    seed = [] if command == "pde" else ["--seed", "1"]
+    with _wall_limit(30.0):
+        res = CliRunner().invoke(main, [command, "--config", str(cfg), *seed, *flags,
+                                        "--out", str(root / "out")])
+    _assert_clean_exit(res)
+    if valid:
+        assert res.exit_code == 0, res.output

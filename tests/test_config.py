@@ -140,6 +140,24 @@ def test_grid_node_count_bounded_before_allocation():
     assert any(f"more than {MAX_GRID_NODES}" in m for m in msgs)
 
 
+def test_bandwidth_above_1024_spacings_is_refused():
+    # the kernel's reach in nodes sizes the deposit's block matrix and the PDE's taps
+    grid = Grid1D(-14.4, 14.4, 0.05)
+    assert config_violations(SimConfig(grid=grid, kernel=KernelSpec(bandwidth=51.2))) == []
+    for bandwidth in (51.3, 1e6, 1e300):
+        assert config_violations(SimConfig(grid=grid, kernel=KernelSpec(bandwidth=bandwidth))) == [
+            f"kernel bandwidth {bandwidth} exceeds 1024 times the grid spacing 0.05"]
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(step=5e-324),  # horizon / step overflows
+    SimConfig(grid=Grid1D(-14.4, 14.4, 5e-324)),  # the node count overflows
+    SimConfig(kernel=KernelSpec(bandwidth=1e308)),  # the default grid's half-width overflows
+], ids=["step", "grid-spacing", "derived-grid"])
+def test_overflowing_ratios_are_refused_not_raised(config):
+    assert config_violations(config)
+
+
 def test_config_from_dict_names_every_bad_key_once():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"bogus": 1, "physical": {"lambda": "x", "typo": 2}, "seed": 2.9,

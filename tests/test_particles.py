@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sulfsim import (
     Grid1D,
     InitialDensitySpec,
+    ParticleEnsemble,
     PhysicalParams,
     SimConfig,
     init_ensemble,
@@ -63,7 +64,7 @@ def test_em_step_pure_diffusion_variance():
     ens = init_ensemble(cfg, streams)
     before = ens.positions.copy()
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
-    em_step(ens, fields, dt, streams, cfg.physical)
+    em_step(ens, fields, dt, streams.normals(), cfg.physical)
     inc = ens.positions - before
     se = 2 * dt * np.sqrt(2.0 / n)
     assert abs(inc.var() - 2 * dt) <= 3 * se
@@ -78,22 +79,18 @@ def test_em_step_zero_fields_is_pure_noise(small_config):
     streams_copy = ParticleStreams(small_config.seed, small_config.particles)
     _ = streams_copy.initial_uniforms()
     noise = streams_copy.normals()
-    em_step(ens, fields, small_config.step, streams, small_config.physical)
+    em_step(ens, fields, small_config.step, streams.normals(), small_config.physical)
     expected = start + np.sqrt(2 * small_config.step) * noise
     assert np.array_equal(ens.positions, expected)
 
 
 def test_em_step_nonfinite_position_aborts(small_config):
-    class BadStreams:
-        def normals(self):
-            bad = np.zeros(small_config.particles)
-            bad[3] = np.inf
-            return bad
-
+    bad = np.zeros(small_config.particles)
+    bad[3] = np.inf
     ens = init_ensemble(small_config)
     fields = AccumulatedFields(grid=small_config.grid, delta=0.3)
     with pytest.raises(NonFiniteStateError) as err:
-        em_step(ens, fields, small_config.step, BadStreams(), small_config.physical, step=17)
+        em_step(ens, fields, small_config.step, bad, small_config.physical, step=17)
     assert err.value.step == 17
     assert 3 in err.value.indices
 
@@ -109,7 +106,7 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
     negative_A = np.full(cfg.grid.n_nodes, -1.0)  # every read of I is clamped
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth, A=negative_A)
     diagnostics = {"negative_I": 0}
-    em_step(ens, fields, cfg.step, streams, cfg.physical, diagnostics=diagnostics)
+    em_step(ens, fields, cfg.step, streams.normals(), cfg.physical, diagnostics=diagnostics)
     assert (diagnostics["negative_I"], fields.out_of_domain) == (100, 25)
     update_hazards(ens, fields, cfg.step, cfg.physical, t_end=cfg.step, diagnostics=diagnostics)
     assert (diagnostics["negative_I"], fields.out_of_domain) == (200, 50)
@@ -311,7 +308,7 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     coords = None
     for k in range(cfg.n_steps):
         archive.append(ens.cloud())
-        em_step(ens, view, cfg.step, streams, cfg.physical, step=k, coords=coords)
+        em_step(ens, view, cfg.step, streams.normals(), cfg.physical, step=k, coords=coords)
         coords = update_hazards(ens, view, cfg.step, cfg.physical, t_end=(k + 1) * cfg.step)
     gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
@@ -464,3 +461,99 @@ def test_run_simulations_refuses_configs_that_differ_beyond_seed_and_mode(small_
 def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, option):
     with pytest.raises(ValueError, match="single config"):
         run_simulations([small_config, replace(small_config, seed=5)], **{option: True})
+
+
+def test_one_replica_stack_and_identity_streams_copy_nothing(small_config):
+    streams = ParticleStreams(small_config.seed, small_config.particles)
+    assert streams.indices == range(small_config.particles)  # no index array
+    for mode in ("feynman-kac", "killed"):
+        member = init_ensemble(replace(small_config, mode=mode), streams)
+        stack = ParticleEnsemble.stack([member])
+        for name in ("positions", "hazards", "weights", "thresholds", "alive", "death_times"):
+            got, own = getattr(stack, name), getattr(member, name)
+            if own is None:
+                assert got is None, name
+            else:
+                assert got.shape == (1, small_config.particles) and np.shares_memory(got, own), name
+
+
+def _sliced(monkeypatch, slice_particles, configs, **options):
+    """``run_simulations`` with slices of at most ``slice_particles``
+    particles, and the ensemble shape of each of its ``em_step`` calls."""
+    shapes = []
+    em = sulfsim.particles.em_step
+
+    def counted(ensemble, *args, **kwargs):
+        shapes.append(ensemble.positions.shape)
+        return em(ensemble, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sulfsim.particles, "SLICE_PARTICLES", slice_particles)
+        m.setattr(sulfsim.particles, "em_step", counted)
+        return run_simulations(configs, **options), shapes
+
+
+def _negative_fields(monkeypatch):
+    """Lower A by 1e-3 after every accumulation, so that reads of I clamp."""
+    accumulate = sulfsim.particles.accumulate_step
+
+    def lowered(fields, *args, **kwargs):
+        u = accumulate(fields, *args, **kwargs)
+        fields.A -= 1e-3
+        return u
+
+    monkeypatch.setattr(sulfsim.particles, "accumulate_step", lowered)
+
+
+_WIDE = SimConfig(particles=40, horizon=0.02, step=1e-3, seed=5, grid=Grid1D(-10.0, 10.0, 0.05),
+                  physical=PhysicalParams(lam=40.0))  # about half the killed particles die
+
+
+@pytest.mark.parametrize("case", ["fk", "killed", "stacked-pair", "off-grid", "negative-I"])
+def test_sliced_sweep_equals_one_slice_bit_for_bit(monkeypatch, case):
+    base = replace(_NARROW, particles=41) if case == "off-grid" else _WIDE
+    modes = {"fk": ["feynman-kac"], "killed": ["killed"]}.get(case, ["feynman-kac", "killed"])
+    configs = [replace(base, seed=3, mode=m) for m in modes]
+    if case == "negative-I":
+        _negative_fields(monkeypatch)
+    options = dict(snapshot_stride=3, fields_stride=2)
+    whole, whole_shapes = _sliced(monkeypatch, 1 << 14, configs, **options)
+    sliced, shapes = _sliced(monkeypatch, 7, configs, **options)
+    rows, n = len(configs), base.particles
+    assert whole_shapes == [(rows, n)] * base.n_steps  # one slice: the whole ensemble
+    width = 7 // rows
+    assert shapes == ([(rows, width)] * (n // width) + [(rows, n % width)]) * base.n_steps
+    for got, ref in zip(sliced, whole):
+        _assert_same_run(got, ref)
+    diagnostics = [out.diagnostics for out in whole]
+    if "killed" in modes:
+        assert 0 < diagnostics[-1]["deaths"] < n
+    if case == "off-grid":
+        assert all(d["out_of_domain"] > 0 for d in diagnostics)
+    assert all((d["negative_I"] > 0) == (case == "negative-I") for d in diagnostics)
+
+
+def test_sliced_sweep_names_every_non_finite_particle_of_the_step(monkeypatch):
+    # rows 0 and 1 draw from seeds 1 and 2; step 2 poisons column 30 of row 0,
+    # in the eleventh slice, and column 2 of row 1, in the first
+    configs = [replace(_WIDE, seed=1), replace(_WIDE, seed=2, mode="killed")]
+    normals = ParticleStreams.normals
+
+    def abort(slice_particles):
+        poison = [30, 2]
+
+        def poisoned(self):
+            z = normals(self)
+            if self._step == 3:
+                z[poison.pop(0)] = np.inf
+            return z
+
+        with monkeypatch.context() as m:
+            m.setattr(ParticleStreams, "normals", poisoned)
+            with pytest.raises(NonFiniteStateError) as err:
+                _sliced(monkeypatch, slice_particles, configs)
+        return err.value
+
+    whole, sliced = abort(1 << 14), abort(7)
+    assert whole.step == sliced.step == 2
+    assert whole.indices.tolist() == sliced.indices.tolist() == [30, 2]

@@ -28,7 +28,7 @@ def test_streams_are_prefix_stable_in_ensemble_size(seed, small, extra, steps):
 @given(seed=st.integers(0, 2**32 - 1),
        perm=st.integers(1, 64).flatmap(lambda n: st.permutations(range(n))),
        steps=st.integers(1, 4))
-@example(seed=3, perm=list(range(50)), steps=2)  # identity: drawn without a gather
+@example(seed=3, perm=list(range(50)), steps=2)  # an identity permutation, as an array
 def test_permuted_indices_permute_draws(seed, perm, steps):
     perm = np.array(perm)
     base = ParticleStreams(seed, len(perm))
