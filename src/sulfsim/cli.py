@@ -219,7 +219,8 @@ def main():
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
 @click.option("--fields-stride", type=click.IntRange(min=0), default=0,
-              help="also export accumulated fields every k-th step (0: off)")
+              help="also export A and G at each recorded step that is a multiple of k, "
+                   "and at the end (0: off)")
 @click.option("--archive/--no-archive", "archive_flag", default=False,
               help="dump full trajectories for the fixedpoint command")
 @_workers_option
@@ -328,10 +329,9 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
             raise ConfigError(["--seed is required when regenerating from a config"])
         cfg = _build_config(seed=seed, **cfg_kwargs)
         manifest.config = cfg.to_dict()
-        stride = snapshot_stride or max(1, cfg.n_steps // 10)
         fk, kl = run_simulations([replace(cfg, mode="feynman-kac"), replace(cfg, mode="killed")],
-                                 snapshot_stride=stride)
-        ref = solve_pde(cfg, snapshot_stride=stride)
+                                 snapshot_stride=snapshot_stride)
+        ref = solve_pde(cfg, snapshot_stride=snapshot_stride)
         grid = cfg.grid
         target = [mollify_grid_function(v, grid, cfg.kernel.bandwidth)
                   for v in ref.densities]

@@ -24,6 +24,9 @@ DT_DIVISION_RTOL = 1e-12
 # more grid nodes than this are refused before any array is allocated
 MAX_GRID_NODES = 10**7
 
+# more time steps than this are refused: the step loops have no other bound
+MAX_STEPS = 10**7
+
 # a grid spacing above this many kernel bandwidths is refused: the deposit's
 # Taylor stencils and the PDE's kernel taps no longer resolve the kernel
 MAX_SPACING_PER_BANDWIDTH = 2.0
@@ -173,6 +176,10 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
 
+    def recording_stride(self, stride: int | None) -> int:
+        """Steps between recorded snapshots: ``stride``, or about ten per run."""
+        return stride or max(1, self.n_steps // 10)
+
     def resolved_grid(self) -> Grid1D:
         if self.grid is not None:
             return self.grid
@@ -247,11 +254,12 @@ def config_violations(config: SimConfig) -> list[str]:
         out.append(f"step must be finite and > 0, got {config.step}")
     if horizon_ok and step_ok:
         ratio = config.horizon / config.step
-        k = round(ratio) if math.isfinite(ratio) else 0  # a step too small to count is refused
-        if k < 1 or abs(config.horizon - k * config.step) > DT_DIVISION_RTOL * config.horizon:
-            out.append(
-                f"step {config.step} does not divide horizon {config.horizon}"
-            )
+        k = round(ratio) if math.isfinite(ratio) else math.inf
+        if k > MAX_STEPS:
+            out.append(f"horizon {config.horizon} at step {config.step} takes {ratio:.4g} "
+                       f"steps, more than {MAX_STEPS}")
+        elif k < 1 or abs(config.horizon - k * config.step) > DT_DIVISION_RTOL * config.horizon:
+            out.append(f"step {config.step} does not divide horizon {config.horizon}")
         # explicit-scheme stability for the shared PDE config
         if grid_ok:
             cfl = grid.spacing**2 / 2.0

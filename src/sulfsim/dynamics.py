@@ -38,14 +38,18 @@ def drift_b(I, J, p: PhysicalParams):
     J = np.asarray(J, dtype=float)
     if not (np.isfinite(I).all() and np.isfinite(J).all()):
         raise ValueError("drift arguments must be finite")
+    out = drift_core(I, J, p)
+    return float(out) if out.ndim == 0 else out
+
+
+def drift_core(I: np.ndarray, J: np.ndarray, p: PhysicalParams) -> np.ndarray:
+    """:func:`drift_b` on float arrays, unchecked: steps read I >= 0 and finite J."""
     e = np.exp(-p.lam * I)  # e and out are updated in place: fewer temporaries per step
     out = -p.phi1 * p.lam * p.c0 * e
     out *= J
     e *= p.phi1 * p.c0
     e += p.phi0
     out /= e
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -54,10 +58,13 @@ def reaction_rate(I, p: PhysicalParams):
     I = np.asarray(I, dtype=float)
     if (I < 0).any():
         raise ValueError("accumulated density integral I must be nonnegative")
-    out = p.lam * p.c0 * np.exp(-p.lam * I)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = rate_core(I, p)
+    return float(out) if out.ndim == 0 else out
+
+
+def rate_core(I: np.ndarray, p: PhysicalParams) -> np.ndarray:
+    """:func:`reaction_rate` on a float array, unchecked: steps read I >= 0."""
+    return p.lam * p.c0 * np.exp(-p.lam * I)
 
 
 def recover_calcite(I, p: PhysicalParams):
@@ -66,9 +73,7 @@ def recover_calcite(I, p: PhysicalParams):
     if np.any(I < 0):
         raise ValueError("accumulated density integral I must be nonnegative")
     out = p.c0 * np.exp(-p.lam * I)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def drift_lipschitz_bound(p: PhysicalParams) -> float:

@@ -21,7 +21,7 @@ from .kernel import WeightedPointCloud, grid_density
 
 @dataclass
 class AccumulatedFields:
-    """Grid samples of the running time integrals, plus the current time.
+    """Grid samples of the running time integrals at bandwidth ``delta``.
     A and G hold m node values, or (R, m) for a stack of R replicas, whose
     row r is read at j + r*m of ``A.ravel()`` and counted off-grid apart."""
 
@@ -29,8 +29,6 @@ class AccumulatedFields:
     delta: float
     A: np.ndarray = field(default=None)  # type: ignore[assignment]
     G: np.ndarray = field(default=None)  # type: ignore[assignment]
-    t: float = 0.0
-    steps: int = 0
     out_of_domain: int | np.ndarray = 0  # interpolation queries beyond the grid
 
     def __post_init__(self):
@@ -103,24 +101,16 @@ def accumulate_step(
     fields: AccumulatedFields,
     cloud: WeightedPointCloud,
     n_total: int,
-    delta: float,
     dt: float,
-) -> AccumulatedFields:
-    """Add one left-endpoint quadrature term from the cloud at time fields.t.
-
-    A(x_g) += dt * u(x_g), G(x_g) += dt * u'(x_g); the field time advances
-    by dt.  ``fields`` is updated in place; returns the cloud's density u
-    at the nodes, so that a caller recording it need not deposit again.
+) -> np.ndarray:
+    """Add one left-endpoint quadrature term of the cloud at the fields'
+    bandwidth: A(x_g) += dt * u(x_g), G(x_g) += dt * u'(x_g).  ``fields``
+    is updated in place; returns the cloud's density u at the nodes, so
+    that a caller recording it need not deposit again.
     """
-    if abs(delta - fields.delta) > 1e-15 * max(delta, fields.delta):
-        raise ValueError(
-            f"bandwidth mismatch: fields built for delta={fields.delta}, got {delta}"
-        )
-    u, du = grid_density(cloud, fields.grid, delta, n_total)
+    u, du = grid_density(cloud, fields.grid, fields.delta, n_total)
     fields.A += dt * u
     fields.G += dt * du
-    fields.t += dt
-    fields.steps += 1
     return u
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .config import InitialDensitySpec
+from .config import INITIAL_FAMILIES, InitialDensitySpec
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -99,7 +99,7 @@ def support_radius(spec: InitialDensitySpec) -> float:
 def initial_violations(spec: InitialDensitySpec, s0: float) -> list[str]:
     """Check rho_0 in (0, s0) on its support, unit mass, finite values."""
     out: list[str] = []
-    if spec.family not in ("gaussian-bump", "truncated-cosine-bump", "tabulated"):
+    if spec.family not in INITIAL_FAMILIES:
         return [f"unknown initial family {spec.family!r}"]
     if spec.family == "tabulated":
         if spec.table_x is None or spec.table_p is None:

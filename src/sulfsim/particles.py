@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SimConfig, validate_config
-from .dynamics import drift_b, reaction_rate
+from .dynamics import drift_core, rate_core
 from .fields import AccumulatedFields, TrajectoryArchive, accumulate_step
 from .initial import transform_uniforms
 from .kernel import WeightedPointCloud, grid_density
@@ -201,13 +201,14 @@ def em_step(
 
     The positions are updated in place, before the finiteness check:
     after a :class:`NonFiniteStateError` (indices within their rows) the
-    ensemble holds the non-finite positions and is no longer valid.
+    ensemble holds the non-finite positions and is no longer valid.  The
+    drift is unchecked, so the check also catches a non-finite A or G read.
     """
     alive = ensemble.alive if ensemble.thresholds is not None else None
     x = ensemble.positions
     I, J = _read_fields(fields, fields.coords_at(x) if coords is None else coords,
                         alive, diagnostics)
-    b = drift_b(I, J, params)
+    b = drift_core(I, J, params)
     b *= dt
     noise *= np.sqrt(2.0 * dt)
     if alive is not None:
@@ -240,7 +241,7 @@ def update_hazards(
     alive = ensemble.alive if ensemble.thresholds is not None else None
     coords = fields.coords_at(ensemble.positions)
     I, _ = _read_fields(fields, coords, alive, diagnostics, gradient=False)
-    increment = dt * reaction_rate(I, params)
+    increment = dt * rate_core(I, params)
     if alive is not None:
         increment *= alive
     ensemble.hazards += increment
@@ -281,7 +282,6 @@ def run_simulations(
     snapshot_stride: int | None = None,
     keep_archive: bool = False,
     fields_stride: int = 0,
-    zero_fields: bool = False,
     stream_indices: np.ndarray | None = None,
     coupled_thresholds: bool = False,
 ) -> list[SimulationOutput]:
@@ -295,13 +295,10 @@ def run_simulations(
     (:class:`AccumulatedFields`); the tests hold their interpolation-free
     exact-history oracle.  Each cloud is deposited once:
     a recorded step keeps the density its field accumulation computed, and
-    only the final cloud, or every recorded cloud under ``zero_fields``, is
-    deposited for the record alone.  A field snapshot at step k holds A
-    and G before step k's term.
+    only the final cloud is deposited for the record alone.  A field
+    snapshot at step k holds A and G before step k's term.
 
-    ``zero_fields`` is a validation hook that skips field accumulation,
-    so the hazard rate stays at its t=0 value lambda*c0 and the drift
-    vanishes.  ``coupled_thresholds`` draws killing thresholds from the
+    ``coupled_thresholds`` draws killing thresholds from the
     disjoint threshold streams during a feynman-kac run and records the
     survival readout alongside the weights, realizing the conditional
     Bernoulli coupling of the two interpretations on shared paths.
@@ -318,7 +315,7 @@ def run_simulations(
     n = config.particles
     dt = config.step
     n_steps = config.n_steps
-    stride = snapshot_stride if snapshot_stride else max(1, n_steps // 10)
+    stride = config.recording_stride(snapshot_stride)
 
     streams = {c.seed: ParticleStreams(c.seed, n, stream_indices) for c in configs}
     draws = _SharedDraws(streams, [c.seed for c in configs])
@@ -373,7 +370,7 @@ def run_simulations(
             field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
         if keep_archive:
             archive.append(cloud)
-        u = None if zero_fields else accumulate_step(acc, cloud, n, delta, dt)
+        u = accumulate_step(acc, cloud, n, dt)
         if recording:
             record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
@@ -417,8 +414,7 @@ def run_simulations(
             escaped=np.asarray(escaped[r]),
             diagnostics=diag,
             ensemble=ens.row(r),
-            fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], acc.t, acc.steps,
-                                     diag["out_of_domain"]),
+            fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], diag["out_of_domain"]),
             archive=archive,
             field_snaps=[(k, a[r], g[r]) for k, a, g in field_snaps],
             coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Grid1D, PhysicalParams, SimConfig, validate_config
-from .dynamics import drift_b, reaction_rate, recover_calcite
+from .dynamics import drift_core, rate_core, recover_calcite
 from .initial import density as initial_density
 from .kernel import CUTOFF_BANDWIDTHS, kernel_grad, kernel_value
 
@@ -118,8 +118,9 @@ def pde_step(state: PdeState, params: PhysicalParams, delta: float, dt: float) -
     state.A += dt * u
     state.G += dt * du
 
-    b = np.asarray(drift_b(np.maximum(state.A, 0.0), state.G, params))
-    rate = np.asarray(reaction_rate(np.maximum(state.A, 0.0), params))
+    A = np.maximum(state.A, 0.0)  # A and G are finite: v is, and only v enters them
+    b = drift_core(A, state.G, params)
+    rate = rate_core(A, params)
 
     # conservative upwind fluxes at interfaces g+1/2
     b_half = 0.5 * (b[:-1] + b[1:])
@@ -182,30 +183,30 @@ def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutpu
     dt = config.step
     h = state.grid.spacing
     n_steps = config.n_steps
-    stride = snapshot_stride if snapshot_stride else max(1, n_steps // 10)
+    stride = config.recording_stride(snapshot_stride)
 
     times, steps_rec, densities, calcite = [], [], [], []
     mass_series, sink_s, flux_s, clamp_s, resid_s = [], [], [], [], []
 
-    def record(k: int) -> None:
+    def record(k: int, mass: float) -> None:
         times.append(k * dt)
         steps_rec.append(k)
         densities.append(state.v.copy())
         calcite.append(np.asarray(recover_calcite(np.maximum(state.A, 0.0), params)))
-        mass_series.append(float(np.trapezoid(state.v, dx=h)))
+        mass_series.append(mass)
 
-    record(0)
+    m_before = float(np.trapezoid(state.v, dx=h))
+    record(0, m_before)
     for k in range(n_steps):
-        m_before = float(np.trapezoid(state.v, dx=h))
         ledger = pde_step(state, params, delta, dt)
         m_after = float(np.trapezoid(state.v, dx=h))
-        resid = m_after - m_before + ledger.sink + ledger.boundary_flux - ledger.clamped
         sink_s.append(ledger.sink)
         flux_s.append(ledger.boundary_flux)
         clamp_s.append(ledger.clamped)
-        resid_s.append(resid)
+        resid_s.append(m_after - m_before + ledger.sink + ledger.boundary_flux - ledger.clamped)
         if (k + 1) % stride == 0 or k + 1 == n_steps:
-            record(k + 1)
+            record(k + 1, m_after)
+        m_before = m_after
 
     return PdeOutput(
         config=config,

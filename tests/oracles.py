@@ -7,6 +7,8 @@
   from a trajectory archive with no spatial interpolation.
 - :func:`accumulate_from_archive`: an archive replayed through the grid
   accumulator.
+- :func:`hold_fields_at_zero`: runs whose fields never accumulate, so the
+  hazard rate stays lambda c0 and the drift vanishes.
 - :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
   after every step.
 - :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
@@ -109,8 +111,16 @@ def accumulate_from_archive(
     if steps is None:
         steps = len(archive)
     for k in range(steps):
-        accumulate_step(fields, archive.snapshot(k), n_total, delta, archive.dt)
+        accumulate_step(fields, archive.snapshot(k), n_total, archive.dt)
     return fields
+
+
+def hold_fields_at_zero(monkeypatch):
+    """Make every accumulation of ``sulfsim.particles`` leave A and G
+    unchanged and return None, so that each recorded cloud is deposited by
+    the record itself: the fields stay at zero, the hazard rate at its t = 0
+    value lambda c0, and the drift vanishes."""
+    monkeypatch.setattr(sulfsim.particles, "accumulate_step", lambda *args, **kwargs: None)
 
 
 def run_with_hazard_digests(monkeypatch, run, *args, **kwargs):

@@ -26,7 +26,12 @@ from sulfsim import (
     solve_pde,
 )
 from sulfsim.cli import main
-from oracles import accumulate_from_archive, exact_history_args, run_with_hazard_digests
+from oracles import (
+    accumulate_from_archive,
+    exact_history_args,
+    hold_fields_at_zero,
+    run_with_hazard_digests,
+)
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -55,8 +60,9 @@ def test_criterion_1_conservative_limit():
     )
 
 
-def test_criterion_2_constant_rate_survival():
-    # zero-field hook: rate is exactly lambda*c0, survival exactly exp(-t)
+def test_criterion_2_constant_rate_survival(monkeypatch):
+    # fields held at zero: rate is exactly lambda*c0, survival exactly exp(-t)
+    hold_fields_at_zero(monkeypatch)
     base = SimConfig(
         particles=100_000,
         horizon=1.0,
@@ -64,7 +70,7 @@ def test_criterion_2_constant_rate_survival():
         seed=5,
         grid=Grid1D(-16.0, 16.0, 0.2),
     )
-    fk = run_simulation(base, zero_fields=True, snapshot_stride=5)
+    fk = run_simulation(base, snapshot_stride=5)
     ok_fk = all(
         abs(mw - np.exp(-t_k)) <= 1e-12 * np.exp(-t_k)
         for t_k, mw in zip(fk.times, fk.weight_or_alive)
@@ -72,7 +78,7 @@ def test_criterion_2_constant_rate_survival():
     w = fk.ensemble.weights
     ok_fk = ok_fk and bool(np.all(w == w[0]))
 
-    kl = run_simulation(replace(base, mode="killed"), zero_fields=True, snapshot_stride=5)
+    kl = run_simulation(replace(base, mode="killed"), snapshot_stride=5)
     p = np.exp(-kl.times)
     band = 3.0 * np.sqrt(p * (1.0 - p) / base.particles)
     diff = np.abs(kl.weight_or_alive - p)

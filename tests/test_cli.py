@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import signal
+import time
 from pathlib import Path
 
 import struct
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from sulfsim import WeightedPointCloud
 from sulfsim.cli import main
-from sulfsim.config import InitialDensitySpec, derive_grid
+from sulfsim.config import MAX_STEPS, InitialDensitySpec, derive_grid
 from sulfsim.fields import TrajectoryArchive
 from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv, write_archive
 
@@ -198,6 +199,42 @@ def test_simulate_numerical_abort_exits_3(runner, cfg_file, tmp_path, monkeypatc
     )
     assert res.exit_code == 3
     assert "step 12" in res.output
+
+
+@pytest.mark.parametrize("name, mode", [("A", "fk"), ("G", "kill")])
+def test_simulate_non_finite_field_exits_3(runner, cfg_file, tmp_path, monkeypatch, name, mode):
+    # a NaN written into A or G at the middle node, which particles near x = 0
+    # read, right after step 3's term: step 3's positions become non-finite
+    import sulfsim.particles
+
+    accumulate, calls = sulfsim.particles.accumulate_step, []
+
+    def poisoned(fields, *args, **kwargs):
+        u = accumulate(fields, *args, **kwargs)
+        calls.append(None)
+        if len(calls) == 4:
+            values = getattr(fields, name)
+            values[..., values.shape[-1] // 2] = np.nan
+        return u
+
+    monkeypatch.setattr(sulfsim.particles, "accumulate_step", poisoned)
+    res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--mode", mode,
+                               "--seed", "1", "--out", str(tmp_path / "x")])
+    assert res.exit_code == 3, res.output
+    assert "numerical abort: non-finite particle state at step 3," in res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+
+
+@pytest.mark.parametrize("command", ["simulate", "pde", "compare", "convergence"])
+def test_huge_horizon_exits_2_at_once(runner, cfg_file, tmp_path, command):
+    seed = [] if command == "pde" else ["--seed", "1"]
+    start = time.monotonic()
+    with _wall_limit(5.0):  # an unbounded step count would run for ever
+        res = runner.invoke(main, [command, "--config", str(cfg_file), *seed,
+                                   "--horizon", "1e300", "--out", str(tmp_path / "o")])
+    assert time.monotonic() - start < 1.0
+    assert res.exit_code == 2, res.output
+    assert f"takes 1e+303 steps, more than {MAX_STEPS}" in res.output
 
 
 def test_kill_mode_lambda_zero_alive_fraction_one(runner, cfg_file, tmp_path):
@@ -642,8 +679,8 @@ def test_unallocatable_ensemble_exits_2(runner, cfg_file, tmp_path, args):
 # every combination of the valid values is a valid run of _FUZZ_CONFIG that
 # takes at most 8 steps of at most 64 particles; the other values are 0,
 # negative, non-finite, non-numeric, tiny, huge and non-dividing, none of them
-# a valid run of many steps or nodes (a valid huge horizon is more work, not
-# bad input)
+# a valid run of many steps or nodes (a horizon or step that asks for more than
+# MAX_STEPS steps is refused, as a grid of too many nodes is)
 _FUZZ_CONFIG = {"grid": {"lower": -6.0, "upper": 6.0, "spacing": 0.05}, "horizon": 0.002,
                 "step": 1e-3, "particles": 16}
 _BAD_FLOATS = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e999", "-1e999", "tiny", ""]
@@ -651,9 +688,9 @@ _BAD_COUNTS = st.one_of(st.integers(-2**70, 0).map(str),
                         st.sampled_from(["nan", "inf", "1.5", "1e3", ""]))
 _NUMERIC_FLAGS = {  # flag: (valid values, other values)
     "--particles": (["1", "7", "64"], st.one_of(_BAD_COUNTS, st.just(_UNALLOCATABLE))),
-    "--horizon": (["0.002", "0.004"], st.sampled_from(_BAD_FLOATS + ["5e-324"])),
+    "--horizon": (["0.002", "0.004"], st.sampled_from(_BAD_FLOATS + ["5e-324", "1e300"])),
     "--step": (["0.001", "0.0005"],
-               st.sampled_from(_BAD_FLOATS + ["5e-324", "1e300", "0.0007", "0.002"])),
+               st.sampled_from(_BAD_FLOATS + ["5e-324", "1e-300", "1e300", "0.0007", "0.002"])),
     "--bandwidth": (["0.3", "0.5", "2"],
                     st.sampled_from(_BAD_FLOATS + ["5e-324", "1e-6", "1e6", "1e300"])),
     "--spacing": (["0.05", "0.1"],

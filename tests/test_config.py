@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sulfsim import ConfigError, Grid1D, KernelSpec, PhysicalParams, SimConfig, validate_config
 from sulfsim.config import (
     MAX_GRID_NODES,
+    MAX_STEPS,
     _YAML_LOADER,
     InitialDensitySpec,
     config_from_dict,
@@ -138,6 +139,15 @@ def test_spacing_above_twice_the_bandwidth_is_refused():
 def test_grid_node_count_bounded_before_allocation():
     msgs = config_violations(SimConfig(grid=Grid1D(-1e9, 1e9, 0.05)))
     assert any(f"more than {MAX_GRID_NODES}" in m for m in msgs)
+
+
+def test_step_count_bounded():
+    grid = Grid1D(-14.4, 14.4, 0.05)
+    assert config_violations(SimConfig(grid=grid, horizon=10.0, step=1e-6)) == []
+    for horizon, step, steps in ((10.0, 5e-7, "2e+07"), (1e300, 1e-3, "1e+303"),
+                                 (0.5, 5e-324, "inf")):
+        assert config_violations(SimConfig(grid=grid, horizon=horizon, step=step)) == [
+            f"horizon {horizon} at step {step} takes {steps} steps, more than {MAX_STEPS}"]
 
 
 def test_bandwidth_above_1024_spacings_is_refused():

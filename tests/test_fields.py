@@ -14,19 +14,17 @@ def _single_particle_cloud():
 def test_accumulate_single_particle_example():
     grid = Grid1D(-8.0, 8.0, 0.05)
     fields = AccumulatedFields(grid=grid, delta=1.0)
-    accumulate_step(fields, _single_particle_cloud(), 1, 1.0, 0.1)
+    accumulate_step(fields, _single_particle_cloud(), 1, 0.1)
     mid = grid.n_nodes // 2
     assert grid.nodes()[mid] == 0.0
     assert fields.A[mid] == pytest.approx(0.03989422804, abs=1e-10)
-    assert fields.t == pytest.approx(0.1)
-    assert fields.steps == 1
 
 
 def test_accumulate_zero_weights_leaves_fields():
     grid = Grid1D(-4.0, 4.0, 0.1)
     fields = AccumulatedFields(grid=grid, delta=0.5)
     cloud = WeightedPointCloud(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    accumulate_step(fields, cloud, 2, 0.5, 0.1)
+    accumulate_step(fields, cloud, 2, 0.1)
     assert np.all(fields.A == 0.0) and np.all(fields.G == 0.0)
 
 
@@ -34,18 +32,12 @@ def test_static_cloud_doubles_exactly(rng):
     grid = Grid1D(-6.0, 6.0, 0.1)
     cloud = WeightedPointCloud(rng.normal(0, 1, 50), rng.random(50))
     one = AccumulatedFields(grid=grid, delta=0.4)
-    accumulate_step(one, cloud, 50, 0.4, 0.01)
+    accumulate_step(one, cloud, 50, 0.01)
     two = AccumulatedFields(grid=grid, delta=0.4)
-    accumulate_step(two, cloud, 50, 0.4, 0.01)
-    accumulate_step(two, cloud, 50, 0.4, 0.01)
+    accumulate_step(two, cloud, 50, 0.01)
+    accumulate_step(two, cloud, 50, 0.01)
     assert np.array_equal(two.A, 2.0 * one.A)
     assert np.array_equal(two.G, 2.0 * one.G)
-
-
-def test_bandwidth_mismatch_rejected():
-    fields = AccumulatedFields(grid=Grid1D(-1.0, 1.0, 0.5), delta=0.3)
-    with pytest.raises(ValueError):
-        accumulate_step(fields, _single_particle_cloud(), 1, 0.4, 0.1)
 
 
 def test_interpolate_exact_at_nodes_and_midpoints():
@@ -106,7 +98,7 @@ def test_grid_accumulator_matches_exact_history_at_nodes(rng):
     for _ in range(30):
         cloud = WeightedPointCloud(pos, rng.random(n))
         archive.append(cloud)
-        accumulate_step(fields, cloud, n, delta, dt)
+        accumulate_step(fields, cloud, n, dt)
         pos = pos + rng.normal(0, 0.1, n)
     nodes = grid.nodes()
     exact = exact_history_args(archive, nodes, delta, n)
@@ -121,7 +113,7 @@ def test_accumulated_density_monotone_in_time(rng):
     prev = fields.A.copy()
     for _ in range(5):
         cloud = WeightedPointCloud(rng.normal(0, 1, 20), rng.random(20))
-        accumulate_step(fields, cloud, 20, 0.3, 0.05)
+        accumulate_step(fields, cloud, 20, 0.05)
         assert np.all(fields.A >= prev)
         prev = fields.A.copy()
 
@@ -135,7 +127,7 @@ def test_replayed_accumulator_equals_online(rng):
     for _ in range(10):
         cloud = WeightedPointCloud(pos, np.ones(n))
         archive.append(cloud)
-        accumulate_step(fields, cloud, n, delta, dt)
+        accumulate_step(fields, cloud, n, dt)
         pos = pos + rng.normal(0, 0.05, n)
     replay = accumulate_from_archive(archive, grid, delta, n)
     assert np.array_equal(replay.A, fields.A)

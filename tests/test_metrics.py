@@ -13,6 +13,8 @@ from sulfsim import (
 )
 from sulfsim.metrics import compare_series
 
+from oracles import hold_fields_at_zero
+
 GRID = Grid1D(-5.0, 5.0, 0.1)
 
 
@@ -58,7 +60,7 @@ def test_lambda_zero_mass_stays_one(small_config):
     assert np.all(np.abs(sim.mass + sim.escaped - 1.0) < 1e-6)
 
 
-def test_constant_rate_mass_matches_survival():
+def test_constant_rate_mass_matches_survival(monkeypatch):
     cfg = SimConfig(
         particles=20_000,
         horizon=1.0,
@@ -67,7 +69,8 @@ def test_constant_rate_mass_matches_survival():
         grid=Grid1D(-16.0, 16.0, 0.2),
         mode="killed",
     )
-    sim = run_simulation(cfg, zero_fields=True, snapshot_stride=cfg.n_steps)
+    hold_fields_at_zero(monkeypatch)
+    sim = run_simulation(cfg, snapshot_stride=cfg.n_steps)
     p = np.exp(-1.0)
     se = np.sqrt(p * (1 - p) / cfg.particles)
     assert abs(sim.weight_or_alive[-1] - p) <= 3 * se

@@ -23,7 +23,12 @@ from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step
 from sulfsim.particles import NonFiniteStateError, em_step, update_hazards
 from sulfsim.streams import ParticleStreams
 
-from oracles import accumulate_from_archive, exact_history_args, run_with_hazard_digests
+from oracles import (
+    accumulate_from_archive,
+    exact_history_args,
+    hold_fields_at_zero,
+    run_with_hazard_digests,
+)
 
 
 def test_init_ensemble_state(small_config):
@@ -133,7 +138,7 @@ def _reference_steps(cfg):
         return np.maximum(args.I, 0.0), args.J
 
     for k in range(cfg.n_steps):
-        accumulate_step(acc, ens.cloud(), n, cfg.kernel.bandwidth, dt)
+        accumulate_step(acc, ens.cloud(), n, dt)
         noise = streams.normals()
         alive = ens.alive.copy()
         I, J = clamped_I_J(ens.positions[alive])
@@ -192,9 +197,10 @@ def test_dead_particles_stay_at_their_death_position(small_config):
         assert sim.archive.weights[k][i] == 0.0
 
 
-def test_constant_rate_weights_exact(small_config):
-    # zero-field hook: Lambda = lambda c0 t for every particle, bit-identical
-    sim = run_simulation(small_config, zero_fields=True, snapshot_stride=20)
+def test_constant_rate_weights_exact(monkeypatch, small_config):
+    # fields held at zero: Lambda = lambda c0 t for every particle, bit-identical
+    hold_fields_at_zero(monkeypatch)
+    sim = run_simulation(small_config, snapshot_stride=20)
     w = sim.ensemble.weights
     assert np.all(w == w[0])
     t = small_config.horizon
@@ -203,7 +209,7 @@ def test_constant_rate_weights_exact(small_config):
         assert mw == pytest.approx(np.exp(-t_k), rel=1e-12)
 
 
-def test_constant_rate_killed_survival_band():
+def test_constant_rate_killed_survival_band(monkeypatch):
     cfg = SimConfig(
         particles=20_000,
         mode="killed",
@@ -212,7 +218,8 @@ def test_constant_rate_killed_survival_band():
         seed=5,
         grid=Grid1D(-16.0, 16.0, 0.2),
     )
-    sim = run_simulation(cfg, zero_fields=True, snapshot_stride=10)
+    hold_fields_at_zero(monkeypatch)
+    sim = run_simulation(cfg, snapshot_stride=10)
     p = np.exp(-sim.times)
     band = 3.0 * np.sqrt(p * (1 - p) / cfg.particles)
     exceed = np.sum(np.abs(sim.weight_or_alive - p) > band)
@@ -375,10 +382,11 @@ def test_field_snapshots_hold_fields_before_their_step(small_config, mode):
         assert not sim.ensemble.alive.all()
 
 
-def test_killed_run_continues_after_every_particle_dies(small_config):
+def test_killed_run_continues_after_every_particle_dies(monkeypatch, small_config):
     # with the fields held at zero the rate stays lambda c0: 10 per step
     cfg = replace(small_config, mode="killed", horizon=0.01, physical=PhysicalParams(lam=1e4))
-    sim = run_simulation(cfg, snapshot_stride=1, zero_fields=True)
+    hold_fields_at_zero(monkeypatch)
+    sim = run_simulation(cfg, snapshot_stride=1)
     assert not sim.ensemble.alive.any()
     assert sim.diagnostics["deaths"] == cfg.particles
     assert np.all(sim.weight_or_alive[1:] == 0.0)
