@@ -33,12 +33,10 @@ from .metrics import convergence_study, density_distance, total_mass
 from .particles import (
     ParticleEnsemble,
     SimulationOutput,
-    em_step,
     init_ensemble,
     run_coupled,
     run_simulation,
     run_simulations,
-    update_hazards,
 )
 from .pde import PdeState, pde_step, solve_pde
 
@@ -61,7 +59,6 @@ __all__ = [
     "convergence_study",
     "density_distance",
     "drift_b",
-    "em_step",
     "init_ensemble",
     "interpolate",
     "kernel_grad",
@@ -76,6 +73,5 @@ __all__ = [
     "run_simulations",
     "solve_pde",
     "total_mass",
-    "update_hazards",
     "validate_config",
 ]

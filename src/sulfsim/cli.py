@@ -30,6 +30,7 @@ from .config import (
 )
 from .fixedpoint import picard_solve
 from .io import (
+    DataError,
     RunManifest,
     column_text,
     read_archive,
@@ -53,10 +54,6 @@ _SNAPSHOT_STRIDE_HELP = "record every k-th step (default: ~10 snapshots)"
 # glibc mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-
-
-class DataError(RuntimeError):
-    pass
 
 
 def _handle_errors(fn):
@@ -274,16 +271,32 @@ def _load_snapshot_series(run_dir: Path):
         raise DataError(f"no snapshots under {run_dir}")
     xs, series, steps = None, [], []
     for f in files:
-        cols = read_csv(f)
+        step = f.stem.split("_", 1)[1]
+        if not step.isdecimal():
+            raise DataError(f"{f} is not named u_<step>.csv")
+        x, u = _columns(f, "x", "u")
         if xs is None:
-            xs = cols["x"]
-        elif cols["x"].shape != xs.shape or not np.array_equal(cols["x"], xs):
+            if len(x) < 2:
+                raise DataError(f"{f} holds {len(x)} grid nodes; a grid needs at least 2")
+            xs = x
+        elif x.shape != xs.shape or not np.array_equal(x, xs):
             raise DataError(f"grid mismatch in {f}")
-        series.append(cols["u"])
-        steps.append(int(f.stem.split("_")[1]))
-    run = read_csv(run_dir / "run.csv")
-    times = run["t"][: len(series)]
-    return xs, np.asarray(steps), times, series
+        series.append(u)
+        steps.append(int(step))
+    (times,) = _columns(run_dir / "run.csv", "t")
+    if len(times) < len(series):
+        raise DataError(f"{run_dir / 'run.csv'} has {len(times)} times for "
+                        f"{len(series)} snapshots")
+    return xs, np.asarray(steps), times[: len(series)], series
+
+
+def _columns(path: Path, *names: str) -> list[np.ndarray]:
+    """The named columns of a CSV file; DataError when one is missing."""
+    cols = read_csv(path)
+    missing = [name for name in names if name not in cols]
+    if missing:
+        raise DataError(f"{path} has no column {', '.join(missing)}")
+    return [cols[name] for name in names]
 
 
 def _grid_from_nodes(xs: np.ndarray) -> Grid1D:

@@ -48,14 +48,25 @@ def write_csv(path: str | Path, header: list[str], columns: list) -> Path:
     return path
 
 
+class DataError(RuntimeError):
+    """An input file does not hold what its reader needs."""
+
+
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a CSV written by :func:`write_csv` into named float columns."""
+    """Read a CSV written by :func:`write_csv` into named float columns;
+    DataError, naming the file, for a ragged row or a non-numeric cell."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(row[i]) for row in data]) for i, name in enumerate(header)}
-    return cols
+    for row in data:
+        if len(row) != len(header):
+            raise DataError(f"{path} has a row of {len(row)} fields under a header of "
+                            f"{len(header)}: {','.join(row)[:80]}")
+    try:
+        return {name: np.array([float(row[i]) for row in data]) for i, name in enumerate(header)}
+    except ValueError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def snapshot_name(prefix: str, step: int) -> str:

@@ -13,17 +13,18 @@ path-dependent drift; they differ in how the reaction enters:
 Per-step order: build the mode's cloud from the state at the step start,
 accumulate it into the fields (a recorded step keeps that deposit for its
 snapshot), draw the step's noise for the whole ensemble, then sweep once
-over slices of at most ``SLICE_PARTICLES`` particles.  Each slice reads
-(I, J) at X_k, takes its Euler-Maruyama step with its columns of the noise,
-checks that its positions are finite, and updates its hazards, weights and
-deaths with I read at X_{k+1}, so its temporaries stay in cache whatever
-N is.  When one slice holds the whole ensemble, the grid coordinates of
-X_{k+1} computed for the hazard read serve the next step's drift;
-otherwise each slice computes those of X_k again and no full-length
-coordinate array outlives a step.  Both modes step the same full-length
-arrays, and every element goes through the same operations whatever the
-slicing.  Each read counts the off-grid queries and negative-I clamps of
-alive particles only.
+over slices of at most ``SLICE_PARTICLES`` particles, so that a slice's
+temporaries stay in cache whatever N is.  One function steps a slice
+(:func:`_slice_step`): it reads (I, J) at X_k, takes the Euler-Maruyama
+step with the slice's columns of the noise, checks that the positions are
+finite, reads I at X_{k+1}, and updates hazards, weights and deaths.  When
+one slice holds the whole ensemble, the grid coordinates of X_{k+1} it
+returns serve the next step's drift; otherwise each slice computes those
+of X_k again and no full-length coordinate array outlives a step.  Both
+modes step the same full-length arrays, and every element goes through the
+same operations whatever the slicing.  Each read counts the off-grid
+queries and negative-I clamps of alive particles only.  A non-finite
+position ends the run once the sweep is over, naming every such particle.
 
 :func:`run_simulations`, the one stepping loop, steps replicas that differ
 only in seed and mode as one ensemble of (R, N) arrays: one pass of array
@@ -109,7 +110,7 @@ class ParticleEnsemble:
         surviving particles with weight 1; the dead carry weight 0, which
         is the cemetery convention (they drop out of every sum) while the
         divisor stays the full ensemble size.  The arrays are not checked
-        again: the initial positions are finite draws, :func:`em_step`
+        again: the initial positions are finite draws, :func:`_slice_step`
         checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
         if self.thresholds is None:
@@ -144,70 +145,45 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     )
 
 
-class _SharedDraws:
-    """A stack's step draws: one :class:`ParticleStreams` per distinct seed,
-    whose draw row r takes when ``seeds[r]`` is that seed."""
+def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, params,
+                t_end: float, negative_I: np.ndarray, coords=None):
+    """Step the slice ``part`` (views of the ensemble's columns) from X_k to X_{k+1}.
 
-    def __init__(self, streams: dict[int, ParticleStreams], seeds: list[int]):
-        self.streams, self.seeds = streams, seeds
+    Reads (I, J) at X_k, or at its ``coords`` when given; moves Y += b(I, J) dt
+    + sqrt(2 dt) xi, with xi the slice's standard normals ``noise`` (scaled in
+    place); checks that the positions are finite; reads I at X_{k+1}; then
+    adds dt * rate(I) to the hazards, sets the weights to exp(-Lambda) and
+    kills at ``t_end`` each particle whose hazard reaches its threshold.
+    Each read clamps I at 0, and counts only alive particles, per row of a
+    stack, in ``negative_I`` (in place) and in the fields' ``out_of_domain``.
 
-    def normals(self) -> np.ndarray:
-        draws = {seed: s.normals() for seed, s in self.streams.items()}
-        if len(self.seeds) == 1:
-            return draws[self.seeds[0]][None]
-        return np.stack([draws[seed] for seed in self.seeds])
+    In killed mode b dt, sqrt(2 dt) xi and dt * rate are multiplied by the
+    alive mask: a dead particle stays put and keeps its hazard but still
+    consumes its noise draw, which keeps the streams of the two modes
+    aligned.  b dt and then sqrt(2 dt) xi are added to the position; adding
+    their sum instead would round differently.
 
-
-def _read_fields(fields, coords, alive, diagnostics: dict | None, gradient: bool = True):
-    """(I, J) from ``fields`` at ``coords``, I clamped at 0.  Only the reads
-    of alive particles (all, when ``alive`` is None) count in
-    ``out_of_domain`` and ``negative_I``, per row of a stack; coordinates
-    without off-grid flags (positions, as a grid-free field view gives them)
-    are read as they are."""
-    outside = getattr(coords, "outside", None)
-    if alive is not None and outside is not None:
-        outside &= alive  # the dead's flags go: coords are the step's own
-    I, J = fields.args_at(coords, gradient)
-    negative = I < 0.0
-    if negative.any():
-        if alive is not None:
-            negative &= alive
-        if diagnostics is not None:
-            diagnostics["negative_I"] = (diagnostics.get("negative_I", 0)
-                                         + np.count_nonzero(negative, axis=-1))
-        I = np.maximum(I, 0.0)
-    return I, J
-
-
-def em_step(
-    ensemble: ParticleEnsemble,
-    fields,
-    dt: float,
-    noise: np.ndarray,
-    params,
-    step: int = 0,
-    diagnostics: dict | None = None,
-    coords=None,
-) -> ParticleEnsemble:
-    """One Euler-Maruyama step: Y += b(I, J) dt + sqrt(2 dt) xi, with xi the
-    standard normals ``noise`` (one per particle, scaled in place).
-
-    (I, J) are read at every position, at ``coords`` when given (as
-    :func:`update_hazards` returns them).  In killed mode b dt and
-    sqrt(2 dt) xi, both finite, are multiplied by the alive mask: a dead
-    particle stays put but still consumes its noise draw, which keeps the
-    streams of the two modes aligned.  b dt and then sqrt(2 dt) xi are
-    added to the position; adding their sum instead would round differently.
-
-    The positions are updated in place, before the finiteness check:
-    after a :class:`NonFiniteStateError` (indices within their rows) the
-    ensemble holds the non-finite positions and is no longer valid.  The
-    drift is unchecked, so the check also catches a non-finite A or G read.
+    Returns the coordinates of X_{k+1}, or None when a position is not
+    finite; the slice then holds that position and its old hazards, and is
+    no longer valid.  The drift is unchecked, so the check also catches a
+    non-finite A or G read.
     """
-    alive = ensemble.alive if ensemble.thresholds is not None else None
-    x = ensemble.positions
-    I, J = _read_fields(fields, fields.coords_at(x) if coords is None else coords,
-                        alive, diagnostics)
+    alive = part.alive if part.thresholds is not None else None
+
+    def read(coords, gradient):
+        if alive is not None:  # the dead's off-grid flags go: coords are the step's own
+            np.logical_and(coords.outside, alive, out=coords.outside)
+        I, J = fields.args_at(coords, gradient)
+        negative = I < 0.0
+        if negative.any():
+            if alive is not None:
+                negative &= alive
+            negative_I[...] += np.count_nonzero(negative, axis=-1)
+            I = np.maximum(I, 0.0)
+        return I, J
+
+    x = part.positions
+    I, J = read(fields.coords_at(x) if coords is None else coords, True)
     b = drift_core(I, J, params)
     b *= dt
     noise *= np.sqrt(2.0 * dt)
@@ -216,40 +192,18 @@ def em_step(
         noise *= alive
     x += b
     x += noise
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise NonFiniteStateError(step, np.nonzero(~finite)[-1])
-    return ensemble
-
-
-def update_hazards(
-    ensemble: ParticleEnsemble,
-    fields,
-    dt: float,
-    params,
-    t_end: float,
-    diagnostics: dict | None = None,
-):
-    """Accumulate dt * rate(I) into each particle's hazard and set its
-    weight to exp(-Lambda); only I is read.
-
-    In killed mode the increment is multiplied by the alive mask, so a dead
-    particle keeps its hazard and weight, and a particle whose hazard
-    reaches its threshold dies at the step-end time.  Returns the field
-    coordinates of the positions, which the next :func:`em_step` reads again.
-    """
-    alive = ensemble.alive if ensemble.thresholds is not None else None
-    coords = fields.coords_at(ensemble.positions)
-    I, _ = _read_fields(fields, coords, alive, diagnostics, gradient=False)
-    increment = dt * rate_core(I, params)
+    if not np.isfinite(x).all():
+        return None
+    coords = fields.coords_at(x)
+    increment = dt * rate_core(read(coords, False)[0], params)
     if alive is not None:
         increment *= alive
-    ensemble.hazards += increment
-    np.exp(-ensemble.hazards, out=ensemble.weights)
+    part.hazards += increment
+    np.exp(-part.hazards, out=part.weights)
     if alive is not None:
-        dead_now = alive & (ensemble.hazards >= ensemble.thresholds)
+        dead_now = alive & (part.hazards >= part.thresholds)
         alive[dead_now] = False
-        ensemble.death_times[dead_now] = t_end
+        part.death_times[dead_now] = t_end
     return coords
 
 
@@ -318,7 +272,6 @@ def run_simulations(
     stride = config.recording_stride(snapshot_stride)
 
     streams = {c.seed: ParticleStreams(c.seed, n, stream_indices) for c in configs}
-    draws = _SharedDraws(streams, [c.seed for c in configs])
     try:
         ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
     except MemoryError as err:
@@ -335,7 +288,7 @@ def run_simulations(
     acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
                             out_of_domain=np.zeros(len(configs), dtype=np.int64))
 
-    diagnostics: dict = {"negative_I": np.zeros(len(configs), dtype=np.int64)}
+    negative_I = np.zeros(len(configs), dtype=np.int64)
     times, steps_rec = [], []
     densities, mass, weight_or_alive, escaped = ([[] for _ in configs] for _ in range(4))
     coupled_alive, coupled_band = [], []
@@ -362,7 +315,7 @@ def run_simulations(
 
     width = max(1, SLICE_PARTICLES // len(configs))  # columns per slice of the sweep
     one_slice = n <= width
-    coords = None  # of X_k, from the hazard update; read again when one slice holds all
+    coords = None  # of X_k, handed on from the last step when one slice holds all
     for k in range(n_steps):
         cloud = ens.cloud()
         recording = k % stride == 0
@@ -374,21 +327,18 @@ def run_simulations(
         if recording:
             record(k, cloud, u)
         del cloud  # a killed cloud holds a weight array the step does not read
-        noise = draws.normals()
-        moved = True
+        draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
+        noise = (np.stack([draws[c.seed] for c in configs]) if len(configs) > 1
+                 else draws[config.seed][None])
+        del draws
+        bad = False  # the sweep goes past a non-finite slice: the error names every particle
         for lo in range(0, n, width):
-            part = ens.columns(slice(lo, lo + width))
-            try:
-                em_step(part, acc, dt, noise[:, lo:lo + width], params, step=k,
-                        diagnostics=diagnostics, coords=coords if one_slice else None)
-            except NonFiniteStateError:
-                moved = False  # the other slices still move, as in one whole-ensemble step
-            coords = None  # X_k's coordinates go before X_{k+1}'s are computed
-            if moved:
-                coords = update_hazards(part, acc, dt, params, t_end=(k + 1) * dt,
-                                        diagnostics=diagnostics)
-        del noise, part
-        if not moved:
+            cols = slice(lo, lo + width)
+            coords = _slice_step(ens.columns(cols), acc, noise[:, cols], dt, params,
+                                 (k + 1) * dt, negative_I, coords if one_slice else None)
+            bad |= coords is None
+        del noise
+        if bad:
             raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
 
     final_cloud = ens.cloud()
@@ -400,7 +350,7 @@ def run_simulations(
 
     outputs = []
     for r, c in enumerate(configs):
-        diag = {"negative_I": int(diagnostics["negative_I"][r]),
+        diag = {"negative_I": int(negative_I[r]),
                 "out_of_domain": int(acc.out_of_domain[r]), "final_escaped_mass": escaped[r][-1]}
         if c.mode == "killed":
             diag["deaths"] = int(np.count_nonzero(~ens.alive[r]))

@@ -125,17 +125,17 @@ def hold_fields_at_zero(monkeypatch):
 
 def run_with_hazard_digests(monkeypatch, run, *args, **kwargs):
     """``run(*args, **kwargs)``, and the sha256 of the ensemble's hazards
-    after each of its calls to ``sulfsim.particles.update_hazards``."""
+    after each of its calls to ``sulfsim.particles._slice_step``."""
     digests: list[str] = []
-    update = sulfsim.particles.update_hazards
+    step = sulfsim.particles._slice_step
 
-    def recorded(ensemble, *a, **k):
-        coords = update(ensemble, *a, **k)
-        digests.append(hashlib.sha256(ensemble.hazards.tobytes()).hexdigest())
+    def recorded(part, *a, **k):
+        coords = step(part, *a, **k)
+        digests.append(hashlib.sha256(part.hazards.tobytes()).hexdigest())
         return coords
 
     with monkeypatch.context() as m:
-        m.setattr(sulfsim.particles, "update_hazards", recorded)
+        m.setattr(sulfsim.particles, "_slice_step", recorded)
         out = run(*args, **kwargs)
     return out, digests
 

@@ -320,6 +320,50 @@ def test_compare_grid_mismatch_exits_4(runner, cfg_file, tmp_path):
     assert res.exit_code == 4
 
 
+def _stray_snapshot(a: Path) -> Path:
+    bad = a / "snapshots" / "u_old.csv"
+    bad.write_text((a / "snapshots" / "u_000000.csv").read_text())
+    return bad
+
+
+def _edit_snapshot(a: Path, edit, which: int = -1) -> Path:
+    bad = sorted((a / "snapshots").glob("u_*.csv"))[which]
+    lines = bad.read_text().splitlines()
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    return bad
+
+
+def _short_run_csv(a: Path) -> Path:
+    run = a / "run.csv"
+    run.write_text("\n".join(run.read_text().splitlines()[:3]) + "\n")
+    return run
+
+
+# each malforms a run directory and returns the file its error must name
+_MALFORMED = {
+    "stray file": _stray_snapshot,
+    "non-numeric cell": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1,abc"] + ls[6:]),
+    "header without u": lambda a: _edit_snapshot(a, lambda ls: ["x,v"] + ls[1:]),
+    "short run.csv": _short_run_csv,
+    "ragged row": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1"] + ls[6:]),
+    "one grid node": lambda a: _edit_snapshot(a, lambda ls: ls[:2], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_compare_malformed_snapshot_dir_exits_4(runner, cfg_file, tmp_path, case):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "1",
+                                   "--out", str(d)])
+        assert res.exit_code == 0, res.output
+    bad = _MALFORMED[case](a)
+    res = runner.invoke(main, ["compare", "--a", str(a), "--b", str(b),
+                               "--out", str(tmp_path / "c")])
+    assert res.exit_code == 4, (case, res.output)
+    assert str(bad) in res.output, case
+
+
 def test_compare_regenerates_from_config(runner, cfg_file, tmp_path):
     out = tmp_path / "regen"
     res = runner.invoke(

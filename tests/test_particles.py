@@ -20,7 +20,7 @@ from sulfsim.dynamics import drift_b, reaction_rate
 import sulfsim.fields
 import sulfsim.particles
 from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step, interpolate
-from sulfsim.particles import NonFiniteStateError, em_step, update_hazards
+from sulfsim.particles import NonFiniteStateError, _slice_step
 from sulfsim.streams import ParticleStreams
 
 from oracles import (
@@ -69,7 +69,7 @@ def test_em_step_pure_diffusion_variance():
     ens = init_ensemble(cfg, streams)
     before = ens.positions.copy()
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
-    em_step(ens, fields, dt, streams.normals(), cfg.physical)
+    _slice_step(ens, fields, streams.normals(), dt, cfg.physical, dt, np.zeros((), np.int64))
     inc = ens.positions - before
     se = 2 * dt * np.sqrt(2.0 / n)
     assert abs(inc.var() - 2 * dt) <= 3 * se
@@ -84,7 +84,9 @@ def test_em_step_zero_fields_is_pure_noise(small_config):
     streams_copy = ParticleStreams(small_config.seed, small_config.particles)
     _ = streams_copy.initial_uniforms()
     noise = streams_copy.normals()
-    em_step(ens, fields, small_config.step, streams.normals(), small_config.physical)
+    dt = small_config.step
+    _slice_step(ens, fields, streams.normals(), dt, small_config.physical, dt,
+                np.zeros((), np.int64))
     expected = start + np.sqrt(2 * small_config.step) * noise
     assert np.array_equal(ens.positions, expected)
 
@@ -94,10 +96,12 @@ def test_em_step_nonfinite_position_aborts(small_config):
     bad[3] = np.inf
     ens = init_ensemble(small_config)
     fields = AccumulatedFields(grid=small_config.grid, delta=0.3)
-    with pytest.raises(NonFiniteStateError) as err:
-        em_step(ens, fields, small_config.step, bad, small_config.physical, step=17)
-    assert err.value.step == 17
-    assert 3 in err.value.indices
+    dt = small_config.step
+    hazards = ens.hazards.copy()
+    coords = _slice_step(ens, fields, bad, dt, small_config.physical, dt, np.zeros((), np.int64))
+    assert coords is None
+    assert np.flatnonzero(~np.isfinite(ens.positions)).tolist() == [3]
+    assert np.array_equal(ens.hazards, hazards)  # the hazard update did not run
 
 
 def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
@@ -110,11 +114,10 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
     frozen = {name: getattr(ens, name)[dead].copy() for name in ("positions", "hazards", "weights")}
     negative_A = np.full(cfg.grid.n_nodes, -1.0)  # every read of I is clamped
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth, A=negative_A)
-    diagnostics = {"negative_I": 0}
-    em_step(ens, fields, cfg.step, streams.normals(), cfg.physical, diagnostics=diagnostics)
-    assert (diagnostics["negative_I"], fields.out_of_domain) == (100, 25)
-    update_hazards(ens, fields, cfg.step, cfg.physical, t_end=cfg.step, diagnostics=diagnostics)
-    assert (diagnostics["negative_I"], fields.out_of_domain) == (200, 50)
+    negative_I = np.zeros((), np.int64)
+    _slice_step(ens, fields, streams.normals(), cfg.step, cfg.physical, cfg.step, negative_I)
+    # two reads (X_k, then X_{k+1}) of 100 alive particles, 25 of them off the grid
+    assert (negative_I, fields.out_of_domain) == (200, 50)
     for name, before in frozen.items():
         assert np.array_equal(getattr(ens, name)[dead], before), name
     assert np.all(ens.hazards[~dead] > 0.0)
@@ -312,11 +315,11 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     ens = init_ensemble(cfg, streams)
     archive = TrajectoryArchive(dt=cfg.step, n_total=cfg.particles)
     view = _ExactHistoryView(archive, cfg.kernel.bandwidth, cfg.particles)
-    coords = None
+    coords, negative_I = None, np.zeros((), np.int64)
     for k in range(cfg.n_steps):
         archive.append(ens.cloud())
-        em_step(ens, view, cfg.step, streams.normals(), cfg.physical, step=k, coords=coords)
-        coords = update_hazards(ens, view, cfg.step, cfg.physical, t_end=(k + 1) * cfg.step)
+        coords = _slice_step(ens, view, streams.normals(), cfg.step, cfg.physical,
+                             (k + 1) * cfg.step, negative_I, coords)
     gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
 
@@ -487,17 +490,17 @@ def test_one_replica_stack_and_identity_streams_copy_nothing(small_config):
 
 def _sliced(monkeypatch, slice_particles, configs, **options):
     """``run_simulations`` with slices of at most ``slice_particles``
-    particles, and the ensemble shape of each of its ``em_step`` calls."""
+    particles, and the ensemble shape of each of its ``_slice_step`` calls."""
     shapes = []
-    em = sulfsim.particles.em_step
+    step = sulfsim.particles._slice_step
 
-    def counted(ensemble, *args, **kwargs):
-        shapes.append(ensemble.positions.shape)
-        return em(ensemble, *args, **kwargs)
+    def counted(part, *args, **kwargs):
+        shapes.append(part.positions.shape)
+        return step(part, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(sulfsim.particles, "SLICE_PARTICLES", slice_particles)
-        m.setattr(sulfsim.particles, "em_step", counted)
+        m.setattr(sulfsim.particles, "_slice_step", counted)
         return run_simulations(configs, **options), shapes
 
 
@@ -565,3 +568,25 @@ def test_sliced_sweep_names_every_non_finite_particle_of_the_step(monkeypatch):
     whole, sliced = abort(1 << 14), abort(7)
     assert whole.step == sliced.step == 2
     assert whole.indices.tolist() == sliced.indices.tolist() == [30, 2]
+
+
+@pytest.mark.parametrize("case", ["fk", "killed", "stacked-pair"])
+def test_one_slice_hands_its_coordinates_to_the_next_drift(monkeypatch, case):
+    # one slice: the coordinates of X_{k+1} serve the next step's drift, so a
+    # run computes n_steps + 1 of them; k slices compute 2 per slice and step
+    modes = {"fk": ["feynman-kac"], "killed": ["killed"]}.get(case, ["feynman-kac", "killed"])
+    configs = [replace(_WIDE, seed=3, mode=m) for m in modes]
+    calls = []
+    coords_at = AccumulatedFields.coords_at
+
+    def counted(fields, x):
+        calls.append(1)
+        return coords_at(fields, x)
+
+    monkeypatch.setattr(AccumulatedFields, "coords_at", counted)
+    _, shapes = _sliced(monkeypatch, 1 << 14, configs)
+    assert len(shapes) == _WIDE.n_steps and len(calls) == _WIDE.n_steps + 1
+    calls.clear()
+    _, shapes = _sliced(monkeypatch, 7, configs)
+    slices = len(shapes) // _WIDE.n_steps
+    assert slices > 1 and len(calls) == 2 * slices * _WIDE.n_steps
