@@ -278,6 +278,11 @@ def _load_snapshot_series(run_dir: Path):
         if xs is None:
             if len(x) < 2:
                 raise DataError(f"{f} holds {len(x)} grid nodes; a grid needs at least 2")
+            # node k within rounding (1e-9 of the grid's scale) of x_0 + k*spacing
+            spacing = (x[-1] - x[0]) / (len(x) - 1)
+            off = np.abs(x - (x[0] + spacing * np.arange(len(x)))).max()
+            if not (spacing > 0.0 and off <= 1e-9 * max(abs(x[0]), abs(x[-1]), spacing)):
+                raise DataError(f"the x column of {f} is not an increasing uniform grid")
             xs = x
         elif x.shape != xs.shape or not np.array_equal(x, xs):
             raise DataError(f"grid mismatch in {f}")

@@ -18,6 +18,16 @@ sum has a fixed order that does not depend on the thread count.  The rows
 of a stacked (R, N) cloud share the bincounts, product and overlap-add,
 their blocks laid one after the other; each row equals its 1-d deposit.
 
+The passes over the particles run over slices of ``SLICE_COLUMNS`` = 2^14
+columns, whatever the stack height, so their temporaries stay in cache and
+only the cloud itself spans the ensemble.  Each slice adds its bincounts to
+the moments; a cell sums its row's particles slice by slice in column
+order, and a row of a stack is cut where its solo deposit is, so the rows
+keep their 1-d bits.  The nearest node is monotone in the position, so a
+row's range of nodes comes from its smallest and largest positions; only a
+row with particles beyond the kernel's reach takes one more pass over the
+slices, for the range of the particles that reach the grid.
+
 Contributions beyond 8 bandwidths, where the Gaussian tail is below
 1e-15 relative, are skipped.  The tests compare the deposit with a dense
 sum over particles that has the same cutoff.
@@ -40,6 +50,11 @@ CUTOFF_BANDWIDTHS = 8.0
 
 # cells per block of the deposit's matrix product
 _BLOCK = 16
+
+# columns per slice of the deposit's passes over the particles, at every stack
+# height: a cell sums its row's particles slice by slice, in column order, so
+# a row of a stack must be cut where its solo deposit is
+SLICE_COLUMNS = 1 << 14
 
 # the highest Taylor order a stencil may need; spacing/bandwidth = 10 needs 200
 _MAX_ORDER = 256
@@ -188,20 +203,32 @@ def grid_density(
     if pos.size == 0:
         return out
 
-    # nearest node j and scaled sub-spacing residual s = (x - x_j) / delta,
-    # formed in the one buffer s; a particle reaches nodes j - half .. j + half
-    s = pos - grid.lower
-    s /= h
-    s += 0.5
-    j = np.floor(s, out=s).astype(np.int64)
-    np.subtract(pos, np.add(np.multiply(j, h, out=s), grid.lower, out=s), out=s)
-    s /= delta
-    j_min, j_max = j.min(axis=1).tolist(), j.max(axis=1).tolist()
-    reach = None
-    if min(j_min) < -half or max(j_max) >= m + half:
-        reach = (j >= -half) & (j < m + half)
-        j_min = np.where(reach, j, m + half).min(axis=1).tolist()  # a row that reaches
-        j_max = np.where(reach, j, -half - 1).max(axis=1).tolist()  # no node gets no blocks
+    def nearest(x):
+        # nearest node j = floor((x - lower)/h + 0.5) of positions x, and the
+        # buffer it was formed in; a particle reaches nodes j - half .. j + half
+        buf = x - grid.lower
+        buf /= h
+        buf += 0.5
+        return np.floor(buf, out=buf).astype(np.int64), buf
+
+    # j is monotone in x, so a row's nodes run from j(min x) to j(max x), here
+    # formed by the same operations on Python floats; rows with particles out
+    # of reach take one more pass over the slices for the range of those that
+    # reach, and a row that reaches no node gets no blocks
+    slices = [slice(lo, lo + SLICE_COLUMNS) for lo in range(0, pos.shape[1], SLICE_COLUMNS)]
+    j_min, j_max = ([math.floor((x - grid.lower) / h + 0.5) for x in ext.tolist()]
+                    for ext in (pos.min(axis=1), pos.max(axis=1)))
+    clipped = [r for r, (lo_j, hi_j) in enumerate(zip(j_min, j_max))
+               if lo_j < -half or hi_j >= m + half]
+    if clipped:
+        lo_j, hi_j = np.full(len(clipped), m + half), np.full(len(clipped), -half - 1)
+        for cols in slices:
+            j = nearest(pos[clipped, cols])[0]
+            reach = (j >= -half) & (j < m + half)
+            np.minimum(lo_j, np.where(reach, j, m + half).min(axis=1), out=lo_j)
+            np.maximum(hi_j, np.where(reach, j, -half - 1).max(axis=1), out=hi_j)
+        for r, lo, hi in zip(clipped, lo_j.tolist(), hi_j.tolist()):
+            j_min[r], j_max[r] = lo, hi
     # a row reaches nodes first..last; its cells are numbered j - first + half
     # and grouped in blocks of _BLOCK from cell 0; only its blocks b0..b0 +
     # n_blocks - 1, which hold particles, enter at block ``start`` of the product
@@ -219,19 +246,30 @@ def grid_density(
     # at least two blocks: numpy takes a one-row product as a vector product,
     # which sums in another order than the matrix product of more rows
     total = max(start - (q - 1), 2)
-    cell = j  # j and term are updated in place, to keep a step's peak memory low
-    cell -= np.array(shift)[:, None]
-    cell, s, w = (v.ravel() if reach is None else v[reach] for v in (cell, s, w))
+    shift = np.array(shift)[:, None]
 
-    # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p
-    term = -0.5 * s * s
-    np.exp(term, out=term)
-    term *= w
+    # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p, with
+    # s = (x - x_j) / delta formed in j's buffer; each slice adds its bincounts
     moments = np.empty((total * _BLOCK, n_rows))
-    for p in range(n_rows):
-        if p:
-            term *= s
-        moments[:, p] = np.bincount(cell, weights=term, minlength=total * _BLOCK)
+    for cols in slices:
+        x = pos[:, cols]
+        cell, s = nearest(x)
+        np.subtract(x, np.add(np.multiply(cell, h, out=s), grid.lower, out=s), out=s)
+        s /= delta
+        reach = (cell >= -half) & (cell < m + half) if clipped else None
+        cell -= shift
+        cell, s, ws = (v.ravel() if reach is None else v[reach] for v in (cell, s, w[:, cols]))
+        term = -0.5 * s * s
+        np.exp(term, out=term)
+        term *= ws
+        for p in range(n_rows):
+            if p:
+                term *= s
+            counts = np.bincount(cell, weights=term, minlength=total * _BLOCK)
+            if cols.start:
+                moments[:, p] += counts
+            else:
+                moments[:, p] = counts
 
     # spans[k, b]: what the moments of block b give its k-th block of nodes;
     # the spans of neighbouring blocks overlap and are added for k = 0..q-1

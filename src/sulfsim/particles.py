@@ -45,8 +45,9 @@ from .initial import transform_uniforms
 from .kernel import WeightedPointCloud, grid_density
 from .streams import ParticleStreams, draw_thresholds
 
-# particles per slice of a step's sweep: the slice's dozen float64
-# temporaries (2^14 * 8 B = 128 KiB each) stay within a 2 MiB L2 cache
+# particles per slice of a step's sweep and of the initial transform: the
+# slice's dozen float64 temporaries (2^14 * 8 B = 128 KiB each) stay within
+# a 2 MiB L2 cache
 SLICE_PARTICLES = 1 << 14
 
 
@@ -130,7 +131,10 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     n = config.particles
     if streams is None:
         streams = ParticleStreams(config.seed, n)
-    positions = transform_uniforms(config.initial, streams.initial_uniforms())
+    positions = streams.initial_uniforms()  # transformed in place, a slice at a time
+    for lo in range(0, positions.size, SLICE_PARTICLES):
+        cols = slice(lo, lo + SLICE_PARTICLES)
+        positions[cols] = transform_uniforms(config.initial, positions[cols])
     thresholds = None
     if config.mode == "killed":
         thresholds = draw_thresholds(config.seed, streams.indices)

@@ -339,6 +339,19 @@ def _short_run_csv(a: Path) -> Path:
     return run
 
 
+def _move_node_4(a: Path) -> Path:
+    # every snapshot alike, so that the grids of all snapshots still agree
+    files = sorted((a / "snapshots").glob("u_*.csv"))
+    for which in range(len(files)):
+        _edit_snapshot(a, lambda ls: ls[:5] + [_shifted(ls[5])] + ls[6:], which)
+    return files[0]
+
+
+def _shifted(row: str) -> str:
+    x, u = row.split(",")
+    return f"{float(x) + 0.02!r},{u}"
+
+
 # each malforms a run directory and returns the file its error must name
 _MALFORMED = {
     "stray file": _stray_snapshot,
@@ -347,6 +360,7 @@ _MALFORMED = {
     "short run.csv": _short_run_csv,
     "ragged row": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1"] + ls[6:]),
     "one grid node": lambda a: _edit_snapshot(a, lambda ls: ls[:2], 0),
+    "non-uniform x": _move_node_4,
 }
 
 
@@ -358,10 +372,11 @@ def test_compare_malformed_snapshot_dir_exits_4(runner, cfg_file, tmp_path, case
                                    "--out", str(d)])
         assert res.exit_code == 0, res.output
     bad = _MALFORMED[case](a)
-    res = runner.invoke(main, ["compare", "--a", str(a), "--b", str(b),
-                               "--out", str(tmp_path / "c")])
-    assert res.exit_code == 4, (case, res.output)
-    assert str(bad) in res.output, case
+    for other in (b, a):  # also against itself, where the grids agree
+        res = runner.invoke(main, ["compare", "--a", str(a), "--b", str(other),
+                                   "--out", str(tmp_path / "c")])
+        assert res.exit_code == 4, (case, res.output)
+        assert str(bad) in res.output, case
 
 
 def test_compare_regenerates_from_config(runner, cfg_file, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sulfsim
-from sulfsim.config import InitialDensitySpec
+from sulfsim.config import Grid1D, InitialDensitySpec, SimConfig
 from sulfsim.initial import (
     density,
     density_max,
@@ -17,6 +17,8 @@ from sulfsim.initial import (
     support_radius,
     transform_uniforms,
 )
+from sulfsim.particles import SLICE_PARTICLES, init_ensemble
+from sulfsim.streams import ParticleStreams
 
 EXP_M2 = float(np.exp(-2.0))
 # the branch edges of the rational approximations, the clip bounds and the centre
@@ -42,6 +44,15 @@ FAMILIES = [
         normalize=True,
     ),
 ]
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+def test_sliced_initial_transform_equals_whole_array_transform(spec):
+    n = 2 * SLICE_PARTICLES + 3
+    config = SimConfig(particles=n, horizon=0.01, step=1e-3, seed=3, initial=spec,
+                       grid=Grid1D(-10.0, 10.0, 0.05))
+    whole = transform_uniforms(spec, ParticleStreams(3, n).initial_uniforms())
+    assert np.array_equal(init_ensemble(config).positions, whole)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import sulfsim
 from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value
 import sulfsim.kernel
-from sulfsim.kernel import _BLOCK, _block_matrix, _stencils, grid_density
+from sulfsim.kernel import SLICE_COLUMNS, _BLOCK, _block_matrix, _stencils, grid_density
 
 from oracles import mollify, mollify_grad
 
@@ -153,7 +153,7 @@ def _offset_deposit(cloud, grid, delta, n_total):
 
 def _assert_matches_offset_deposit(cloud, grid, delta, widen=False):
     """grid_density against _offset_deposit, within 1e-14 of the peak u and
-    |u'| and with the same zero pattern; returns u.  With ``widen`` the peaks
+    |u'| and with the same zero pattern; returns (u, du).  With ``widen`` the peaks
     are read on the grid widened by 2*half + 2*_BLOCK nodes at each end, so
     that a cloud the grid sees only the tail of is held to its own scale."""
     n, h = len(cloud), grid.spacing
@@ -167,7 +167,7 @@ def _assert_matches_offset_deposit(cloud, grid, delta, widen=False):
     assert np.max(np.abs(u - u_ref)) <= 1e-14 * np.max(u_peak)
     assert np.max(np.abs(du - du_ref)) <= 1e-14 * np.max(np.abs(du_peak))
     assert np.array_equal(u == 0.0, u_ref == 0.0)
-    return u
+    return u, du
 
 
 def test_grid_density_matches_offset_deposit_at_default_grid(rng):
@@ -213,8 +213,8 @@ def test_grid_density_single_particle_matches_offset_deposit(rng):
     half = math.ceil(8.0 * delta / grid.spacing + 0.5)
     for cell in range(-half - 2, grid.n_nodes + half + 2):
         pos = grid.lower + (cell + rng.uniform(-0.5, 0.5, 1)) * grid.spacing
-        u = _assert_matches_offset_deposit(WeightedPointCloud(pos, rng.uniform(0.5, 1.0, 1)),
-                                           grid, delta, widen=True)
+        u, _ = _assert_matches_offset_deposit(WeightedPointCloud(pos, rng.uniform(0.5, 1.0, 1)),
+                                              grid, delta, widen=True)
         assert u.any() == (-half <= cell < grid.n_nodes + half)
 
 
@@ -360,3 +360,50 @@ def test_grid_density_of_a_stack_equals_its_rows(case, n_rows, seed):
     for row in range(n_rows):
         u_row, du_row = grid_density(WeightedPointCloud(pos[row], w[row]), grid, delta, n)
         assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
+
+
+@pytest.mark.parametrize("shape", [(4, 6000), (2, SLICE_COLUMNS + 3)])
+def test_sliced_deposit_rows_of_a_stack_equal_their_solo_deposits(shape):
+    # the slices cut every stack at the same columns as its rows' solo deposits;
+    # cutting a stack of R rows at SLICE_COLUMNS // R columns changes the rows' bits
+    r = np.random.default_rng(shape[0])
+    grid, n = Grid1D(-14.4, 14.4, 0.05), shape[1]
+    pos = r.normal(r.uniform(-3.0, 3.0, (shape[0], 1)), 1.5, shape)
+    w = r.random(shape)
+    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, 0.3, n)
+    for row in range(shape[0]):
+        u_row, du_row = grid_density(WeightedPointCloud(pos[row], w[row]), grid, 0.3, n)
+        assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
+
+
+@pytest.mark.parametrize("where", ["inside", "beyond-both", "boundaries"])
+def test_multi_slice_deposit_matches_offset_deposit(rng, where):
+    # clouds of three slices; "beyond-both" scatters particles past the
+    # deposit's reach below and above the grid over every slice, and
+    # "boundaries" puts every particle on a cell boundary
+    grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
+    m, h, half = grid.n_nodes, grid.spacing, math.ceil(8.0 * delta / grid.spacing + 0.5)
+    n = 2 * SLICE_COLUMNS + 3
+    pos = rng.normal(0.0, 1.0, n)
+    if where == "beyond-both":
+        far = rng.choice(n, 2000, replace=False)
+        pos[far] = grid.lower + rng.choice([-1.0, 1.0], far.size) * (m + 2 * half) * h
+        pos[:3] = grid.lower - (half + 2) * h, grid.upper + (half + 2) * h, pos[-1]
+    elif where == "boundaries":
+        pos = grid.lower + (np.floor((pos - grid.lower) / h) + 0.5) * h
+    _assert_matches_offset_deposit(WeightedPointCloud(pos, rng.random(n)), grid, delta)
+
+
+def test_multi_slice_stack_with_a_row_out_of_reach_matches_offset_deposit(rng):
+    # rows inside the grid, wholly past its reach, and partly past it on both sides
+    grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
+    n = 2 * SLICE_COLUMNS + 3
+    pos = np.stack([rng.normal(0.0, 1.0, n), rng.uniform(20.0, 30.0, n),
+                    rng.normal(2.0, 4.0, n)])
+    w = rng.random(pos.shape)
+    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, delta, n)
+    for row in range(len(pos)):
+        u_row, du_row = _assert_matches_offset_deposit(
+            WeightedPointCloud(pos[row], w[row]), grid, delta)
+        assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
+    assert not u[1].any() and not du[1].any()
