@@ -21,13 +21,9 @@ from .config import (
     validate_config,
 )
 from .dynamics import DriftArgs, drift_b, reaction_rate, recover_calcite
-from .fields import (
-    AccumulatedFields,
-    TrajectoryArchive,
-    accumulate_step,
-    interpolate,
-)
+from .fields import AccumulatedFields, accumulate_step, interpolate
 from .fixedpoint import apply_mkfk_map, picard_solve
+from .io import TrajectoryArchive
 from .kernel import WeightedPointCloud, kernel_grad, kernel_value
 from .metrics import convergence_study, density_distance, total_mass
 from .particles import (

@@ -36,7 +36,6 @@ from .io import (
     read_archive,
     read_csv,
     snapshot_name,
-    write_archive,
     write_csv,
 )
 from .metrics import compare_series, convergence_study, density_distance, total_mass
@@ -149,7 +148,8 @@ def _write_snapshots(directory: Path, prefix: str, header: list[str], nodes: lis
             for step, *values in zip(steps, *series)]
 
 
-def _write_run_outputs(out: Path, sim, manifest: RunManifest) -> None:
+def _write_run_outputs(out: Path, sim, manifest: RunManifest,
+                       archive: Path | None = None) -> None:
     nodes = column_text(sim.config.grid.nodes())
     paths = _write_snapshots(out / "snapshots", "u", ["x", "u"], nodes,
                              sim.steps_recorded, sim.densities)
@@ -159,8 +159,8 @@ def _write_run_outputs(out: Path, sim, manifest: RunManifest) -> None:
     if sim.field_snaps:
         paths += _write_snapshots(out / "fields", "af", ["x", "A", "G"], nodes,
                                   *zip(*sim.field_snaps))
-    if sim.archive is not None:
-        paths.append(write_archive(out / "archive.bin", sim.archive))
+    if archive is not None:  # written by the run
+        paths.append(archive)
     for p in paths:
         manifest.add_output(out, p)
 
@@ -226,15 +226,16 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cf
     """Run the particle system and write snapshots, series, and manifest."""
     cfg = _build_config(mode=_MODE_ALIASES.get(mode, mode), seed=seed, **cfg_kwargs)
     out_dir = _out_dir(out, "sim-out")
+    archive = out_dir / "archive.bin" if archive_flag else None
     sim = run_simulation(
         cfg,
         snapshot_stride=snapshot_stride,
-        keep_archive=archive_flag,
+        archive_path=archive,
         fields_stride=fields_stride,
     )
     manifest = RunManifest(command="simulate", config=cfg.to_dict(),
                            diagnostics=sim.diagnostics)
-    _write_run_outputs(out_dir, sim, manifest)
+    _write_run_outputs(out_dir, sim, manifest, archive)
     manifest.write(out_dir)
     click.echo(f"simulate: wrote {len(manifest.outputs)} files to {out_dir}")
 

@@ -2,8 +2,8 @@
 
 A and G hold left-endpoint time quadratures of the mollified density and
 its gradient.  The grid accumulator is the one bookkeeping the dynamics
-read; the tests check it against the same sums evaluated from a
-trajectory archive with no spatial interpolation.  :func:`lerp` is the
+read; the tests check it against the same sums evaluated from archived
+snapshots with no spatial interpolation.  :func:`lerp` is the
 one linear read of node values, shared with the fixed-point map.
 """
 
@@ -49,52 +49,6 @@ class AccumulatedFields:
 
     def args_at(self, x, gradient: bool = True) -> DriftArgs:
         return interpolate(self, x, gradient)
-
-
-@dataclass
-class TrajectoryArchive:
-    """Per-step snapshots of the particle cloud of a run in ``mode``.
-
-    Snapshot k is the ensemble state at time k*dt, held as row k of one
-    (rows, 2, n_total) float array laid out like the archive file's
-    payload: positions, then weights.  Dead particles appear with weight 0,
-    so every snapshot has the full ensemble length.  ``positions`` and
-    ``weights`` are (snapshots, n_total) views of the filled rows.  A run
-    reserves its rows ahead; appending past them doubles the array.
-    """
-
-    dt: float
-    n_total: int
-    mode: str = "feynman-kac"
-    payload: np.ndarray = field(default=None)  # type: ignore[assignment]
-    filled: int = 0  # rows of ``payload`` that hold snapshots
-
-    def __post_init__(self):
-        if self.payload is None:
-            self.payload = np.empty((0, 2, self.n_total))
-
-    def append(self, cloud: WeightedPointCloud) -> None:
-        if self.filled == len(self.payload):
-            grown = np.empty((max(1, 2 * self.filled), 2, self.n_total))
-            grown[: self.filled] = self.payload
-            self.payload = grown
-        row = self.payload[self.filled]
-        row[0], row[1] = cloud.positions, cloud.weights
-        self.filled += 1
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.payload[: self.filled, 0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.payload[: self.filled, 1]
-
-    def __len__(self) -> int:
-        return self.filled
-
-    def snapshot(self, k: int) -> WeightedPointCloud:
-        return WeightedPointCloud(self.positions[k], self.weights[k])
 
 
 def accumulate_step(

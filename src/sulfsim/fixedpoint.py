@@ -10,10 +10,11 @@ in space.  The map streams over the time rows t in order, carrying two
 running sums: sum_{r<t} u(r) on the lattice, and sum_{s<t} exp(-lambda
 I(s, X_s^i)) per path.  Row t reads the first at X_t and deposits the
 discounted cloud of X_t with one ``grid_density``, so one map is O(SN)
-work for S snapshots of N paths, and besides the archive and the (S, m)
-lattices it holds O(m + N) memory.  Iterating from u == 0 gives the
-constant-rate discount as the first iterate; the distance trace records
-the empirical contraction.
+work for S snapshots of N paths.  The paths stay in the archive file, which
+each map reads one row at a time into one (N,) buffer, so besides the
+(S, m) lattices a map holds O(m + N) memory whatever S is.  Iterating from
+u == 0 gives the constant-rate discount as the first iterate; the distance
+trace records the empirical contraction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Grid1D, PhysicalParams
-from .fields import TrajectoryArchive, lerp, lerp_coords
+from .fields import lerp, lerp_coords
+from .io import TrajectoryArchive
 from .kernel import WeightedPointCloud, grid_density
 
 

@@ -4,7 +4,9 @@ CSV is the single interchange format: one header row, comma separators,
 full-precision (shortest round-trip) decimal floats.  Trajectory archives
 use a small binary layout documented in the README: an ASCII magic, a
 version word, ensemble size, snapshot count, dt and a mode word, then per
-snapshot the positions and weights as little-endian 64-bit floats.
+snapshot the positions and weights as little-endian 64-bit floats.  An
+archive is written and read one snapshot at a time; its file is the only
+copy.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import hashlib
 import json
 import os
 import struct
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .fields import TrajectoryArchive
+from .kernel import WeightedPointCloud
 
 ARCHIVE_MAGIC = b"SSAR"
 ARCHIVE_VERSION = 2  # version 1 had no mode word
@@ -73,21 +77,94 @@ def snapshot_name(prefix: str, step: int) -> str:
     return f"{prefix}_{step:06d}.csv"
 
 
-def write_archive(path: str | Path, archive: TrajectoryArchive) -> Path:
-    """Dump an archive: header then the (snapshots, 2, n) float payload."""
+@dataclass(frozen=True)
+class TrajectoryArchive:
+    """The per-step snapshots of a run in ``mode``, held in its archive file.
+
+    Snapshot k is the ensemble state at time k*dt: row k of the file's
+    payload, N positions then N weights.  Dead particles appear with weight
+    0, so every snapshot has the full ensemble length.  The file is the only
+    copy of the snapshots: :meth:`rows` and :attr:`positions` read them one
+    row at a time into one buffer, which each row overwrites, so a reader
+    holds O(N) memory whatever the snapshot count.  :func:`read_archive`
+    checks a file and returns its archive; :func:`archive_writer` writes one.
+    """
+
+    path: Path
+    dt: float
+    n_total: int
+    snapshots: int
+    mode: str = "feynman-kac"
+
+    def __len__(self) -> int:
+        return self.snapshots
+
+    def _read(self, shape: tuple[int, ...]) -> Iterator[np.ndarray]:
+        """The first prod(shape) floats of each row in turn, in one reused buffer."""
+        buf = np.empty(shape, dtype="<f8")
+        with open(self.path, "rb") as fh:
+            for k in range(self.snapshots):
+                fh.seek(ARCHIVE_HEADER_BYTES + 16 * self.n_total * k)
+                if fh.readinto(buf) != buf.nbytes:
+                    raise DataError(f"{self.path} ends inside snapshot {k}: it was cut after "
+                                    "it was checked")
+                yield buf
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """Each snapshot in turn as a (2, N) array of positions and weights;
+        one buffer holds them all, each row overwriting the last."""
+        return self._read((2, self.n_total))
+
+    @property
+    def positions(self) -> Iterator[np.ndarray]:
+        """Each snapshot's positions in turn, in one reused (N,) buffer."""
+        return self._read((self.n_total,))
+
+
+@contextmanager
+def archive_writer(path: str | Path, n_total: int, snapshots: int, dt: float,
+                   mode: str) -> Iterator[Callable[[WeightedPointCloud], None]]:
+    """Write an archive one snapshot at a time: yields ``append(cloud)``.
+
+    The header and rows go to ``path`` + ".partial", which is renamed to
+    ``path`` once the block ends with all ``snapshots`` rows written; when
+    the block raises, the partial file is removed, so an aborted run leaves
+    no archive.  ValueError for a row that is not N positions and N weights,
+    or for more or fewer rows than ``snapshots``.
+    """
     path = Path(path)
-    snaps = len(archive)
-    with open(path, "wb") as fh:
-        fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, archive.n_total, snaps,
-                                     archive.dt, ARCHIVE_MODES.index(archive.mode)))
-        archive.payload[:snaps].astype("<f8", copy=False).tofile(fh)
-    return path
+    partial = path.with_name(path.name + ".partial")
+    written = 0
+
+    def append(cloud: WeightedPointCloud) -> None:
+        nonlocal written
+        if written == snapshots:
+            raise ValueError(f"{path} declares {snapshots} snapshots; no more fit")
+        # no copy for float64 rows
+        row = [np.ascontiguousarray(v, dtype="<f8") for v in (cloud.positions, cloud.weights)]
+        if row[0].size != n_total or row[1].size != n_total:
+            raise ValueError(f"a snapshot of {row[0].size} positions and {row[1].size} weights "
+                             f"for an archive of {n_total} particles")
+        fh.writelines(row)
+        written += 1
+
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n_total, snapshots,
+                                         dt, ARCHIVE_MODES.index(mode)))
+            yield append
+        if written != snapshots:
+            raise ValueError(f"{path} declares {snapshots} snapshots but got {written}")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
-    """Load an archive; ValueError unless the file is exactly one archive of
-    the current version, of a known mode, with finite positions and weights
-    in [0, 1]."""
+    """Check an archive file and return it; ValueError unless the file is
+    exactly one archive of the current version, of a known mode, with finite
+    positions and weights in [0, 1].  The values are checked in one pass
+    over the rows, which holds one row in memory."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
@@ -109,22 +186,22 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
         if size != expected:
             raise ValueError(f"{path} has {size} bytes; its header needs exactly {expected}")
-        payload = np.fromfile(fh, dtype="<f8", count=2 * n * snaps).reshape(snaps, 2, n)
-    archive = TrajectoryArchive(dt=dt, n_total=int(n), mode=ARCHIVE_MODES[mode],
-                                payload=payload, filled=int(snaps))
-    if not np.isfinite(archive.positions).all():
-        raise ValueError(f"{path} holds non-finite positions")
-    weights = archive.weights
-    if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
-        raise ValueError(f"{path} holds weights outside [0, 1]")
+    archive = TrajectoryArchive(path, dt, int(n), int(snaps), ARCHIVE_MODES[mode])
+    for positions, weights in archive.rows():
+        if not np.isfinite(positions).all():
+            raise ValueError(f"{path} holds non-finite positions")
+        if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
+            raise ValueError(f"{path} holds weights outside [0, 1]")
     return archive
 
 
 def sha256_file(path: str | Path) -> str:
+    """The file's sha256, read through one reused 64 KiB buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
     return digest.hexdigest()
 
 

@@ -15,8 +15,9 @@ neighbouring blocks are then added in a fixed order.  Only the blocks
 from the first to the last that holds a particle enter the product and
 the adds.  BLAS may run the product on several threads, but each node's
 sum has a fixed order that does not depend on the thread count.  The rows
-of a stacked (R, N) cloud share the bincounts, product and overlap-add,
-their blocks laid one after the other; each row equals its 1-d deposit.
+of a stacked (R, N) cloud share the bincounts and the product, their blocks
+laid back to back; each row's overlap-add reads its own blocks, so each row
+equals its 1-d deposit.
 
 The passes over the particles run over slices of ``SLICE_COLUMNS`` = 2^14
 columns, whatever the stack height, so their temporaries stay in cache and
@@ -188,7 +189,8 @@ def grid_density(
     last block of cells that holds a particle reaching the grid.
     A stacked (R, N) cloud gives (R, m) arrays, row r the deposit of its
     row r alone: each row keeps its own first node, block phase and reach,
-    and q - 1 empty blocks, which add only zeros, separate the rows.
+    its blocks follow the last row's in the product, and its overlap-add
+    reads its own blocks only.
     """
     if n_total <= 0:
         raise ValueError("divisor n_total must be positive")
@@ -231,21 +233,22 @@ def grid_density(
             j_min[r], j_max[r] = lo, hi
     # a row reaches nodes first..last; its cells are numbered j - first + half
     # and grouped in blocks of _BLOCK from cell 0; only its blocks b0..b0 +
-    # n_blocks - 1, which hold particles, enter at block ``start`` of the product
+    # n_blocks - 1, which hold particles, enter at block ``start`` of the
+    # product, right after the blocks of the row before
     rows, shift, start = [], [], 0
     for r, (lo_j, hi_j) in enumerate(zip(j_min, j_max)):
         first, last = max(lo_j - half, 0), min(hi_j + half, m - 1)
         b0 = (lo_j - first + half) // _BLOCK
         n_blocks = (hi_j - first + half) // _BLOCK - b0 + 1
         shift.append(first - half + (b0 - start) * _BLOCK)
-        if n_blocks > 0:  # node row (start - b0)*_BLOCK + 2*half of the add is node first
-            rows.append((r, first, last, (start - b0) * _BLOCK + 2 * half))
-            start += n_blocks + q - 1
+        if n_blocks > 0:  # node row 2*half - b0*_BLOCK of the row's add is node first
+            rows.append((r, first, last, start, n_blocks, 2 * half - b0 * _BLOCK))
+            start += n_blocks
     if not rows:
         return out
     # at least two blocks: numpy takes a one-row product as a vector product,
     # which sums in another order than the matrix product of more rows
-    total = max(start - (q - 1), 2)
+    total = max(start, 2)
     shift = np.array(shift)[:, None]
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p, with
@@ -272,12 +275,13 @@ def grid_density(
                 moments[:, p] = counts
 
     # spans[k, b]: what the moments of block b give its k-th block of nodes;
-    # the spans of neighbouring blocks overlap and are added for k = 0..q-1
+    # the spans of a row's neighbouring blocks overlap and are added for
+    # k = 0..q-1, row by row
     spans = moments.reshape(total, -1) @ mat
-    nodes = np.zeros((total + q - 1, 2 * _BLOCK))
-    for k in range(q):
-        nodes[k : k + total] += spans[k]
-    nodes = nodes.reshape(-1, 2) / n_total
-    for r, first, last, lo in rows:
+    for r, first, last, b, n_blocks, lo in rows:
+        nodes = np.zeros((n_blocks + q - 1, 2 * _BLOCK))
+        for k in range(q):
+            nodes[k : k + n_blocks] += spans[k, b : b + n_blocks]
+        nodes = nodes.reshape(-1, 2) / n_total
         u[r, first : last + 1], du[r, first : last + 1] = nodes[lo : lo + last - first + 1].T
     return out

@@ -34,14 +34,17 @@ reads, one draw per seed, and each replica's outputs bit for bit its solo run's.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .config import SimConfig, validate_config
 from .dynamics import drift_core, rate_core
-from .fields import AccumulatedFields, TrajectoryArchive, accumulate_step
+from .fields import AccumulatedFields, accumulate_step
 from .initial import transform_uniforms
+from .io import archive_writer
 from .kernel import WeightedPointCloud, grid_density
 from .streams import ParticleStreams, draw_thresholds
 
@@ -225,7 +228,6 @@ class SimulationOutput:
     diagnostics: dict
     ensemble: ParticleEnsemble
     fields: AccumulatedFields
-    archive: TrajectoryArchive | None = None
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     coupled_alive: np.ndarray | None = None
     coupled_band: np.ndarray | None = None
@@ -238,7 +240,7 @@ class SimulationOutput:
 def run_simulations(
     configs: list[SimConfig],
     snapshot_stride: int | None = None,
-    keep_archive: bool = False,
+    archive_path: str | Path | None = None,
     fields_stride: int = 0,
     stream_indices: np.ndarray | None = None,
     coupled_thresholds: bool = False,
@@ -256,6 +258,10 @@ def run_simulations(
     only the final cloud is deposited for the record alone.  A field
     snapshot at step k holds A and G before step k's term.
 
+    ``archive_path`` writes the cloud of every step, and the final one, to
+    that trajectory archive as the run goes (:func:`sulfsim.io.archive_writer`):
+    the file appears once the run ends, and a run that raises leaves none.
+
     ``coupled_thresholds`` draws killing thresholds from the
     disjoint threshold streams during a feynman-kac run and records the
     survival readout alongside the weights, realizing the conditional
@@ -265,8 +271,8 @@ def run_simulations(
     config = configs[0]
     if any(replace(c, seed=config.seed, mode=config.mode) != config for c in configs):
         raise ValueError("stacked configs may differ only in seed and mode")
-    if len(configs) > 1 and (keep_archive or coupled_thresholds):
-        raise ValueError("keep_archive and coupled_thresholds need a single config")
+    if len(configs) > 1 and (archive_path is not None or coupled_thresholds):
+        raise ValueError("archive_path and coupled_thresholds need a single config")
     grid = config.grid
     params = config.physical
     delta = config.kernel.bandwidth
@@ -287,8 +293,6 @@ def run_simulations(
             raise ValueError("coupled_thresholds requires feynman-kac mode")
         thresholds = draw_thresholds(config.seed, streams[config.seed].indices)
 
-    archive = (TrajectoryArchive(dt, n, config.mode, np.empty((n_steps + 1, 2, n)))
-               if keep_archive else None)  # a row per step and one for the final cloud
     acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
                             out_of_domain=np.zeros(len(configs), dtype=np.int64))
 
@@ -320,34 +324,38 @@ def run_simulations(
     width = max(1, SLICE_PARTICLES // len(configs))  # columns per slice of the sweep
     one_slice = n <= width
     coords = None  # of X_k, handed on from the last step when one slice holds all
-    for k in range(n_steps):
-        cloud = ens.cloud()
-        recording = k % stride == 0
-        if recording and fields_stride and k % fields_stride == 0:
-            field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
-        if keep_archive:
-            archive.append(cloud)
-        u = accumulate_step(acc, cloud, n, dt)
-        if recording:
-            record(k, cloud, u)
-        del cloud  # a killed cloud holds a weight array the step does not read
-        draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
-        noise = (np.stack([draws[c.seed] for c in configs]) if len(configs) > 1
-                 else draws[config.seed][None])
-        del draws
-        bad = False  # the sweep goes past a non-finite slice: the error names every particle
-        for lo in range(0, n, width):
-            cols = slice(lo, lo + width)
-            coords = _slice_step(ens.columns(cols), acc, noise[:, cols], dt, params,
-                                 (k + 1) * dt, negative_I, coords if one_slice else None)
-            bad |= coords is None
-        del noise
-        if bad:
-            raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
+    # a row per step and one for the final cloud
+    writer = (nullcontext() if archive_path is None else
+              archive_writer(archive_path, n, n_steps + 1, dt, config.mode))
+    with writer as write_row:
+        for k in range(n_steps):
+            cloud = ens.cloud()
+            recording = k % stride == 0
+            if recording and fields_stride and k % fields_stride == 0:
+                field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
+            if write_row is not None:
+                write_row(cloud)
+            u = accumulate_step(acc, cloud, n, dt)
+            if recording:
+                record(k, cloud, u)
+            del cloud  # a killed cloud holds a weight array the step does not read
+            draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
+            noise = (np.stack([draws[c.seed] for c in configs]) if len(configs) > 1
+                     else draws[config.seed][None])
+            del draws
+            bad = False  # the sweep goes past a non-finite slice: the error names every particle
+            for lo in range(0, n, width):
+                cols = slice(lo, lo + width)
+                coords = _slice_step(ens.columns(cols), acc, noise[:, cols], dt, params,
+                                     (k + 1) * dt, negative_I, coords if one_slice else None)
+                bad |= coords is None
+            del noise
+            if bad:
+                raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
 
-    final_cloud = ens.cloud()
-    if keep_archive:
-        archive.append(final_cloud)
+        final_cloud = ens.cloud()
+        if write_row is not None:
+            write_row(final_cloud)
     if fields_stride:
         field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
     record(n_steps, final_cloud)
@@ -369,7 +377,6 @@ def run_simulations(
             diagnostics=diag,
             ensemble=ens.row(r),
             fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], diag["out_of_domain"]),
-            archive=archive,
             field_snaps=[(k, a[r], g[r]) for k, a, g in field_snaps],
             coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,
             coupled_band=np.asarray(coupled_band) if coupled_thresholds else None,

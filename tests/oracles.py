@@ -3,10 +3,13 @@
 - :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
   particles in index order, with the same 8-bandwidth cutoff as
   :func:`sulfsim.kernel.grid_density`.
+- :func:`write_clouds_archive` / :func:`archive_arrays`: an archive file
+  written from given clouds, and the (S, N) arrays of an archive file read
+  at once; :func:`archive_clouds` gives its snapshots as clouds.
 - :func:`exact_history_args`: the accumulated integrals (I, J) evaluated
-  from a trajectory archive with no spatial interpolation.
-- :func:`accumulate_from_archive`: an archive replayed through the grid
-  accumulator.
+  from stored snapshots with no spatial interpolation.
+- :func:`accumulate_from_archive`: stored snapshots replayed through the
+  grid accumulator.
 - :func:`hold_fields_at_zero`: runs whose fields never accumulate, so the
   hazard rate stays lambda c0 and the drift vanishes.
 - :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
@@ -25,7 +28,8 @@ import numpy as np
 import sulfsim.particles
 from sulfsim.config import Grid1D, PhysicalParams
 from sulfsim.dynamics import DriftArgs
-from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step, lerp, lerp_coords
+from sulfsim.fields import AccumulatedFields, accumulate_step, lerp, lerp_coords
+from sulfsim.io import ARCHIVE_HEADER_BYTES, TrajectoryArchive, archive_writer, read_archive
 from sulfsim.kernel import (
     CUTOFF_BANDWIDTHS,
     WeightedPointCloud,
@@ -70,8 +74,31 @@ def mollify_grad(cloud: WeightedPointCloud, delta: float, query, n_total: int):
     return _mollify_sum(cloud, delta, query, n_total, grad=True)
 
 
+def write_clouds_archive(path, clouds, dt: float, mode: str = "feynman-kac") -> TrajectoryArchive:
+    """The archive file of ``clouds`` (snapshot k is clouds[k]), written by
+    the runs' own writer and read back."""
+    clouds = list(clouds)
+    with archive_writer(path, len(clouds[0]), len(clouds), dt, mode) as write_row:
+        for cloud in clouds:
+            write_row(cloud)
+    return read_archive(path)
+
+
+def archive_arrays(archive: TrajectoryArchive) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, N) positions and weights of an archive, read from its file at once."""
+    payload = np.fromfile(archive.path, dtype="<f8", offset=ARCHIVE_HEADER_BYTES)
+    payload = payload.reshape(len(archive), 2, archive.n_total)
+    return payload[:, 0], payload[:, 1]
+
+
+def archive_clouds(archive: TrajectoryArchive) -> list[WeightedPointCloud]:
+    """Every snapshot of an archive as a cloud of its own arrays."""
+    return [WeightedPointCloud(x, w) for x, w in zip(*archive_arrays(archive))]
+
+
 def exact_history_args(
-    archive: TrajectoryArchive,
+    clouds: list[WeightedPointCloud],
+    dt: float,
     x,
     delta: float,
     n_total: int,
@@ -79,39 +106,37 @@ def exact_history_args(
 ) -> DriftArgs:
     """Direct evaluation of the accumulated integrals from stored snapshots.
 
-    I = dt * sum_{k < steps} mollify(snapshot_k, x); same quadrature as the
+    I = dt * sum_{k < steps} mollify(clouds[k], x); same quadrature as the
     grid accumulator but with no spatial interpolation.  ``steps`` defaults
     to every stored snapshot.
     """
-    if len(archive) == 0:
-        raise ValueError("archive is empty")
+    if len(clouds) == 0:
+        raise ValueError("no snapshots")
     if steps is None:
-        steps = len(archive)
+        steps = len(clouds)
     x = np.asarray(x, dtype=float)
     I = np.zeros(x.shape)
     J = np.zeros(x.shape)
-    for k in range(steps):
-        cloud = archive.snapshot(k)
-        I += archive.dt * np.asarray(mollify(cloud, delta, x, n_total))
-        J += archive.dt * np.asarray(mollify_grad(cloud, delta, x, n_total))
+    for cloud in clouds[:steps]:
+        I += dt * np.asarray(mollify(cloud, delta, x, n_total))
+        J += dt * np.asarray(mollify_grad(cloud, delta, x, n_total))
     if I.ndim == 0:
         return DriftArgs(float(I), float(J))
     return DriftArgs(I, J)
 
 
 def accumulate_from_archive(
-    archive: TrajectoryArchive,
+    clouds: list[WeightedPointCloud],
+    dt: float,
     grid: Grid1D,
     delta: float,
     n_total: int,
     steps: int | None = None,
 ) -> AccumulatedFields:
-    """Replay an archive through the grid accumulator."""
+    """Replay stored snapshots (the first ``steps``) through the grid accumulator."""
     fields = AccumulatedFields(grid=grid, delta=delta)
-    if steps is None:
-        steps = len(archive)
-    for k in range(steps):
-        accumulate_step(fields, archive.snapshot(k), n_total, archive.dt)
+    for cloud in clouds[:steps]:
+        accumulate_step(fields, cloud, n_total, dt)
     return fields
 
 
@@ -158,7 +183,7 @@ def whole_lattice_map(
 ) -> np.ndarray:
     """The discounted-kernel map of :func:`sulfsim.fixedpoint.apply_mkfk_map`
     with every (S, N) intermediate formed at once."""
-    paths = np.stack(archive.positions)
+    paths = archive_arrays(archive)[0]
     dt = archive.dt
     lam, c0 = params.lam, params.c0
     inner = inner_integral(u, paths, grid, dt)

@@ -26,8 +26,10 @@ from sulfsim import (
     solve_pde,
 )
 from sulfsim.cli import main
+from sulfsim.io import read_archive
 from oracles import (
     accumulate_from_archive,
+    archive_clouds,
     exact_history_args,
     hold_fields_at_zero,
     run_with_hazard_digests,
@@ -161,7 +163,7 @@ def test_criterion_6_estimator_vs_pde_convergence():
     )
 
 
-def test_criterion_7_field_oracle_equivalence():
+def test_criterion_7_field_oracle_equivalence(tmp_path):
     cfg = SimConfig(
         particles=100,
         horizon=0.4,
@@ -170,18 +172,20 @@ def test_criterion_7_field_oracle_equivalence():
         grid=Grid1D(-12.0, 12.0, 0.1),
     )
     delta = cfg.kernel.bandwidth
-    sim = run_simulation(cfg, keep_archive=True)
+    sim = run_simulation(cfg, archive_path=tmp_path / "archive.bin")
+    clouds = archive_clouds(read_archive(tmp_path / "archive.bin"))
     nodes = cfg.grid.nodes()
-    exact = exact_history_args(sim.archive, nodes, delta, cfg.particles, steps=cfg.n_steps)
+    exact = exact_history_args(clouds, cfg.step, nodes, delta, cfg.particles, steps=cfg.n_steps)
     rel_a = float(np.max(np.abs(sim.fields.A - exact.I)) / np.max(sim.fields.A))
     rel_g = float(np.max(np.abs(sim.fields.G - exact.J)) / np.max(np.abs(exact.J)))
 
     probes = np.linspace(-3.0, 3.0, 1601) + 0.0123456
-    probe_exact = exact_history_args(sim.archive, probes, delta, cfg.particles, steps=cfg.n_steps)
+    probe_exact = exact_history_args(clouds, cfg.step, probes, delta, cfg.particles,
+                                     steps=cfg.n_steps)
     gaps = []
     for h in (0.2, 0.1, 0.05):
         fields = accumulate_from_archive(
-            sim.archive, Grid1D(-12.0, 12.0, h), delta, cfg.particles, steps=cfg.n_steps
+            clouds, cfg.step, Grid1D(-12.0, 12.0, h), delta, cfg.particles, steps=cfg.n_steps
         )
         ip = fields.args_at(probes)
         gaps.append(float(np.max(np.abs(ip.I - probe_exact.I))))
@@ -194,7 +198,7 @@ def test_criterion_7_field_oracle_equivalence():
     )
 
 
-def test_criterion_8_fixed_point_contraction():
+def test_criterion_8_fixed_point_contraction(tmp_path):
     cfg = SimConfig(
         particles=200,
         horizon=0.25,
@@ -203,8 +207,9 @@ def test_criterion_8_fixed_point_contraction():
         grid=Grid1D(-10.0, 10.0, 0.05),
     )
     tol = 1e-10
-    sim = run_simulation(cfg, keep_archive=True, snapshot_stride=1)
-    res = picard_solve(sim.archive, cfg.grid, cfg.kernel.bandwidth, cfg.physical, tol=tol)
+    sim = run_simulation(cfg, archive_path=tmp_path / "a.bin", snapshot_stride=1)
+    res = picard_solve(read_archive(tmp_path / "a.bin"), cfg.grid, cfg.kernel.bandwidth,
+                       cfg.physical, tol=tol)
     ratios_ok = res.converged and bool(np.all(res.ratios[1:] < 1.0))
 
     gap = max(
@@ -214,8 +219,9 @@ def test_criterion_8_fixed_point_contraction():
     consistency_ok = gap <= tol + 2.0 * cfg.step
 
     cfg0 = replace(cfg, physical=PhysicalParams(lam=0.0))
-    sim0 = run_simulation(cfg0, keep_archive=True, snapshot_stride=1)
-    res0 = picard_solve(sim0.archive, cfg0.grid, cfg0.kernel.bandwidth, cfg0.physical, tol=tol)
+    run_simulation(cfg0, archive_path=tmp_path / "a0.bin", snapshot_stride=1)
+    res0 = picard_solve(read_archive(tmp_path / "a0.bin"), cfg0.grid, cfg0.kernel.bandwidth,
+                        cfg0.physical, tol=tol)
     lam0_ok = res0.converged and res0.iterations == 2 and res0.distances[1] == 0.0
     _report(
         8,

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from sulfsim import WeightedPointCloud
 from sulfsim.cli import main
 from sulfsim.config import MAX_STEPS, InitialDensitySpec, derive_grid
-from sulfsim.fields import TrajectoryArchive
-from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv, write_archive
+from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv
+
+from oracles import write_clouds_archive
 
 
 @pytest.fixture
@@ -219,10 +220,12 @@ def test_simulate_non_finite_field_exits_3(runner, cfg_file, tmp_path, monkeypat
 
     monkeypatch.setattr(sulfsim.particles, "accumulate_step", poisoned)
     res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--mode", mode,
-                               "--seed", "1", "--out", str(tmp_path / "x")])
+                               "--seed", "1", "--out", str(tmp_path / "x"), "--archive"])
     assert res.exit_code == 3, res.output
     assert "numerical abort: non-finite particle state at step 3," in res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
+    # the archive was written as the run went, to a partial file that the abort removed
+    assert not any((tmp_path / "x").iterdir())
 
 
 @pytest.mark.parametrize("command", ["simulate", "pde", "compare", "convergence"])
@@ -476,6 +479,36 @@ def test_fixedpoint_nonfinite_archive_exits_4(runner, cfg_file, tmp_path):
     assert "non-finite positions" in res.output
 
 
+def _last_row(data: bytes, field: int, value: float) -> bytes:
+    """The archive of a run of N = 300 with ``value`` at particle 0 of ``field``
+    (0 positions, 1 weights) in its last snapshot."""
+    at = len(data) - 16 * 300 + 8 * 300 * field
+    return data[:at] + struct.pack("<d", value) + data[at + 8:]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda data: _last_row(data, 0, float("nan")), "non-finite positions"),
+    (lambda data: _last_row(data, 1, 1.5), r"weights outside [0, 1]"),
+    (lambda data: data[: -16 * 300 - 8 * 150], "needs exactly"),
+], ids=["last-row-position-nan", "last-row-weight-above-1", "cut-mid-row"])
+def test_fixedpoint_bad_last_row_exits_4_before_any_map(runner, cfg_file, tmp_path,
+                                                        monkeypatch, mutate, message):
+    import sulfsim.fixedpoint
+
+    archive = _archive_run(runner, cfg_file, tmp_path / "arch")
+    archive.write_bytes(mutate(archive.read_bytes()))
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("a Picard map ran on an archive that fails its checks")
+
+    monkeypatch.setattr(sulfsim.fixedpoint, "apply_mkfk_map", no_map)
+    res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
+                               str(cfg_file), "--out", str(tmp_path / "fp")])
+    assert res.exit_code == 4, res.output
+    assert message in res.output
+    assert not (tmp_path / "fp" / "trace.csv").exists()
+
+
 def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     from sulfsim.io import ARCHIVE_MAGIC, ARCHIVE_VERSION
 
@@ -514,10 +547,9 @@ def test_fixedpoint_version_1_archive_exits_4(runner, cfg_file, tmp_path):
 
 def _small_archive_bytes(path: Path) -> bytes:
     """A valid feynman-kac archive of 3 particles and 4 snapshots."""
-    archive = TrajectoryArchive(dt=0.01, n_total=3)
-    for k in range(4):
-        archive.append(WeightedPointCloud(np.array([-1.0, 0.0, 1.0]) * k, np.full(3, 0.5)))
-    return write_archive(path, archive).read_bytes()
+    clouds = [WeightedPointCloud(np.array([-1.0, 0.0, 1.0]) * k, np.full(3, 0.5))
+              for k in range(4)]
+    return write_clouds_archive(path, clouds, 0.01).path.read_bytes()
 
 
 def _set_value(data: bytes, snapshot: int, field: int, particle: int, value: float) -> bytes:
@@ -557,6 +589,7 @@ def test_fixedpoint_refuses_every_malformed_archive(tmp_path_factory, mutate):
     assert res.exit_code == 4, res.output
     assert isinstance(res.exception, SystemExit) and "data error" in res.output
     assert not (root / "fp" / "manifest.json").exists()
+    assert not (root / "fp" / "trace.csv").exists()
 
 
 def _archive_run(runner, cfg_file, run_dir, *flags):

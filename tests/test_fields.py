@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sulfsim import Grid1D, WeightedPointCloud, accumulate_step, interpolate
-from sulfsim.fields import AccumulatedFields, TrajectoryArchive
+from sulfsim.fields import AccumulatedFields
 
 from oracles import accumulate_from_archive, exact_history_args
 
@@ -68,40 +68,35 @@ def test_interpolate_out_of_domain_returns_boundary_and_counts():
 
 
 def test_exact_history_single_snapshot():
-    archive = TrajectoryArchive(dt=0.1, n_total=1)
-    archive.append(_single_particle_cloud())
-    out = exact_history_args(archive, 0.0, 1.0, 1)
+    out = exact_history_args([_single_particle_cloud()], 0.1, 0.0, 1.0, 1)
     assert out.I == pytest.approx(0.1 * 0.3989422804, abs=1e-10)
 
 
 def test_exact_history_zero_weights():
-    archive = TrajectoryArchive(dt=0.1, n_total=2)
     cloud = WeightedPointCloud(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    archive.append(cloud)
-    archive.append(cloud)
-    out = exact_history_args(archive, np.array([0.0, 0.5]), 1.0, 2)
+    out = exact_history_args([cloud, cloud], 0.1, np.array([0.0, 0.5]), 1.0, 2)
     assert np.all(out.I == 0.0) and np.all(out.J == 0.0)
 
 
 def test_exact_history_empty_archive_rejected():
     with pytest.raises(ValueError):
-        exact_history_args(TrajectoryArchive(dt=0.1, n_total=1), 0.0, 1.0, 1)
+        exact_history_args([], 0.1, 0.0, 1.0, 1)
 
 
 def test_grid_accumulator_matches_exact_history_at_nodes(rng):
     # same quadrature, different bookkeeping: sup-relative gap <= 1e-12
     grid = Grid1D(-6.0, 6.0, 0.1)
     delta, n, dt = 0.3, 40, 0.01
-    archive = TrajectoryArchive(dt=dt, n_total=n)
+    clouds = []
     pos = rng.normal(0, 1, n)
     fields = AccumulatedFields(grid=grid, delta=delta)
     for _ in range(30):
         cloud = WeightedPointCloud(pos, rng.random(n))
-        archive.append(cloud)
+        clouds.append(cloud)
         accumulate_step(fields, cloud, n, dt)
         pos = pos + rng.normal(0, 0.1, n)
     nodes = grid.nodes()
-    exact = exact_history_args(archive, nodes, delta, n)
+    exact = exact_history_args(clouds, dt, nodes, delta, n)
     assert np.max(np.abs(fields.A - exact.I)) <= 1e-12 * np.max(fields.A)
     assert np.max(np.abs(fields.G - exact.J)) <= 1e-12 * np.max(np.abs(exact.J))
     assert np.all(fields.A >= 0.0)
@@ -121,14 +116,14 @@ def test_accumulated_density_monotone_in_time(rng):
 def test_replayed_accumulator_equals_online(rng):
     grid = Grid1D(-5.0, 5.0, 0.1)
     delta, n, dt = 0.4, 25, 0.02
-    archive = TrajectoryArchive(dt=dt, n_total=n)
+    clouds = []
     fields = AccumulatedFields(grid=grid, delta=delta)
     pos = rng.normal(0, 1, n)
     for _ in range(10):
         cloud = WeightedPointCloud(pos, np.ones(n))
-        archive.append(cloud)
+        clouds.append(cloud)
         accumulate_step(fields, cloud, n, dt)
         pos = pos + rng.normal(0, 0.05, n)
-    replay = accumulate_from_archive(archive, grid, delta, n)
+    replay = accumulate_from_archive(clouds, dt, grid, delta, n)
     assert np.array_equal(replay.A, fields.A)
     assert np.array_equal(replay.G, fields.G)

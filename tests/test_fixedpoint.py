@@ -1,4 +1,6 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,19 +17,23 @@ from sulfsim import (
     picard_solve,
     run_simulation,
 )
-from sulfsim.fields import TrajectoryArchive
+from sulfsim.io import read_archive
 from sulfsim.kernel import grid_density
 
-from oracles import inner_integral, whole_lattice_map
+from oracles import archive_clouds, inner_integral, whole_lattice_map, write_clouds_archive
 
 
-def _toy_archive(rng, n=20, steps=15, dt=0.01):
-    archive = TrajectoryArchive(dt=dt, n_total=n)
-    pos = rng.normal(0, 1, n)
+def _paths_archive(path, paths, dt):
+    """The archive file of unit-weight (S, N) ``paths``."""
+    return write_clouds_archive(path, [WeightedPointCloud(x, np.ones(x.size)) for x in paths], dt)
+
+
+def _toy_archive(tmp_path, rng, n=20, steps=15, dt=0.01):
+    clouds, pos = [], rng.normal(0, 1, n)
     for _ in range(steps + 1):
-        archive.append(WeightedPointCloud(pos, np.ones(n)))
+        clouds.append(WeightedPointCloud(pos, np.ones(n)))
         pos = pos + np.sqrt(2 * dt) * rng.normal(0, 1, n)
-    return archive
+    return write_clouds_archive(tmp_path / "toy.bin", clouds, dt)
 
 
 GRID = Grid1D(-8.0, 8.0, 0.1)
@@ -35,11 +41,11 @@ GRID = Grid1D(-8.0, 8.0, 0.1)
 
 def _plain(archive, t):
     """Undiscounted deposit of snapshot t, the map's envelope."""
-    return grid_density(archive.snapshot(t), GRID, 0.3, archive.n_total)[0]
+    return grid_density(archive_clouds(archive)[t], GRID, 0.3, archive.n_total)[0]
 
 
-def test_zero_input_gives_constant_rate_discount(rng, default_params):
-    archive = _toy_archive(rng)
+def test_zero_input_gives_constant_rate_discount(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng)
     u0 = np.zeros((len(archive), GRID.n_nodes))
     out = apply_mkfk_map(u0, archive, GRID, 0.3, default_params)
     lam_c0 = default_params.lam * default_params.c0
@@ -48,8 +54,8 @@ def test_zero_input_gives_constant_rate_discount(rng, default_params):
         assert np.max(np.abs(out[t] - expected)) < 1e-14
 
 
-def test_output_at_time_zero_independent_of_input(rng, default_params):
-    archive = _toy_archive(rng)
+def test_output_at_time_zero_independent_of_input(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng)
     shape = (len(archive), GRID.n_nodes)
     a = apply_mkfk_map(np.zeros(shape), archive, GRID, 0.3, default_params)
     b = apply_mkfk_map(np.full(shape, 0.37), archive, GRID, 0.3, default_params)
@@ -58,8 +64,8 @@ def test_output_at_time_zero_independent_of_input(rng, default_params):
     assert np.max(np.abs(a[0] - initial)) < 1e-15
 
 
-def test_lambda_zero_map_ignores_input(rng):
-    archive = _toy_archive(rng)
+def test_lambda_zero_map_ignores_input(tmp_path, rng):
+    archive = _toy_archive(tmp_path, rng)
     p0 = PhysicalParams(lam=0.0)
     shape = (len(archive), GRID.n_nodes)
     a = apply_mkfk_map(np.zeros(shape), archive, GRID, 0.3, p0)
@@ -67,26 +73,26 @@ def test_lambda_zero_map_ignores_input(rng):
     assert np.array_equal(a, b)
 
 
-def test_lambda_zero_picard_converges_after_one_iteration(rng):
-    archive = _toy_archive(rng)
+def test_lambda_zero_picard_converges_after_one_iteration(tmp_path, rng):
+    archive = _toy_archive(tmp_path, rng)
     res = picard_solve(archive, GRID, 0.3, PhysicalParams(lam=0.0))
     assert res.converged
     assert res.iterations == 2  # d_1 > 0 computed, d_2 = 0 confirms
     assert res.distances[1] == 0.0
 
 
-def test_map_is_monotone_increasing_in_u(rng, default_params):
+def test_map_is_monotone_increasing_in_u(tmp_path, rng, default_params):
     # larger u -> faster calcite depletion -> lower later rate -> larger
     # discount, so the map preserves pointwise order
-    archive = _toy_archive(rng)
+    archive = _toy_archive(tmp_path, rng)
     shape = (len(archive), GRID.n_nodes)
     lo = apply_mkfk_map(np.zeros(shape), archive, GRID, 0.3, default_params)
     hi = apply_mkfk_map(np.full(shape, 0.5), archive, GRID, 0.3, default_params)
     assert np.all(hi >= lo)
 
 
-def test_iterates_respect_kernel_envelope(rng, default_params):
-    archive = _toy_archive(rng)
+def test_iterates_respect_kernel_envelope(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng)
     envelope = np.stack([_plain(archive, t) for t in range(len(archive))])
     u = np.zeros_like(envelope)
     for _ in range(3):
@@ -95,8 +101,8 @@ def test_iterates_respect_kernel_envelope(rng, default_params):
         assert np.all(u <= envelope + 1e-15)
 
 
-def test_picard_contraction_and_determinism(rng, default_params):
-    archive = _toy_archive(rng, n=30, steps=25)
+def test_picard_contraction_and_determinism(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng, n=30, steps=25)
     a = picard_solve(archive, GRID, 0.3, default_params)
     b = picard_solve(archive, GRID, 0.3, default_params)
     assert np.array_equal(a.fixed_point, b.fixed_point)
@@ -105,46 +111,48 @@ def test_picard_contraction_and_determinism(rng, default_params):
     assert np.all(a.ratios[1:] < 1.0)
 
 
-def test_shape_mismatch_rejected(rng, default_params):
-    archive = _toy_archive(rng)
+def test_shape_mismatch_rejected(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng)
     with pytest.raises(ValueError):
         apply_mkfk_map(np.zeros((3, 3)), archive, GRID, 0.3, default_params)
 
 
-def test_killed_archive_rejected(rng, default_params):
-    archive = _toy_archive(rng)
-    archive.mode = "killed"
+def test_killed_archive_rejected(tmp_path, rng, default_params):
+    archive = replace(_toy_archive(tmp_path, rng), mode="killed")
     with pytest.raises(ValueError, match="never-killed"):
         apply_mkfk_map(np.zeros((len(archive), GRID.n_nodes)), archive, GRID, 0.3,
                        default_params)
 
 
-def test_map_holds_no_time_by_particle_array(default_params):
+def test_map_holds_no_time_by_particle_array(tmp_path, default_params):
     n_times, n = 201, 4000
     r = np.random.default_rng(5)
-    archive = TrajectoryArchive(dt=1e-3, n_total=n, payload=np.empty((n_times, 2, n)))
-    pos = r.normal(0.0, 1.0, n)
+    clouds, pos = [], r.normal(0.0, 1.0, n)
     for _ in range(n_times):
-        archive.append(WeightedPointCloud(pos, np.ones(n)))
+        clouds.append(WeightedPointCloud(pos, np.ones(n)))
         pos = pos + np.sqrt(2e-3) * r.normal(0.0, 1.0, n)
+    path = write_clouds_archive(tmp_path / "a.bin", clouds, 1e-3).path
+    del clouds
     u = np.full((n_times, GRID.n_nodes), 0.1)
-    apply_mkfk_map(u, archive, GRID, 0.3, default_params)  # fills the stencil cache
+    apply_mkfk_map(u, read_archive(path), GRID, 0.3, default_params)  # fills the stencil cache
     tracemalloc.start()
     try:
-        apply_mkfk_map(u, archive, GRID, 0.3, default_params)
+        apply_mkfk_map(u, read_archive(path), GRID, 0.3, default_params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n_times * n * 8  # one (S, N) float64 array, 6.1 MiB
+    # the file is the only copy of the paths: the check pass and the map hold
+    # a row at a time: a quarter of one (S, N) float64 array (6.1 MiB) is ample
+    assert peak < n_times * n * 8 // 4
 
 
-def test_max_iters_too_small_rejected(rng, default_params):
-    archive = _toy_archive(rng)
+def test_max_iters_too_small_rejected(tmp_path, rng, default_params):
+    archive = _toy_archive(tmp_path, rng)
     with pytest.raises(ValueError):
         picard_solve(archive, GRID, 0.3, default_params, max_iters=1)
 
 
-def test_fixed_point_consistent_with_fk_run():
+def test_fixed_point_consistent_with_fk_run(tmp_path):
     cfg = SimConfig(
         particles=100,
         horizon=0.1,
@@ -152,8 +160,9 @@ def test_fixed_point_consistent_with_fk_run():
         seed=31,
         grid=Grid1D(-10.0, 10.0, 0.05),
     )
-    sim = run_simulation(cfg, keep_archive=True, snapshot_stride=1)
-    res = picard_solve(sim.archive, cfg.grid, cfg.kernel.bandwidth, cfg.physical, tol=1e-10)
+    sim = run_simulation(cfg, archive_path=tmp_path / "a.bin", snapshot_stride=1)
+    res = picard_solve(read_archive(tmp_path / "a.bin"), cfg.grid, cfg.kernel.bandwidth,
+                       cfg.physical, tol=1e-10)
     assert res.converged
     gap = max(
         float(np.max(np.abs(res.fixed_point[k] - sim.densities[k])))
@@ -213,10 +222,9 @@ def test_prefix_sum_inner_integral_matches_double_sum(case):
 def test_output_rows_are_deposits_of_discounted_cloud(case, lam, c0, delta):
     grid, paths, dt, u = case
     n = paths.shape[1]
-    archive = TrajectoryArchive(dt=dt, n_total=n)
-    for x in paths:
-        archive.append(WeightedPointCloud(x, np.ones(n)))
-    out = apply_mkfk_map(u, archive, grid, delta, PhysicalParams(lam=lam, c0=c0))
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = _paths_archive(Path(tmp) / "a.bin", paths, dt)
+        out = apply_mkfk_map(u, archive, grid, delta, PhysicalParams(lam=lam, c0=c0))
     inner = _old_inner(u, paths, grid, dt)
     hazard = np.zeros(paths.shape)
     for t in range(1, len(paths)):
@@ -243,10 +251,8 @@ def _small_case(n_times, n):
 def test_streaming_map_equals_whole_lattice_oracle(case, keep, lam, c0, delta):
     grid, paths, dt, u = case
     paths = paths[:, -keep:]  # the last path crosses the grid and leaves it
-    n = paths.shape[1]
-    archive = TrajectoryArchive(dt=dt, n_total=n)
-    for x in paths:
-        archive.append(WeightedPointCloud(x, np.ones(n)))
     params = PhysicalParams(lam=lam, c0=c0)
-    streamed = apply_mkfk_map(u, archive, grid, delta, params)
-    assert np.array_equal(streamed, whole_lattice_map(u, archive, grid, delta, params))
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = _paths_archive(Path(tmp) / "a.bin", paths, dt)
+        streamed = apply_mkfk_map(u, archive, grid, delta, params)
+        assert np.array_equal(streamed, whole_lattice_map(u, archive, grid, delta, params))

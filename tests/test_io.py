@@ -1,24 +1,26 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from sulfsim import WeightedPointCloud
-from sulfsim.fields import TrajectoryArchive
 from sulfsim.io import (
     ARCHIVE_HEADER,
     ARCHIVE_HEADER_BYTES,
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
     RunManifest,
+    archive_writer,
     column_text,
     read_archive,
     read_csv,
     sha256_file,
     snapshot_name,
-    write_archive,
     write_csv,
 )
+
+from oracles import archive_arrays, write_clouds_archive
 
 
 def test_csv_roundtrip_full_precision(tmp_path, rng):
@@ -61,37 +63,49 @@ def test_snapshot_name_padding():
 
 
 def test_archive_roundtrip_bit_exact(tmp_path, rng):
-    archive = TrajectoryArchive(dt=0.01, n_total=8)
-    for _ in range(5):
-        archive.append(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
-    path = write_archive(tmp_path / "a.bin", archive)
-    loaded = read_archive(path)
-    assert loaded.dt == archive.dt
-    assert loaded.n_total == archive.n_total
-    assert len(loaded) == len(archive)
-    for k in range(5):
-        assert np.array_equal(loaded.positions[k], archive.positions[k])
-        assert np.array_equal(loaded.weights[k], archive.weights[k])
+    clouds = [WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)) for _ in range(5)]
+    loaded = write_clouds_archive(tmp_path / "a.bin", clouds, 0.01, mode="killed")
+    assert loaded.dt == 0.01 and loaded.n_total == 8 and loaded.mode == "killed"
+    assert len(loaded) == 5
+    positions, weights = archive_arrays(loaded)
+    assert np.array_equal(positions, [c.positions for c in clouds])
+    assert np.array_equal(weights, [c.weights for c in clouds])
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]  # the partial file is renamed
 
 
-def test_archive_roundtrip_after_appending_past_reserved_rows(tmp_path, rng):
-    archive = TrajectoryArchive(dt=0.02, n_total=6, mode="killed", payload=np.empty((2, 2, 6)))
-    clouds = [WeightedPointCloud(rng.normal(0, 1, 6), rng.random(6)) for _ in range(5)]
-    for cloud in clouds:
-        archive.append(cloud)
-    assert len(archive) == 5 and len(archive.payload) == 8
-    loaded = read_archive(write_archive(tmp_path / "a.bin", archive))
-    assert loaded.mode == "killed" and len(loaded) == 5
-    assert np.array_equal(loaded.positions, [c.positions for c in clouds])
-    assert np.array_equal(loaded.weights, [c.weights for c in clouds])
-
-
-def test_read_archive_views_one_array(tmp_path, rng):
+def test_archive_reads_rows_into_one_buffer(tmp_path, rng):
     loaded = read_archive(_archive_path(tmp_path, rng))
-    assert loaded.positions.shape == loaded.weights.shape == (5, 8)
-    assert loaded.payload.shape == (5, 2, 8)
-    assert np.shares_memory(loaded.positions, loaded.payload)
-    assert np.shares_memory(loaded.weights, loaded.payload)
+    positions, weights = archive_arrays(loaded)
+    rows = []
+    for k, row in enumerate(loaded.rows()):
+        assert row.shape == (2, 8)
+        assert np.array_equal(row[0], positions[k]) and np.array_equal(row[1], weights[k])
+        rows.append(row)
+    assert all(row is rows[0] for row in rows)
+    seen = []
+    for k, x in enumerate(loaded.positions):
+        assert x.shape == (8,) and np.array_equal(x, positions[k])
+        seen.append(x)
+    assert len(seen) == 5 and all(x is seen[0] for x in seen)
+
+
+@pytest.mark.parametrize("rows, size", [(4, 8), (6, 8), (5, 7)],
+                         ids=["too-few-rows", "too-many-rows", "short-row"])
+def test_archive_writer_refuses_wrong_rows_and_leaves_no_file(tmp_path, rng, rows, size):
+    with pytest.raises(ValueError):
+        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01, "feynman-kac") as write_row:
+            for _ in range(rows):
+                write_row(WeightedPointCloud(rng.normal(0, 1, size), rng.random(size)))
+    assert not any(tmp_path.iterdir())
+
+
+def test_archive_writer_removes_partial_file_when_the_run_raises(tmp_path, rng):
+    with pytest.raises(RuntimeError, match="abort"):
+        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01, "feynman-kac") as write_row:
+            write_row(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
+            assert (tmp_path / "a.bin.partial").is_file() and not (tmp_path / "a.bin").exists()
+            raise RuntimeError("abort")
+    assert not any(tmp_path.iterdir())
 
 
 def test_archive_rejects_bad_magic(tmp_path):
@@ -102,17 +116,15 @@ def test_archive_rejects_bad_magic(tmp_path):
 
 
 def _archive_path(tmp_path, rng):
-    archive = TrajectoryArchive(dt=0.01, n_total=8)
-    for _ in range(5):
-        archive.append(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
-    return write_archive(tmp_path / "a.bin", archive)
+    clouds = [WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)) for _ in range(5)]
+    return write_clouds_archive(tmp_path / "a.bin", clouds, 0.01).path
 
 
 def _archive_bytes(tmp_path, rng):
     return _archive_path(tmp_path, rng).read_bytes()
 
 
-@pytest.mark.parametrize("cut", [8, 16, 64])
+@pytest.mark.parametrize("cut", [8, 16, 64, 192])  # 192: a row and a half
 def test_archive_rejects_cut_file(tmp_path, rng, cut):
     data = _archive_bytes(tmp_path, rng)
     assert len(data) == 40 + 16 * 8 * 5
@@ -129,13 +141,15 @@ def test_archive_rejects_trailing_bytes(tmp_path, rng):
         read_archive(bad)
 
 
-@pytest.mark.parametrize("field, value", [(0, np.nan), (0, -np.inf), (1, 1.5), (1, -0.1),
-                                          (1, np.nan)],
+@pytest.mark.parametrize("field, value, snapshot",
+                         [(0, np.nan, 0), (0, -np.inf, 0), (1, 1.5, 0), (1, -0.1, 0),
+                          (1, np.nan, 0), (0, np.nan, 4), (1, 1.5, 4)],
                          ids=["position-nan", "position-inf", "weight-above-1",
-                              "weight-negative", "weight-nan"])
-def test_archive_rejects_bad_values(tmp_path, rng, field, value):
+                              "weight-negative", "weight-nan", "last-row-position-nan",
+                              "last-row-weight-above-1"])
+def test_archive_rejects_bad_values(tmp_path, rng, field, value, snapshot):
     data = bytearray(_archive_bytes(tmp_path, rng))
-    at = ARCHIVE_HEADER_BYTES + 8 * (8 * field + 3)  # snapshot 0, particle 3
+    at = ARCHIVE_HEADER_BYTES + 8 * (8 * (2 * snapshot + field) + 3)  # particle 3
     data[at : at + 8] = struct.pack("<d", value)
     bad = tmp_path / "values.bin"
     bad.write_bytes(bytes(data))
@@ -171,6 +185,14 @@ def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad.write_bytes(make(_archive_bytes(tmp_path, rng)))
     with pytest.raises(ValueError, match=match):
         read_archive(bad)
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 16, 200_001])
+def test_sha256_file_matches_hashlib(tmp_path, size):
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_manifest_checksums_match(tmp_path):

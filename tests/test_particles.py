@@ -19,12 +19,16 @@ from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
 import sulfsim.fields
 import sulfsim.particles
-from sulfsim.fields import AccumulatedFields, TrajectoryArchive, accumulate_step, interpolate
+from sulfsim.fields import AccumulatedFields, accumulate_step, interpolate
+from sulfsim.io import read_archive
+from sulfsim.kernel import WeightedPointCloud
 from sulfsim.particles import NonFiniteStateError, _slice_step
 from sulfsim.streams import ParticleStreams
 
 from oracles import (
     accumulate_from_archive,
+    archive_arrays,
+    archive_clouds,
     exact_history_args,
     hold_fields_at_zero,
     run_with_hazard_digests,
@@ -183,21 +187,21 @@ def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
             assert dead.sum() > 0.75 * cfg.particles
 
 
-def test_dead_particles_stay_at_their_death_position(small_config):
+def test_dead_particles_stay_at_their_death_position(small_config, tmp_path):
     cfg = replace(small_config, mode="killed", particles=500, horizon=0.05,
                   physical=PhysicalParams(lam=20.0))
-    sim = run_simulation(cfg, keep_archive=True)
+    sim = run_simulation(cfg, archive_path=tmp_path / "a.bin")
+    positions, weights = archive_arrays(read_archive(tmp_path / "a.bin"))
     ens = sim.ensemble
     dead = np.flatnonzero(~ens.alive)
     assert dead.size > cfg.particles // 4
     death_steps = np.rint(ens.death_times[dead] / cfg.step).astype(int)
     assert len(np.unique(death_steps)) > 5
     for i, k in zip(dead, death_steps):
-        assert ens.positions[i] == sim.archive.positions[k][i]
+        assert ens.positions[i] == positions[k, i]
         # every later snapshot holds the same position, with weight 0
-        later = np.array([sim.archive.positions[s][i] for s in range(k, len(sim.archive))])
-        assert np.all(later == ens.positions[i])
-        assert sim.archive.weights[k][i] == 0.0
+        assert np.all(positions[k:, i] == ens.positions[i])
+        assert weights[k, i] == 0.0
 
 
 def test_constant_rate_weights_exact(monkeypatch, small_config):
@@ -286,24 +290,26 @@ def test_exchangeability_permuting_streams(small_config):
     assert np.array_equal(shuffled.ensemble.hazards, base.ensemble.hazards[perm])
 
 
-def test_archive_snapshot_count(small_config):
-    sim = run_simulation(small_config, keep_archive=True)
-    assert len(sim.archive) == small_config.n_steps + 1
-    assert sim.archive.dt == small_config.step
+def test_archive_snapshot_count(small_config, tmp_path):
+    run_simulation(small_config, archive_path=tmp_path / "a.bin")
+    archive = read_archive(tmp_path / "a.bin")
+    assert len(archive) == small_config.n_steps + 1
+    assert archive.dt == small_config.step
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]  # the partial file is renamed
 
 
 class _ExactHistoryView:
-    """Field view reading (I, J) straight off the archived clouds, with no
+    """Field view reading (I, J) straight off the stored clouds, with no
     grid; its coordinates are a copy of the positions."""
 
-    def __init__(self, archive, delta, n_total):
-        self.archive, self.delta, self.n_total = archive, delta, n_total
+    def __init__(self, clouds, dt, delta, n_total):
+        self.clouds, self.dt, self.delta, self.n_total = clouds, dt, delta, n_total
 
     def coords_at(self, x):
         return np.array(x, dtype=float)
 
     def args_at(self, x, gradient=True):
-        return exact_history_args(self.archive, x, self.delta, self.n_total)
+        return exact_history_args(self.clouds, self.dt, x, self.delta, self.n_total)
 
 
 def test_exact_history_mode_matches_grid_mode_loosely(small_config):
@@ -313,11 +319,12 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     grid_run = run_simulation(cfg)
     streams = ParticleStreams(cfg.seed, cfg.particles)
     ens = init_ensemble(cfg, streams)
-    archive = TrajectoryArchive(dt=cfg.step, n_total=cfg.particles)
-    view = _ExactHistoryView(archive, cfg.kernel.bandwidth, cfg.particles)
+    clouds = []
+    view = _ExactHistoryView(clouds, cfg.step, cfg.kernel.bandwidth, cfg.particles)
     coords, negative_I = None, np.zeros((), np.int64)
     for k in range(cfg.n_steps):
-        archive.append(ens.cloud())
+        cloud = ens.cloud()  # views of the state, which the step moves
+        clouds.append(WeightedPointCloud(cloud.positions.copy(), cloud.weights.copy()))
         coords = _slice_step(ens, view, streams.normals(), cfg.step, cfg.physical,
                              (k + 1) * cfg.step, negative_I, coords)
     gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
@@ -368,16 +375,18 @@ def test_run_deposits_each_cloud_once(monkeypatch, small_config, mode):
 
 
 @pytest.mark.parametrize("mode", ["feynman-kac", "killed"])
-def test_field_snapshots_hold_fields_before_their_step(small_config, mode):
+def test_field_snapshots_hold_fields_before_their_step(small_config, mode, tmp_path):
     cfg = replace(small_config, mode=mode, horizon=0.02,
                   physical=PhysicalParams(lam=8.0))  # deaths in the killed run
-    sim = run_simulation(cfg, snapshot_stride=2, keep_archive=True, fields_stride=3)
+    sim = run_simulation(cfg, snapshot_stride=2, archive_path=tmp_path / "a.bin",
+                         fields_stride=3)
+    clouds = archive_clouds(read_archive(tmp_path / "a.bin"))
     steps = [s for s, _, _ in sim.field_snaps]
     assert steps == [0, 6, 12, 18, cfg.n_steps]
     _, a0, g0 = sim.field_snaps[0]
     assert not a0.any() and not g0.any()
     for s, a, g in sim.field_snaps:
-        replay = accumulate_from_archive(sim.archive, cfg.grid, cfg.kernel.bandwidth,
+        replay = accumulate_from_archive(clouds, cfg.step, cfg.grid, cfg.kernel.bandwidth,
                                          cfg.particles, steps=s)
         assert np.array_equal(a, replay.A), s
         assert np.array_equal(g, replay.G), s
@@ -468,10 +477,13 @@ def test_run_simulations_refuses_configs_that_differ_beyond_seed_and_mode(small_
         run_simulations([small_config, replace(small_config, seed=5, mode="killed", **change)])
 
 
-@pytest.mark.parametrize("option", ["keep_archive", "coupled_thresholds"])
-def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, option):
+@pytest.mark.parametrize("option", ["archive_path", "coupled_thresholds"])
+def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, option,
+                                                                   tmp_path):
+    value = tmp_path / "a.bin" if option == "archive_path" else True
     with pytest.raises(ValueError, match="single config"):
-        run_simulations([small_config, replace(small_config, seed=5)], **{option: True})
+        run_simulations([small_config, replace(small_config, seed=5)], **{option: value})
+    assert not any(tmp_path.iterdir())
 
 
 def test_one_replica_stack_and_identity_streams_copy_nothing(small_config):
