@@ -310,6 +310,15 @@ def _grid_from_nodes(xs: np.ndarray) -> Grid1D:
                   spacing=float(xs[1] - xs[0]))
 
 
+def _write_summary(out_dir: Path, summary: str, manifest: RunManifest) -> None:
+    """Write ``summary.txt`` and then the manifest, which lists it; echo the summary."""
+    path = out_dir / "summary.txt"
+    path.write_text(summary + "\n")
+    manifest.add_output(out_dir, path)
+    manifest.write(out_dir)
+    click.echo(summary)
+
+
 @main.command()
 @_with_config_options
 @click.option("--a", "dir_a", type=click.Path(exists=True), default=None,
@@ -326,26 +335,31 @@ def _grid_from_nodes(xs: np.ndarray) -> Grid1D:
 def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
     """Compare two snapshot directories, or regenerate both estimators and
     the PDE reference from a config and compare everything."""
+    if dir_a is None and dir_b is None:
+        if seed is None:
+            raise click.UsageError("compare needs --a and --b, or --seed to regenerate the runs")
+    elif dir_a is None or dir_b is None:
+        raise click.UsageError("--a and --b go together: give both snapshot directories")
+    else:  # the two runs are read as they are: a flag that would regenerate them is refused
+        given = {"--config": cfg_kwargs["config_path"], "--seed": seed,
+                 "--snapshot-stride": snapshot_stride,
+                 **{flag: cfg_kwargs[key.replace(".", "__")] for flag, key, *_ in _CONFIG_FLAGS}}
+        ignored = [flag for flag, value in given.items() if value is not None]
+        if ignored:
+            raise click.UsageError(f"--a/--b compare two runs as they are; "
+                                   f"{', '.join(ignored)} would be ignored")
     out_dir = _out_dir(out, "compare-out")
     manifest = RunManifest(command="compare", config={})
-    if dir_a is not None and dir_b is not None:
+    if dir_a is not None:
         xa, sa, ta, ua = _load_snapshot_series(Path(dir_a))
         xb, sb, tb, ub = _load_snapshot_series(Path(dir_b))
         if xa.shape != xb.shape or not np.array_equal(xa, xb):
             raise DataError(f"grids of {dir_a} and {dir_b} do not match")
         if len(ua) != len(ub) or not np.array_equal(sa, sb):
             raise DataError(f"snapshot steps of {dir_a} and {dir_b} do not match")
-        grid = _grid_from_nodes(xa)
-        report = compare_series(ta, ua, ub, grid, {"a": str(dir_a), "b": str(dir_b)})
-        path = write_csv(out_dir / "report.csv",
-                         ["t", "l1", "l2", "sup", "mass_a", "mass_b"],
-                         [report.times, report.l1, report.l2, report.sup,
-                          report.mass_a, report.mass_b])
-        manifest.add_output(out_dir, path)
-        summary = report.summary()
-    elif cfg_kwargs.get("config_path") or seed is not None:
-        if seed is None:
-            raise ConfigError(["--seed is required when regenerating from a config"])
+        reports = {"report": compare_series(ta, ua, ub, _grid_from_nodes(xa),
+                                            {"a": str(dir_a), "b": str(dir_b)})}
+    else:
         cfg = _build_config(seed=seed, **cfg_kwargs)
         manifest.config = cfg.to_dict()
         fk, kl = run_simulations([replace(cfg, mode="feynman-kac"), replace(cfg, mode="killed")],
@@ -355,28 +369,19 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
         target = [mollify_grid_function(v, grid, cfg.kernel.bandwidth)
                   for v in ref.densities]
         reports = {
-            "fk_vs_kill": compare_series(fk.times, fk.densities, kl.densities, grid,
-                                         {"a": "feynman-kac", "b": "killed"}),
-            "fk_vs_pde": compare_series(fk.times, fk.densities, target, grid,
-                                        {"a": "feynman-kac", "b": "K*v"}),
-            "kill_vs_pde": compare_series(kl.times, kl.densities, target, grid,
-                                          {"a": "killed", "b": "K*v"}),
+            "report_fk_vs_kill": compare_series(fk.times, fk.densities, kl.densities, grid,
+                                                {"a": "feynman-kac", "b": "killed"}),
+            "report_fk_vs_pde": compare_series(fk.times, fk.densities, target, grid,
+                                               {"a": "feynman-kac", "b": "K*v"}),
+            "report_kill_vs_pde": compare_series(kl.times, kl.densities, target, grid,
+                                                 {"a": "killed", "b": "K*v"}),
         }
-        chunks = []
-        for name, report in reports.items():
-            path = write_csv(out_dir / f"report_{name}.csv",
-                             ["t", "l1", "l2", "sup", "mass_a", "mass_b"],
-                             [report.times, report.l1, report.l2, report.sup,
-                              report.mass_a, report.mass_b])
-            manifest.add_output(out_dir, path)
-            chunks.append(report.summary())
-        summary = "\n\n".join(chunks)
-    else:
-        raise DataError("compare needs either --a/--b directories or --config/--seed")
-    (out_dir / "summary.txt").write_text(summary + "\n")
-    manifest.add_output(out_dir, out_dir / "summary.txt")
-    manifest.write(out_dir)
-    click.echo(summary)
+    for name, report in reports.items():
+        path = write_csv(out_dir / f"{name}.csv", ["t", "l1", "l2", "sup", "mass_a", "mass_b"],
+                         [report.times, report.l1, report.l2, report.sup,
+                          report.mass_a, report.mass_b])
+        manifest.add_output(out_dir, path)
+    _write_summary(out_dir, "\n\n".join(r.summary() for r in reports.values()), manifest)
 
 
 def _ensemble_sizes(ctx, param, value: str) -> list[int]:
@@ -418,10 +423,7 @@ def convergence(n_values, seeds_per_n, seed, out, **cfg_kwargs):
          np.array([r.kill_stderr for r in table.rows])],
     )
     manifest.add_output(out_dir, path)
-    (out_dir / "summary.txt").write_text(table.summary() + "\n")
-    manifest.add_output(out_dir, out_dir / "summary.txt")
-    manifest.write(out_dir)
-    click.echo(table.summary())
+    _write_summary(out_dir, table.summary(), manifest)
 
 
 def _tolerance(ctx, param, value: float) -> float:
@@ -476,10 +478,7 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
     else:
         summary = (f"no convergence within {result.iterations} iterations; "
                    f"last distance {result.distances[-1]:.3g}")
-    (out_dir / "summary.txt").write_text(summary + "\n")
-    manifest.add_output(out_dir, out_dir / "summary.txt")
-    manifest.write(out_dir)
-    click.echo(summary)
+    _write_summary(out_dir, summary, manifest)
 
 
 @main.command("emit-plots")

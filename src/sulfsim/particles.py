@@ -17,12 +17,12 @@ over slices of at most ``SLICE_PARTICLES`` particles, so that a slice's
 temporaries stay in cache whatever N is.  One function steps a slice
 (:func:`_slice_step`): it reads (I, J) at X_k, takes the Euler-Maruyama
 step with the slice's columns of the noise, checks that the positions are
-finite, reads I at X_{k+1}, and updates hazards, weights and deaths.  When
-one slice holds the whole ensemble, the grid coordinates of X_{k+1} it
-returns serve the next step's drift; otherwise each slice computes those
-of X_k again and no full-length coordinate array outlives a step.  Both
-modes step the same full-length arrays, and every element goes through the
-same operations whatever the slicing.  Each read counts the off-grid
+finite, reads I at X_{k+1}, and updates the hazards.  When one slice
+holds the whole ensemble, the grid coordinates of X_{k+1} it returns serve
+the next step's drift; otherwise each slice computes those of X_k again
+and no full-length coordinate array outlives a step.  Both modes step the
+same full-length arrays, and every element goes through the same
+operations whatever the slicing.  Each read counts the off-grid
 queries and negative-I clamps of alive particles only.  A non-finite
 position ends the run once the sweep is over, naming every such particle.
 
@@ -70,15 +70,12 @@ class NonFiniteStateError(RuntimeError):
 class ParticleEnsemble:
     """One ensemble, or R replicas as (R, N) arrays; ``killed`` flags the
     killed-mode replicas, shaped () or (R, 1).  ``thresholds`` is None exactly
-    when none is killed; else a feynman-kac row has thresholds +inf, so its
-    alive mask stays all True and multiplying by it changes no bit."""
+    when none is killed; else a feynman-kac row has thresholds +inf, so it
+    stays alive.  The weights and the alive mask are read off the hazards."""
 
     positions: np.ndarray
     hazards: np.ndarray
-    weights: np.ndarray
     thresholds: np.ndarray | None
-    alive: np.ndarray
-    death_times: np.ndarray
     killed: np.ndarray
 
     @classmethod
@@ -89,23 +86,31 @@ class ParticleEnsemble:
         join = np.stack if len(members) > 1 else (lambda arrays: arrays[0][None])
         thresholds = join([np.full(e.positions.shape, np.inf) if e.thresholds is None
                            else e.thresholds for e in members]) if killed.any() else None
-        return cls(**{name: join([getattr(e, name) for e in members]) for name in
-                      ("positions", "hazards", "weights", "alive", "death_times")},
-                   thresholds=thresholds, killed=killed)
+        return cls(join([e.positions for e in members]), join([e.hazards for e in members]),
+                   thresholds, killed)
 
     def row(self, r: int) -> ParticleEnsemble:
         """Replica r of a stack, as views of its rows."""
         killed = self.killed[r, 0]
-        return ParticleEnsemble(self.positions[r], self.hazards[r], self.weights[r],
-                                self.thresholds[r] if killed else None, self.alive[r],
-                                self.death_times[r], killed)
+        return ParticleEnsemble(self.positions[r], self.hazards[r],
+                                self.thresholds[r] if killed else None, killed)
 
     def columns(self, cols: slice) -> ParticleEnsemble:
         """The particles in columns ``cols`` of every row, as views."""
         return ParticleEnsemble(self.positions[..., cols], self.hazards[..., cols],
-                                self.weights[..., cols],
                                 None if self.thresholds is None else self.thresholds[..., cols],
-                                self.alive[..., cols], self.death_times[..., cols], self.killed)
+                                self.killed)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The discount weights exp(-Lambda), a new array."""
+        weights = np.negative(self.hazards)
+        return np.exp(weights, out=weights)
+
+    @property
+    def alive(self) -> np.ndarray:
+        """Lambda < Z, a new array; Z is +inf without thresholds, as in a feynman-kac row."""
+        return self.hazards < (np.inf if self.thresholds is None else self.thresholds)
 
     def cloud(self) -> WeightedPointCloud:
         """The density cloud of each replica's mode at the current state.
@@ -117,17 +122,17 @@ class ParticleEnsemble:
         again: the initial positions are finite draws, :func:`_slice_step`
         checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
-        if self.thresholds is None:
-            return WeightedPointCloud.unchecked(self.positions, self.weights)
-        return WeightedPointCloud.unchecked(self.positions,
-                                            np.where(self.killed, self.alive, self.weights))
+        weights = self.weights
+        if self.thresholds is not None:
+            np.copyto(weights, self.alive, where=self.killed)
+        return WeightedPointCloud.unchecked(self.positions, weights)
 
 
 def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> ParticleEnsemble:
     """Draw the initial ensemble from per-particle streams.
 
     Positions are i.i.d. rho_0 (one uniform per particle through the
-    inverse CDF); hazards start at 0 and weights at 1; killed mode draws
+    inverse CDF); hazards start at 0; killed mode draws
     Exp(1) thresholds from streams disjoint from position/noise streams.
     """
     config = validate_config(config.with_grid())
@@ -141,34 +146,26 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     thresholds = None
     if config.mode == "killed":
         thresholds = draw_thresholds(config.seed, streams.indices)
-    return ParticleEnsemble(
-        positions=positions,
-        hazards=np.zeros(n),
-        weights=np.ones(n),
-        thresholds=thresholds,
-        alive=np.ones(n, dtype=bool),
-        death_times=np.full(n, np.nan),
-        killed=np.array(config.mode == "killed"),
-    )
+    return ParticleEnsemble(positions, np.zeros(n), thresholds,
+                            np.array(config.mode == "killed"))
 
 
 def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, params,
-                t_end: float, negative_I: np.ndarray, coords=None):
+                negative_I: np.ndarray, coords=None):
     """Step the slice ``part`` (views of the ensemble's columns) from X_k to X_{k+1}.
 
     Reads (I, J) at X_k, or at its ``coords`` when given; moves Y += b(I, J) dt
     + sqrt(2 dt) xi, with xi the slice's standard normals ``noise`` (scaled in
     place); checks that the positions are finite; reads I at X_{k+1}; then
-    adds dt * rate(I) to the hazards, sets the weights to exp(-Lambda) and
-    kills at ``t_end`` each particle whose hazard reaches its threshold.
-    Each read clamps I at 0, and counts only alive particles, per row of a
-    stack, in ``negative_I`` (in place) and in the fields' ``out_of_domain``.
+    adds dt * rate(I) to the hazards.  Each read clamps I at 0, and counts
+    only alive particles, per row of a stack, in ``negative_I`` (in place)
+    and in the fields' ``out_of_domain``.
 
     In killed mode b dt, sqrt(2 dt) xi and dt * rate are multiplied by the
-    alive mask: a dead particle stays put and keeps its hazard but still
-    consumes its noise draw, which keeps the streams of the two modes
-    aligned.  b dt and then sqrt(2 dt) xi are added to the position; adding
-    their sum instead would round differently.
+    alive mask Lambda < Z at X_k: a dead particle stays put and keeps its
+    hazard, so it stays dead, but still consumes its noise draw, which keeps
+    the streams of the two modes aligned.  b dt and then sqrt(2 dt) xi are
+    added to the position; adding their sum instead would round differently.
 
     Returns the coordinates of X_{k+1}, or None when a position is not
     finite; the slice then holds that position and its old hazards, and is
@@ -206,11 +203,6 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
     if alive is not None:
         increment *= alive
     part.hazards += increment
-    np.exp(-part.hazards, out=part.weights)
-    if alive is not None:
-        dead_now = alive & (part.hazards >= part.thresholds)
-        alive[dead_now] = False
-        part.death_times[dead_now] = t_end
     return coords
 
 
@@ -308,15 +300,14 @@ def run_simulations(
         times.append(k * dt)
         steps_rec.append(k)
         outside = (cloud.positions < grid.lower) | (cloud.positions > grid.upper)
-        for r, c in enumerate(configs):
+        for r in range(len(configs)):
             densities[r].append(u[r])
             mass[r].append(float(np.trapezoid(u[r], dx=grid.spacing)))
-            alive_or_weights = ens.alive[r] if c.mode == "killed" else ens.weights[r]
-            weight_or_alive[r].append(float(alive_or_weights.mean()))
+            weight_or_alive[r].append(float(cloud.weights[r].mean()))
             escaped[r].append(float(cloud.weights[r][outside[r]].sum() / n))
         if coupled_thresholds:
             alive_frac = float(np.mean(ens.hazards[0] < thresholds))
-            w = ens.weights[0]
+            w = cloud.weights[0]
             vbar = float(np.mean(w * (1.0 - w)))
             coupled_alive.append(alive_frac)
             coupled_band.append(3.0 * np.sqrt(vbar / n))
@@ -338,7 +329,7 @@ def run_simulations(
             u = accumulate_step(acc, cloud, n, dt)
             if recording:
                 record(k, cloud, u)
-            del cloud  # a killed cloud holds a weight array the step does not read
+            del cloud  # its weight array is not read by the step
             draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
             noise = (np.stack([draws[c.seed] for c in configs]) if len(configs) > 1
                      else draws[config.seed][None])
@@ -347,7 +338,7 @@ def run_simulations(
             for lo in range(0, n, width):
                 cols = slice(lo, lo + width)
                 coords = _slice_step(ens.columns(cols), acc, noise[:, cols], dt, params,
-                                     (k + 1) * dt, negative_I, coords if one_slice else None)
+                                     negative_I, coords if one_slice else None)
                 bad |= coords is None
             del noise
             if bad:
@@ -365,7 +356,7 @@ def run_simulations(
         diag = {"negative_I": int(negative_I[r]),
                 "out_of_domain": int(acc.out_of_domain[r]), "final_escaped_mass": escaped[r][-1]}
         if c.mode == "killed":
-            diag["deaths"] = int(np.count_nonzero(~ens.alive[r]))
+            diag["deaths"] = int(np.count_nonzero(ens.hazards[r] >= ens.thresholds[r]))
         outputs.append(SimulationOutput(
             config=c,
             times=np.asarray(times),

@@ -103,8 +103,9 @@ def init_state(config: SimConfig) -> PdeState:
     return PdeState(grid=grid, delta=config.kernel.bandwidth, v=v)
 
 
-def pde_step(state: PdeState, params: PhysicalParams, delta: float, dt: float) -> StepLedger:
-    """Advance v by one explicit step; returns the step's mass ledger."""
+def pde_step(state: PdeState, params: PhysicalParams, dt: float) -> StepLedger:
+    """Advance v by one explicit step with the state's kernel taps; returns the
+    step's mass ledger."""
     grid = state.grid
     h = grid.spacing
     if dt > h * h / 2.0 * (1.0 + 1e-12):
@@ -179,7 +180,6 @@ def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutpu
     config = validate_config(config.with_grid())
     state = init_state(config)
     params = config.physical
-    delta = config.kernel.bandwidth
     dt = config.step
     h = state.grid.spacing
     n_steps = config.n_steps
@@ -198,7 +198,7 @@ def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutpu
     m_before = float(np.trapezoid(state.v, dx=h))
     record(0, m_before)
     for k in range(n_steps):
-        ledger = pde_step(state, params, delta, dt)
+        ledger = pde_step(state, params, dt)
         m_after = float(np.trapezoid(state.v, dx=h))
         sink_s.append(ledger.sink)
         flux_s.append(ledger.boundary_flux)

@@ -393,6 +393,34 @@ def test_compare_regenerates_from_config(runner, cfg_file, tmp_path):
         assert (out / name).is_file()
 
 
+@pytest.mark.parametrize("args, named", [
+    ([], ["--a", "--b", "--seed"]),
+    (["--config", "{cfg}"], ["--seed"]),
+    (["--particles", "10"], ["--seed"]),
+    (["--a", "{run}"], ["--a", "--b"]),
+    (["--b", "{run}"], ["--a", "--b"]),
+    (["--a", "{run}", "--config", "{cfg}", "--seed", "1"], ["--a", "--b"]),
+    (["--a", "{run}", "--b", "{run}", "--config", "{cfg}", "--seed", "1"], ["--config", "--seed"]),
+    (["--a", "{run}", "--b", "{run}", "--seed", "1"], ["--seed"]),
+    (["--a", "{run}", "--b", "{run}", "--config", "{cfg}"], ["--config"]),
+    (["--a", "{run}", "--b", "{run}", "--particles", "10", "--lambda", "2"],
+     ["--particles", "--lambda"]),
+    (["--a", "{run}", "--b", "{run}", "--no-normalize"], ["--normalize/--no-normalize"]),
+    (["--a", "{run}", "--b", "{run}", "--snapshot-stride", "2"], ["--snapshot-stride"]),
+], ids=["no-runs", "config-without-seed", "flag-without-seed", "a-alone", "b-alone", "a-with-config", "ab-config-seed", "ab-seed", "ab-config",
+        "ab-physical", "ab-normalize", "ab-snapshot-stride"])
+def test_compare_refuses_flags_it_would_ignore(runner, cfg_file, tmp_path, args, named):
+    run = tmp_path / "run"
+    run.mkdir()
+    args = [a.format(run=run, cfg=cfg_file) for a in args]
+    res = runner.invoke(main, ["compare", *args, "--out", str(tmp_path / "c")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    for flag in named:
+        assert flag in res.output, flag
+    assert not (tmp_path / "c").exists()
+
+
 def test_convergence_table_shape(runner, cfg_file, tmp_path):
     out = tmp_path / "conv"
     res = runner.invoke(

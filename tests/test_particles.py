@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +74,7 @@ def test_em_step_pure_diffusion_variance():
     ens = init_ensemble(cfg, streams)
     before = ens.positions.copy()
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
-    _slice_step(ens, fields, streams.normals(), dt, cfg.physical, dt, np.zeros((), np.int64))
+    _slice_step(ens, fields, streams.normals(), dt, cfg.physical, np.zeros((), np.int64))
     inc = ens.positions - before
     se = 2 * dt * np.sqrt(2.0 / n)
     assert abs(inc.var() - 2 * dt) <= 3 * se
@@ -89,7 +90,7 @@ def test_em_step_zero_fields_is_pure_noise(small_config):
     _ = streams_copy.initial_uniforms()
     noise = streams_copy.normals()
     dt = small_config.step
-    _slice_step(ens, fields, streams.normals(), dt, small_config.physical, dt,
+    _slice_step(ens, fields, streams.normals(), dt, small_config.physical,
                 np.zeros((), np.int64))
     expected = start + np.sqrt(2 * small_config.step) * noise
     assert np.array_equal(ens.positions, expected)
@@ -102,7 +103,7 @@ def test_em_step_nonfinite_position_aborts(small_config):
     fields = AccumulatedFields(grid=small_config.grid, delta=0.3)
     dt = small_config.step
     hazards = ens.hazards.copy()
-    coords = _slice_step(ens, fields, bad, dt, small_config.physical, dt, np.zeros((), np.int64))
+    coords = _slice_step(ens, fields, bad, dt, small_config.physical, np.zeros((), np.int64))
     assert coords is None
     assert np.flatnonzero(~np.isfinite(ens.positions)).tolist() == [3]
     assert np.array_equal(ens.hazards, hazards)  # the hazard update did not run
@@ -112,14 +113,15 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
     cfg = replace(small_config, mode="killed")
     streams = ParticleStreams(cfg.seed, cfg.particles)
     ens = init_ensemble(cfg, streams)
-    ens.alive[::2] = False  # 100 of 200 dead
+    ens.hazards[::2] = ens.thresholds[::2]  # 100 of 200 dead
     ens.positions[:50] = cfg.grid.upper + 1.0  # 50 off the grid, 25 of them alive
     dead = ~ens.alive
-    frozen = {name: getattr(ens, name)[dead].copy() for name in ("positions", "hazards", "weights")}
+    assert np.count_nonzero(dead) == 100
+    frozen = {name: getattr(ens, name)[dead].copy() for name in ("positions", "hazards")}
     negative_A = np.full(cfg.grid.n_nodes, -1.0)  # every read of I is clamped
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth, A=negative_A)
     negative_I = np.zeros((), np.int64)
-    _slice_step(ens, fields, streams.normals(), cfg.step, cfg.physical, cfg.step, negative_I)
+    _slice_step(ens, fields, streams.normals(), cfg.step, cfg.physical, negative_I)
     # two reads (X_k, then X_{k+1}) of 100 alive particles, 25 of them off the grid
     assert (negative_I, fields.out_of_domain) == (200, 50)
     for name, before in frozen.items():
@@ -130,11 +132,14 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
 def _reference_steps(cfg):
     """Steps the ensemble with one full field read per use: (I, J) through
     ``fields.interpolate`` at the alive positions for the drift, and again
-    at the new positions for the hazard, each clamped at I >= 0."""
+    at the new positions for the hazard, each clamped at I >= 0.  It keeps
+    its own weights, alive mask and death steps, updated after each step."""
     cfg = validate_config(cfg.with_grid())
     n, dt, params = cfg.particles, cfg.step, cfg.physical
     streams = ParticleStreams(cfg.seed, n)
-    ens = init_ensemble(cfg, streams)
+    init = init_ensemble(cfg, streams)
+    ens = SimpleNamespace(positions=init.positions, hazards=init.hazards, weights=np.ones(n),
+                          alive=np.ones(n, dtype=bool), death_steps=np.full(n, -1))
     acc = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
     negative = 0
 
@@ -145,7 +150,8 @@ def _reference_steps(cfg):
         return np.maximum(args.I, 0.0), args.J
 
     for k in range(cfg.n_steps):
-        accumulate_step(acc, ens.cloud(), n, dt)
+        weights = ens.alive.astype(float) if cfg.mode == "killed" else ens.weights
+        accumulate_step(acc, WeightedPointCloud(ens.positions, weights), n, dt)
         noise = streams.normals()
         alive = ens.alive.copy()
         I, J = clamped_I_J(ens.positions[alive])
@@ -155,9 +161,9 @@ def _reference_steps(cfg):
         ens.hazards[alive] += dt * reaction_rate(I, params)
         ens.weights[alive] = np.exp(-ens.hazards[alive])
         if cfg.mode == "killed":
-            dead_now = alive & (ens.hazards >= ens.thresholds)
+            dead_now = alive & (ens.hazards >= init.thresholds)
             ens.alive[dead_now] = False
-            ens.death_times[dead_now] = (k + 1) * dt
+            ens.death_steps[dead_now] = k + 1
     return ens, acc.out_of_domain, negative
 
 
@@ -172,15 +178,15 @@ def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
     sim = run_simulation(cfg)
     ref, out_of_domain, negative_I = _reference_steps(cfg)
     ens = sim.ensemble
+    # the run's weights and alive mask, read off its hazards, are the stored ones
     for name in ("positions", "hazards", "weights", "alive"):
         assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
-    assert np.array_equal(ens.death_times, ref.death_times, equal_nan=True)
     assert sim.diagnostics["out_of_domain"] == out_of_domain
     assert sim.diagnostics["negative_I"] == negative_I
     if mode == "killed":
         dead = ~ens.alive
         assert 0 < dead.sum() < cfg.particles
-        assert len(np.unique(ens.death_times[dead])) > 5  # deaths spread over the run
+        assert len(np.unique(ref.death_steps[dead])) > 5  # deaths spread over the run
         assert out_of_domain > 0
         assert np.any(np.abs(ens.positions[ens.alive]) > upper)  # survivors read off-grid
         if lam == 40.0:
@@ -195,7 +201,8 @@ def test_dead_particles_stay_at_their_death_position(small_config, tmp_path):
     ens = sim.ensemble
     dead = np.flatnonzero(~ens.alive)
     assert dead.size > cfg.particles // 4
-    death_steps = np.rint(ens.death_times[dead] / cfg.step).astype(int)
+    assert np.all(weights[-1, dead] == 0.0)
+    death_steps = np.argmax(weights[:, dead] == 0.0, axis=0)  # the first row of weight 0
     assert len(np.unique(death_steps)) > 5
     for i, k in zip(dead, death_steps):
         assert ens.positions[i] == positions[k, i]
@@ -260,14 +267,11 @@ def test_killed_dead_particles_frozen_and_excluded(small_config):
     dead = ~ens.alive
     if not dead.any():
         pytest.skip("no deaths in this scenario")
-    assert np.all(np.isfinite(ens.death_times[dead]))
-    assert np.all(np.isnan(ens.death_times[~dead]))
     cloud = ens.cloud()
     assert np.all(cloud.weights[dead] == 0.0)
     assert np.all(cloud.weights[~dead] == 1.0)
-    # dead hazards exceed their thresholds; weights still track exp(-Lambda)
-    assert np.all(ens.hazards[dead] >= ens.thresholds[dead])
-    assert np.allclose(ens.weights, np.exp(-ens.hazards), rtol=1e-14)
+    assert sim.diagnostics["deaths"] == np.count_nonzero(dead)
+    assert sim.weight_or_alive[-1] == np.count_nonzero(~dead) / cfg.particles
 
 
 def test_same_seed_bitwise_reproducible(small_config):
@@ -322,11 +326,11 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     clouds = []
     view = _ExactHistoryView(clouds, cfg.step, cfg.kernel.bandwidth, cfg.particles)
     coords, negative_I = None, np.zeros((), np.int64)
-    for k in range(cfg.n_steps):
-        cloud = ens.cloud()  # views of the state, which the step moves
+    for _ in range(cfg.n_steps):
+        cloud = ens.cloud()  # its positions are a view of the state, which the step moves
         clouds.append(WeightedPointCloud(cloud.positions.copy(), cloud.weights.copy()))
         coords = _slice_step(ens, view, streams.normals(), cfg.step, cfg.physical,
-                             (k + 1) * cfg.step, negative_I, coords)
+                             negative_I, coords)
     gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
 
@@ -414,9 +418,8 @@ def _assert_same_run(got, ref):
     for a, b in zip(got.densities, ref.densities):
         assert np.array_equal(a, b)
     assert got.diagnostics == ref.diagnostics
-    for name in ("positions", "hazards", "weights", "alive", "death_times"):
-        assert np.array_equal(getattr(got.ensemble, name), getattr(ref.ensemble, name),
-                              equal_nan=name == "death_times"), name
+    for name in ("positions", "hazards"):
+        assert np.array_equal(getattr(got.ensemble, name), getattr(ref.ensemble, name)), name
     assert (got.ensemble.thresholds is None) == (ref.ensemble.thresholds is None)
     if ref.ensemble.thresholds is not None:
         assert np.array_equal(got.ensemble.thresholds, ref.ensemble.thresholds)
@@ -492,7 +495,7 @@ def test_one_replica_stack_and_identity_streams_copy_nothing(small_config):
     for mode in ("feynman-kac", "killed"):
         member = init_ensemble(replace(small_config, mode=mode), streams)
         stack = ParticleEnsemble.stack([member])
-        for name in ("positions", "hazards", "weights", "thresholds", "alive", "death_times"):
+        for name in ("positions", "hazards", "thresholds"):
             got, own = getattr(stack, name), getattr(member, name)
             if own is None:
                 assert got is None, name

@@ -55,7 +55,7 @@ def test_heat_equation_matches_closed_form():
 def test_zero_density_is_fixed_point(default_params):
     grid = Grid1D(-2.0, 2.0, 0.1)
     state = PdeState(grid=grid, delta=0.3, v=np.zeros(grid.n_nodes))
-    pde_step(state, default_params, 0.3, 0.004)
+    pde_step(state, default_params, 0.004)
     assert np.all(state.v == 0.0)
 
 
@@ -68,7 +68,7 @@ def test_single_step_no_drift_formula(default_params):
     v0 = state.v.copy()
     h = 0.1
     dt = 0.004
-    pde_step(state, p, cfg.kernel.bandwidth, dt)
+    pde_step(state, p, dt)
     lap = (v0[2:] - 2 * v0[1:-1] + v0[:-2]) / h**2
     approx = v0[1:-1] + dt * (lap - p.lam * p.c0 * v0[1:-1])
     # exact up to the O(dt^2) reaction-argument shift
@@ -76,7 +76,7 @@ def test_single_step_no_drift_formula(default_params):
     # and exactly the heat step when lam = 0
     p0 = PhysicalParams(lam=0.0, phi1=0.0)
     state0 = init_state(replace(cfg, physical=p0))
-    pde_step(state0, p0, cfg.kernel.bandwidth, dt)
+    pde_step(state0, p0, dt)
     assert np.array_equal(state0.v[1:-1], v0[1:-1] + dt * lap)
 
 
@@ -112,7 +112,7 @@ def test_cfl_violation_raises(default_params):
     grid = Grid1D(-2.0, 2.0, 0.1)
     state = PdeState(grid=grid, delta=0.3, v=np.zeros(grid.n_nodes))
     with pytest.raises(CflError):
-        pde_step(state, default_params, 0.3, 0.01)
+        pde_step(state, default_params, 0.01)
 
 
 def test_mollified_reference_has_same_mass():
