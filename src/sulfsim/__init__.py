@@ -21,7 +21,7 @@ from .config import (
     validate_config,
 )
 from .dynamics import DriftArgs, drift_b, reaction_rate, recover_calcite
-from .fields import AccumulatedFields, accumulate_step, interpolate
+from .fields import AccumulatedFields, accumulate_step
 from .fixedpoint import apply_mkfk_map, picard_solve
 from .io import TrajectoryArchive
 from .kernel import WeightedPointCloud, kernel_grad, kernel_value
@@ -30,7 +30,6 @@ from .particles import (
     ParticleEnsemble,
     SimulationOutput,
     init_ensemble,
-    run_coupled,
     run_simulation,
     run_simulations,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "density_distance",
     "drift_b",
     "init_ensemble",
-    "interpolate",
     "kernel_grad",
     "kernel_value",
     "load_config",
@@ -64,7 +62,6 @@ __all__ = [
     "picard_solve",
     "reaction_rate",
     "recover_calcite",
-    "run_coupled",
     "run_simulation",
     "run_simulations",
     "solve_pde",

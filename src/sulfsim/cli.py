@@ -290,10 +290,10 @@ def _load_snapshot_series(run_dir: Path):
         series.append(u)
         steps.append(int(step))
     (times,) = _columns(run_dir / "run.csv", "t")
-    if len(times) < len(series):
+    if len(times) != len(series):  # a row per snapshot, or the times are mislabelled
         raise DataError(f"{run_dir / 'run.csv'} has {len(times)} times for "
                         f"{len(series)} snapshots")
-    return xs, np.asarray(steps), times[: len(series)], series
+    return xs, np.asarray(steps), times, series
 
 
 def _columns(path: Path, *names: str) -> list[np.ndarray]:
@@ -445,10 +445,7 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
     """Picard iteration of the discounted-kernel map on an archived run."""
     cfg = _build_config(**cfg_kwargs)
     out_dir = _out_dir(out, "fixedpoint-out")
-    try:
-        archive = read_archive(archive_path)
-    except ValueError as err:
-        raise DataError(str(err)) from err
+    archive = read_archive(archive_path)
     if archive.mode != "feynman-kac":
         raise DataError(f"{archive_path} holds a {archive.mode} run, whose dead particles are "
                         "not paths of the map: re-run `simulate --mode fk --archive`")

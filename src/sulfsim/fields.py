@@ -3,8 +3,10 @@
 A and G hold left-endpoint time quadratures of the mollified density and
 its gradient.  The grid accumulator is the one bookkeeping the dynamics
 read; the tests check it against the same sums evaluated from archived
-snapshots with no spatial interpolation.  :func:`lerp` is the
-one linear read of node values, shared with the fixed-point map.
+snapshots with no spatial interpolation.  A read of the fields is
+``fields.args_at(fields.coords_at(x))``: the coordinates of the positions
+once, then the values at them.  :func:`lerp` is the one linear read of
+node values, shared with the fixed-point map.
 """
 
 from __future__ import annotations
@@ -47,8 +49,20 @@ class AccumulatedFields:
             coords.j[...] += self.grid.n_nodes * np.arange(len(self.A))[:, None]
         return coords
 
-    def args_at(self, x, gradient: bool = True) -> DriftArgs:
-        return interpolate(self, x, gradient)
+    def args_at(self, coords: LerpCoords, gradient: bool = True) -> DriftArgs:
+        """Piecewise-linear read of (A, G) at the :class:`LerpCoords` of
+        :meth:`coords_at`; with ``gradient`` false only A is read and J is None.
+
+        Queries beyond the grid return the boundary-node values and bump the
+        out-of-domain counter (of each row of a stack), once per read;
+        positions are never clamped, so the dynamics continue off-grid.
+        """
+        j, frac, outside = coords
+        if outside.any():
+            self.out_of_domain = self.out_of_domain + np.count_nonzero(outside, axis=-1)
+        if gradient:
+            return DriftArgs(*lerp(j, frac, self.A.ravel(), self.G.ravel()))
+        return DriftArgs(lerp(j, frac, self.A.ravel())[0], None)
 
 
 def accumulate_step(
@@ -104,27 +118,3 @@ def lerp(j: np.ndarray, frac: np.ndarray, *values: np.ndarray) -> list[np.ndarra
         buf *= frac
         read += buf
     return reads
-
-
-def interpolate(fields: AccumulatedFields, x, gradient: bool = True) -> DriftArgs:
-    """Piecewise-linear read of (A, G) at positions ``x``, or at their
-    :class:`LerpCoords`; with ``gradient`` false only A is read and J is None.
-
-    Queries beyond the grid return the boundary-node values and bump the
-    out-of-domain counter (of each row of a stack), once per read; positions
-    are never clamped, so the dynamics continue off-grid.
-    """
-    scalar = False
-    if not isinstance(x, LerpCoords):
-        x = np.asarray(x, dtype=float)
-        scalar, x = x.ndim == 0, fields.coords_at(x)
-    j, frac, outside = x
-    if outside.any():
-        fields.out_of_domain = fields.out_of_domain + np.count_nonzero(outside, axis=-1)
-    if gradient:
-        I, J = lerp(j, frac, fields.A.ravel(), fields.G.ravel())
-    else:
-        (I,), J = lerp(j, frac, fields.A.ravel()), None
-    if scalar:
-        return DriftArgs(float(I[0]), None if J is None else float(J[0]))
-    return DriftArgs(I, J)

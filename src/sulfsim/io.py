@@ -161,7 +161,7 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int, dt: float,
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
-    """Check an archive file and return it; ValueError unless the file is
+    """Check an archive file and return it; DataError unless the file is
     exactly one archive of the current version, of a known mode, with finite
     positions and weights in [0, 1].  The values are checked in one pass
     over the rows, which holds one row in memory."""
@@ -169,29 +169,29 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
         if header[:4] != ARCHIVE_MAGIC or len(header) < ARCHIVE_HEADER_BYTES:
-            raise ValueError(f"{path} does not start with a trajectory archive header")
+            raise DataError(f"{path} does not start with a trajectory archive header")
         _, version, n, snaps, dt, mode = ARCHIVE_HEADER.unpack(header)
         if version != ARCHIVE_VERSION:
-            raise ValueError(f"{path} is a version {version} archive; only version "
-                             f"{ARCHIVE_VERSION}, which records the run's mode, is read: "
-                             "re-run `simulate --archive`")
+            raise DataError(f"{path} is a version {version} archive; only version "
+                            f"{ARCHIVE_VERSION}, which records the run's mode, is read: "
+                            "re-run `simulate --archive`")
         if mode >= len(ARCHIVE_MODES):
-            raise ValueError(f"{path} has the unknown mode word {mode}")
+            raise DataError(f"{path} has the unknown mode word {mode}")
         if n == 0 or snaps == 0:
-            raise ValueError(f"{path} declares {n} particles and {snaps} snapshots; "
-                             "both must be positive")
+            raise DataError(f"{path} declares {n} particles and {snaps} snapshots; "
+                            "both must be positive")
         if not 0.0 < dt < np.inf:
-            raise ValueError(f"{path} declares the time step {dt}; it must be positive and finite")
+            raise DataError(f"{path} declares the time step {dt}; it must be positive and finite")
         size = os.fstat(fh.fileno()).st_size
         expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
         if size != expected:
-            raise ValueError(f"{path} has {size} bytes; its header needs exactly {expected}")
+            raise DataError(f"{path} has {size} bytes; its header needs exactly {expected}")
     archive = TrajectoryArchive(path, dt, int(n), int(snaps), ARCHIVE_MODES[mode])
     for positions, weights in archive.rows():
         if not np.isfinite(positions).all():
-            raise ValueError(f"{path} holds non-finite positions")
+            raise DataError(f"{path} holds non-finite positions")
         if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
-            raise ValueError(f"{path} holds weights outside [0, 1]")
+            raise DataError(f"{path} holds weights outside [0, 1]")
     return archive
 
 

@@ -17,7 +17,10 @@ over slices of at most ``SLICE_PARTICLES`` particles, so that a slice's
 temporaries stay in cache whatever N is.  One function steps a slice
 (:func:`_slice_step`): it reads (I, J) at X_k, takes the Euler-Maruyama
 step with the slice's columns of the noise, checks that the positions are
-finite, reads I at X_{k+1}, and updates the hazards.  When one slice
+finite, reads I at X_{k+1}, and updates the hazards.  Every read is
+``fields.args_at`` at the grid coordinates of ``fields.coords_at``, clamped
+at I >= 0, and feeds the unchecked :func:`~sulfsim.dynamics.drift_b` and
+:func:`~sulfsim.dynamics.reaction_rate`.  When one slice
 holds the whole ensemble, the grid coordinates of X_{k+1} it returns serve
 the next step's drift; otherwise each slice computes those of X_k again
 and no full-length coordinate array outlives a step.  Both modes step the
@@ -30,6 +33,8 @@ position ends the run once the sweep is over, naming every such particle.
 only in seed and mode as one ensemble of (R, N) arrays: one pass of array
 operations per step for all R, rows kept apart by the deposit and the field
 reads, one draw per seed, and each replica's outputs bit for bit its solo run's.
+:func:`run_simulation` is one run of it; with ``coupled_thresholds=True`` it
+also reads the killed interpretation off a feynman-kac run's paths.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig, validate_config
-from .dynamics import drift_core, rate_core
+from .dynamics import drift_b, reaction_rate
 from .fields import AccumulatedFields, accumulate_step
 from .initial import transform_uniforms
 from .io import archive_writer
@@ -188,7 +193,7 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
 
     x = part.positions
     I, J = read(fields.coords_at(x) if coords is None else coords, True)
-    b = drift_core(I, J, params)
+    b = drift_b(I, J, params)
     b *= dt
     noise *= np.sqrt(2.0 * dt)
     if alive is not None:
@@ -199,7 +204,7 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
     if not np.isfinite(x).all():
         return None
     coords = fields.coords_at(x)
-    increment = dt * rate_core(read(coords, False)[0], params)
+    increment = dt * reaction_rate(read(coords, False)[0], params)
     if alive is not None:
         increment *= alive
     part.hazards += increment
@@ -223,10 +228,6 @@ class SimulationOutput:
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     coupled_alive: np.ndarray | None = None
     coupled_band: np.ndarray | None = None
-
-    @property
-    def grid(self):
-        return self.config.grid
 
 
 def run_simulations(
@@ -254,10 +255,8 @@ def run_simulations(
     that trajectory archive as the run goes (:func:`sulfsim.io.archive_writer`):
     the file appears once the run ends, and a run that raises leaves none.
 
-    ``coupled_thresholds`` draws killing thresholds from the
-    disjoint threshold streams during a feynman-kac run and records the
-    survival readout alongside the weights, realizing the conditional
-    Bernoulli coupling of the two interpretations on shared paths.
+    ``coupled_thresholds`` reads the killed interpretation off the paths of
+    one feynman-kac run: see :func:`run_simulation`.
     """
     configs = [validate_config(c.with_grid()) for c in configs]
     config = configs[0]
@@ -376,26 +375,14 @@ def run_simulations(
 
 
 def run_simulation(config: SimConfig, **options) -> SimulationOutput:
-    """One run of :func:`run_simulations`, with the same options."""
-    return run_simulations([config], **options)[0]
+    """One run of :func:`run_simulations`, with the same options.
 
-
-def run_coupled(
-    config: SimConfig,
-    snapshot_stride: int | None = None,
-) -> SimulationOutput:
-    """Feynman-Kac run with the killed interpretation read off the same paths.
-
-    Thresholds come from the disjoint per-particle threshold streams, so
-    the trajectory and hazard arrays are bit-identical to a plain
-    feynman-kac run with the same seed.  Conditionally on the paths the
-    survival indicators are independent Bernoulli(w_i), which makes
-    |mean weight - alive fraction| <= 3 sqrt(vbar / N) the calibrated
-    coupling band recorded in ``coupled_band``.
+    ``coupled_thresholds=True`` on a feynman-kac config is the coupled
+    readout: killing thresholds drawn from the disjoint per-particle
+    threshold streams, so the trajectory and hazard arrays are bit-identical
+    to the plain run's.  Conditionally on the paths the survival indicators
+    are independent Bernoulli(w_i), which makes |mean weight - alive
+    fraction| <= 3 sqrt(vbar / N) the calibrated band recorded in
+    ``coupled_band``, next to the alive fraction in ``coupled_alive``.
     """
-    config = replace(config, mode="feynman-kac")
-    return run_simulation(
-        config,
-        snapshot_stride=snapshot_stride,
-        coupled_thresholds=True,
-    )
+    return run_simulations([config], **options)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Grid1D, PhysicalParams, SimConfig, validate_config
-from .dynamics import drift_core, rate_core, recover_calcite
+from .dynamics import drift_b, reaction_rate, recover_calcite
 from .initial import density as initial_density
 from .kernel import CUTOFF_BANDWIDTHS, kernel_grad, kernel_value
 
@@ -120,8 +120,8 @@ def pde_step(state: PdeState, params: PhysicalParams, dt: float) -> StepLedger:
     state.G += dt * du
 
     A = np.maximum(state.A, 0.0)  # A and G are finite: v is, and only v enters them
-    b = drift_core(A, state.G, params)
-    rate = rate_core(A, params)
+    b = drift_b(A, state.G, params)
+    rate = reaction_rate(A, params)
 
     # conservative upwind fluxes at interfaces g+1/2
     b_half = 0.5 * (b[:-1] + b[1:])
@@ -164,10 +164,6 @@ class PdeOutput:
     clamped: np.ndarray  # per-step clamped mass
     residual: np.ndarray  # per-step mass-balance residual
     state: PdeState
-
-    @property
-    def grid(self):
-        return self.config.grid
 
 
 def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutput:

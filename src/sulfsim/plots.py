@@ -12,10 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-_DENSITY_SCRIPT = '''\
-"""Density snapshots over time; reads snapshot CSVs by relative path."""
+# what every emitted script starts with: the headless backend and a CSV reader
+_PREAMBLE = '''\
 import csv
 import glob
+import math
 
 import matplotlib
 matplotlib.use("Agg")
@@ -29,6 +30,15 @@ def read_csv(path):
     return {name: [float(r[i]) for r in data] for i, name in enumerate(header)}
 
 
+'''
+
+
+def _script(doc: str, body: str) -> str:
+    return f'"""{doc}"""\n' + _PREAMBLE + body
+
+
+_DENSITY_SCRIPT = _script(
+    "Density snapshots over time; reads snapshot CSVs by relative path.", '''\
 files = sorted(glob.glob("snapshots/{prefix}_*.csv"))
 if not files:
     raise SystemExit("no snapshot CSVs found")
@@ -46,25 +56,10 @@ if len(files) <= 12:
     ax.legend(fontsize=7)
 fig.tight_layout()
 fig.savefig("density_snapshots.png", dpi=150)
-'''
+''')
 
-_MASS_SCRIPT = '''\
-"""Mass decay against the constant-rate envelope exp(-lambda c0 t)."""
-import csv
-import math
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def read_csv(path):
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    return {name: [float(r[i]) for r in data] for i, name in enumerate(header)}
-
-
+_MASS_SCRIPT = _script(
+    "Mass decay against the constant-rate envelope exp(-lambda c0 t).", '''\
 cols = read_csv("run.csv")
 rate = {rate}
 fig, ax = plt.subplots(figsize=(8, 5))
@@ -80,24 +75,10 @@ ax.set_ylim(bottom=0)
 ax.legend()
 fig.tight_layout()
 fig.savefig("mass_decay.png", dpi=150)
-'''
+''')
 
-_CONVERGENCE_SCRIPT = '''\
-"""Log-log convergence of both estimators with an N^(-1/2) guide line."""
-import csv
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def read_csv(path):
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    return {name: [float(r[i]) for r in data] for i, name in enumerate(header)}
-
-
+_CONVERGENCE_SCRIPT = _script(
+    "Log-log convergence of both estimators with an N^(-1/2) guide line.", '''\
 cols = read_csv("convergence.csv")
 n = cols["n"]
 fig, ax = plt.subplots(figsize=(7, 5))
@@ -115,10 +96,10 @@ ax.set_ylabel("final-time L1 error")
 ax.legend()
 fig.tight_layout()
 fig.savefig("convergence.png", dpi=150)
-'''
+''')
 
 
-def emit_plot_scripts(run_dir: str | Path, snapshot_prefix: str | None = None) -> list[Path]:
+def emit_plot_scripts(run_dir: str | Path) -> list[Path]:
     """Write the plot scripts matching the CSVs present in ``run_dir``.
 
     Returns the script paths.  Raises FileNotFoundError when the
@@ -129,12 +110,7 @@ def emit_plot_scripts(run_dir: str | Path, snapshot_prefix: str | None = None) -
     missing: list[str] = []
 
     snap_dir = run_dir / "snapshots"
-    prefixes = []
-    if snapshot_prefix is not None:
-        prefixes = [snapshot_prefix]
-    elif snap_dir.is_dir():
-        seen = {p.name.rsplit("_", 1)[0] for p in snap_dir.glob("*_*.csv")}
-        prefixes = sorted(seen)
+    prefixes = sorted({p.name.rsplit("_", 1)[0] for p in snap_dir.glob("*_*.csv")})
     if prefixes:
         frames = len(list(snap_dir.glob(f"{prefixes[0]}_*.csv")))
         script = _DENSITY_SCRIPT.replace("{prefix}", prefixes[0]).replace(

@@ -17,6 +17,8 @@
 - :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
   map evaluated on the whole (S, N) lattice at once, with ``np.cumsum``
   time prefix sums and one flat-lattice read.
+- :func:`porosity` / :func:`drift_lipschitz_bound`: the porosity the drift
+  is the log-gradient of, and the bound on |b| / |J| it implies.
 """
 
 from __future__ import annotations
@@ -195,3 +197,13 @@ def whole_lattice_map(
         grid_density(WeightedPointCloud(x, w), grid, delta, archive.n_total)[0]
         for x, w in zip(paths, discount)
     ])
+
+
+def porosity(c, p: PhysicalParams):
+    """Affine porosity phi(c) = phi0 + phi1 * c."""
+    return p.phi0 + p.phi1 * np.asarray(c, dtype=float)
+
+
+def drift_lipschitz_bound(p: PhysicalParams) -> float:
+    """Upper bound on |b(I, J)| / |J|, uniform in I >= 0."""
+    return abs(p.phi1) * p.lam * p.c0 / min(p.phi0, p.phi0 + p.phi1 * p.c0)

@@ -21,7 +21,6 @@ from sulfsim import (
     convergence_study,
     density_distance,
     picard_solve,
-    run_coupled,
     run_simulation,
     solve_pde,
 )
@@ -100,8 +99,8 @@ def test_criterion_3_estimator_coupling(monkeypatch):
     cfg = SimConfig(particles=10_000, seed=99)
     fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
                                              snapshot_stride=25)
-    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_coupled, cfg,
-                                             snapshot_stride=25)
+    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
+                                             snapshot_stride=25, coupled_thresholds=True)
     bit_exact = len(fk_digests) == cfg.n_steps and cp_digests == fk_digests
     diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
     exceed = int(np.sum(diff > cp.coupled_band))
@@ -187,7 +186,7 @@ def test_criterion_7_field_oracle_equivalence(tmp_path):
         fields = accumulate_from_archive(
             clouds, cfg.step, Grid1D(-12.0, 12.0, h), delta, cfg.particles, steps=cfg.n_steps
         )
-        ip = fields.args_at(probes)
+        ip = fields.args_at(fields.coords_at(probes))
         gaps.append(float(np.max(np.abs(ip.I - probe_exact.I))))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     _report(

@@ -342,6 +342,12 @@ def _short_run_csv(a: Path) -> Path:
     return run
 
 
+def _missing_snapshot(a: Path) -> Path:
+    # run.csv keeps a row for the deleted snapshot, so its times no longer line up
+    sorted((a / "snapshots").glob("u_*.csv"))[1].unlink()
+    return a / "run.csv"
+
+
 def _move_node_4(a: Path) -> Path:
     # every snapshot alike, so that the grids of all snapshots still agree
     files = sorted((a / "snapshots").glob("u_*.csv"))
@@ -361,6 +367,7 @@ _MALFORMED = {
     "non-numeric cell": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1,abc"] + ls[6:]),
     "header without u": lambda a: _edit_snapshot(a, lambda ls: ["x,v"] + ls[1:]),
     "short run.csv": _short_run_csv,
+    "missing snapshot": _missing_snapshot,
     "ragged row": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1"] + ls[6:]),
     "one grid node": lambda a: _edit_snapshot(a, lambda ls: ls[:2], 0),
     "non-uniform x": _move_node_4,
@@ -704,6 +711,22 @@ def test_emit_plots_convergence_script(runner, cfg_file, tmp_path):
     assert res.exit_code == 0, res.output
     script = (out / "plot_convergence.py").read_text()
     assert "N^(-1/2)" in script
+
+
+def test_emitted_plot_scripts_compile(runner, cfg_file, tmp_path):
+    # no render, so no matplotlib: each script must at least be valid Python
+    out = tmp_path / "run"
+    for cmd in (["simulate", "--seed", "4"], ["convergence", "--n", "50,100", "--seeds", "2",
+                                               "--seed", "3"]):
+        res = runner.invoke(main, [*cmd, "--config", str(cfg_file), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["emit-plots", "--run", str(out), "--no-render"])
+    assert res.exit_code == 0, res.output
+    scripts = sorted(out.glob("plot_*.py"))
+    assert [s.name for s in scripts] == ["plot_convergence.py", "plot_density.py",
+                                         "plot_mass.py"]
+    for script in scripts:
+        compile(script.read_text(), script.name, "exec")
 
 
 @contextlib.contextmanager

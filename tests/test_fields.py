@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sulfsim import Grid1D, WeightedPointCloud, accumulate_step, interpolate
+from sulfsim import Grid1D, WeightedPointCloud, accumulate_step
 from sulfsim.fields import AccumulatedFields
 
 from oracles import accumulate_from_archive, exact_history_args
@@ -45,8 +45,9 @@ def test_interpolate_exact_at_nodes_and_midpoints():
     fields = AccumulatedFields(grid=grid, delta=1.0)
     fields.A = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
     fields.G = np.zeros(5)
-    assert interpolate(fields, 0.5).I == 4.0
-    assert interpolate(fields, 0.375).I == pytest.approx((1.0 + 4.0) / 2.0)
+    I = fields.args_at(fields.coords_at([0.5, 0.375])).I
+    assert I[0] == 4.0
+    assert I[1] == pytest.approx((1.0 + 4.0) / 2.0)
 
 
 def test_interpolate_reproduces_affine_exactly():
@@ -54,7 +55,7 @@ def test_interpolate_reproduces_affine_exactly():
     fields = AccumulatedFields(grid=grid, delta=1.0)
     fields.A = 3.0 + 2.0 * grid.nodes()
     x = np.linspace(-1.0, 1.0, 101)
-    out = interpolate(fields, x)
+    out = fields.args_at(fields.coords_at(x))
     assert np.max(np.abs(out.I - (3.0 + 2.0 * x))) < 1e-12
 
 
@@ -62,7 +63,7 @@ def test_interpolate_out_of_domain_returns_boundary_and_counts():
     grid = Grid1D(-1.0, 1.0, 0.5)
     fields = AccumulatedFields(grid=grid, delta=1.0)
     fields.A = np.array([5.0, 0.0, 0.0, 0.0, 7.0])
-    out = interpolate(fields, np.array([-3.0, 3.0, 0.0]))
+    out = fields.args_at(fields.coords_at(np.array([-3.0, 3.0, 0.0])))
     assert out.I[0] == 5.0 and out.I[1] == 7.0
     assert fields.out_of_domain == 2
 

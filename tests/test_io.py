@@ -10,6 +10,7 @@ from sulfsim.io import (
     ARCHIVE_HEADER_BYTES,
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
+    DataError,
     RunManifest,
     archive_writer,
     column_text,
@@ -111,7 +112,7 @@ def test_archive_writer_removes_partial_file_when_the_run_raises(tmp_path, rng):
 def test_archive_rejects_bad_magic(tmp_path):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         read_archive(bad)
 
 
@@ -130,14 +131,14 @@ def test_archive_rejects_cut_file(tmp_path, rng, cut):
     assert len(data) == 40 + 16 * 8 * 5
     bad = tmp_path / "cut.bin"
     bad.write_bytes(data[:-cut])
-    with pytest.raises(ValueError, match="needs exactly"):
+    with pytest.raises(DataError, match="needs exactly"):
         read_archive(bad)
 
 
 def test_archive_rejects_trailing_bytes(tmp_path, rng):
     bad = tmp_path / "long.bin"
     bad.write_bytes(_archive_bytes(tmp_path, rng) + b"\x00" * 24)
-    with pytest.raises(ValueError, match="needs exactly"):
+    with pytest.raises(DataError, match="needs exactly"):
         read_archive(bad)
 
 
@@ -153,7 +154,7 @@ def test_archive_rejects_bad_values(tmp_path, rng, field, value, snapshot):
     data[at : at + 8] = struct.pack("<d", value)
     bad = tmp_path / "values.bin"
     bad.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="non-finite positions" if field == 0 else r"\[0, 1\]"):
+    with pytest.raises(DataError, match="non-finite positions" if field == 0 else r"\[0, 1\]"):
         read_archive(bad)
 
 
@@ -183,7 +184,7 @@ def _version_1(data):
 def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad = tmp_path / "head.bin"
     bad.write_bytes(make(_archive_bytes(tmp_path, rng)))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(DataError, match=match):
         read_archive(bad)
 
 

@@ -12,7 +12,6 @@ from sulfsim import (
     PhysicalParams,
     SimConfig,
     init_ensemble,
-    run_coupled,
     run_simulation,
     run_simulations,
 )
@@ -20,7 +19,7 @@ from sulfsim.config import validate_config
 from sulfsim.dynamics import drift_b, reaction_rate
 import sulfsim.fields
 import sulfsim.particles
-from sulfsim.fields import AccumulatedFields, accumulate_step, interpolate
+from sulfsim.fields import AccumulatedFields, accumulate_step
 from sulfsim.io import read_archive
 from sulfsim.kernel import WeightedPointCloud
 from sulfsim.particles import NonFiniteStateError, _slice_step
@@ -131,7 +130,7 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
 
 def _reference_steps(cfg):
     """Steps the ensemble with one full field read per use: (I, J) through
-    ``fields.interpolate`` at the alive positions for the drift, and again
+    ``args_at(coords_at(x))`` at the alive positions for the drift, and again
     at the new positions for the hazard, each clamped at I >= 0.  It keeps
     its own weights, alive mask and death steps, updated after each step."""
     cfg = validate_config(cfg.with_grid())
@@ -145,7 +144,7 @@ def _reference_steps(cfg):
 
     def clamped_I_J(x):
         nonlocal negative
-        args = interpolate(acc, x)
+        args = acc.args_at(acc.coords_at(x))
         negative += int(np.count_nonzero(args.I < 0.0))
         return np.maximum(args.I, 0.0), args.J
 
@@ -338,7 +337,8 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
 def test_coupled_run_matches_fk_and_bernoulli_band(monkeypatch, small_config):
     cfg = replace(small_config, particles=5000)
     fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg)
-    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_coupled, cfg)
+    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
+                                             coupled_thresholds=True)
     assert len(fk_digests) == cfg.n_steps
     assert cp_digests == fk_digests
     diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
