@@ -38,7 +38,7 @@ from .io import (
     snapshot_name,
     write_csv,
 )
-from .metrics import compare_series, convergence_study, density_distance, total_mass
+from .metrics import compare_series, convergence_study
 from .particles import NonFiniteStateError, run_simulation, run_simulations
 from .pde import NonFinitePdeStateError, mollify_grid_function, solve_pde
 from .plots import emit_plot_scripts, render_scripts
@@ -115,8 +115,8 @@ def _with_config_options(fn):
     for flag, path, kind, help_text in reversed(_CONFIG_FLAGS):
         fn = click.option(flag, path.replace(".", "__"), type=kind, default=None,
                           help=help_text)(fn)
-    return click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                        help="YAML config file; flags override its fields.")(fn)
+    return click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                        default=None, help="YAML config file; flags override its fields.")(fn)
 
 
 _workers_option = click.option(
@@ -256,7 +256,7 @@ def pde(out, snapshot_stride, **cfg_kwargs):
         command="pde",
         config=cfg.to_dict(),
         diagnostics={
-            "clamped_mass": res.state.clamped_mass,
+            "clamped_mass": float(np.cumsum(res.clamped)[-1]),  # added in step order
             "max_residual": float(np.max(np.abs(res.residual))) if len(res.residual) else 0.0,
         },
     )
@@ -276,6 +276,8 @@ def _load_snapshot_series(run_dir: Path):
         if not step.isdecimal():
             raise DataError(f"{f} is not named u_<step>.csv")
         x, u = _columns(f, "x", "u")
+        if not np.isfinite(u).all():
+            raise DataError(f"{f} holds a non-finite density")
         if xs is None:
             if len(x) < 2:
                 raise DataError(f"{f} holds {len(x)} grid nodes; a grid needs at least 2")
@@ -293,6 +295,8 @@ def _load_snapshot_series(run_dir: Path):
     if len(times) != len(series):  # a row per snapshot, or the times are mislabelled
         raise DataError(f"{run_dir / 'run.csv'} has {len(times)} times for "
                         f"{len(series)} snapshots")
+    if not np.isfinite(times).all():
+        raise DataError(f"{run_dir / 'run.csv'} holds a non-finite time")
     return xs, np.asarray(steps), times, series
 
 
@@ -357,6 +361,9 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
             raise DataError(f"grids of {dir_a} and {dir_b} do not match")
         if len(ua) != len(ub) or not np.array_equal(sa, sb):
             raise DataError(f"snapshot steps of {dir_a} and {dir_b} do not match")
+        if not np.array_equal(ta, tb):
+            raise DataError(f"{Path(dir_a) / 'run.csv'} and {Path(dir_b) / 'run.csv'} "
+                            "hold different times")
         reports = {"report": compare_series(ta, ua, ub, _grid_from_nodes(xa),
                                             {"a": str(dir_a), "b": str(dir_b)})}
     else:
@@ -409,7 +416,7 @@ def convergence(n_values, seeds_per_n, seed, out, **cfg_kwargs):
     """Estimator-vs-reference error table across ensemble sizes."""
     cfg = _build_config(seed=seed, **cfg_kwargs)
     out_dir = _out_dir(out, "convergence-out")
-    table = convergence_study(cfg, n_values, seeds_per_n, base_seed=seed)
+    table = convergence_study(cfg, n_values, seeds_per_n)
     manifest = RunManifest(command="convergence", config=cfg.to_dict(),
                            diagnostics={"monotone_fk": table.monotone_fk,
                                         "monotone_kill": table.monotone_kill})
@@ -434,8 +441,8 @@ def _tolerance(ctx, param, value: float) -> float:
 
 @main.command()
 @_with_config_options
-@click.option("--archive", "archive_path", type=click.Path(exists=True), required=True,
-              help="trajectory archive from simulate --archive")
+@click.option("--archive", "archive_path", type=click.Path(exists=True, dir_okay=False),
+              required=True, help="trajectory archive from simulate --archive")
 @click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance,
               help="stop once the sup distance of two iterates is at most this")
 @click.option("--max-iters", type=click.IntRange(min=2), default=50, show_default=True)
@@ -446,9 +453,6 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
     cfg = _build_config(**cfg_kwargs)
     out_dir = _out_dir(out, "fixedpoint-out")
     archive = read_archive(archive_path)
-    if archive.mode != "feynman-kac":
-        raise DataError(f"{archive_path} holds a {archive.mode} run, whose dead particles are "
-                        "not paths of the map: re-run `simulate --mode fk --archive`")
     # the map runs on the archive's time steps and ensemble: a flag that says
     # otherwise is an error, and the manifest records what the archive holds
     held = {"horizon": archive.dt * (len(archive) - 1), "step": archive.dt,
@@ -486,10 +490,7 @@ def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
 @_handle_errors
 def emit_plots(run_dir, render):
     """Emit self-contained plot scripts for a run directory and render them."""
-    try:
-        scripts = emit_plot_scripts(run_dir)
-    except FileNotFoundError as err:
-        raise DataError(str(err)) from err
+    scripts = emit_plot_scripts(run_dir)
     click.echo("emitted: " + ", ".join(s.name for s in scripts))
     if render:
         try:

@@ -38,11 +38,9 @@ def apply_mkfk_map(
 ) -> np.ndarray:
     """One application of the discounted-kernel map to the lattice ``u``.
 
-    ``u`` has shape (n_snapshots, n_nodes) over the archive's time lattice.
-    The archive must hold the never-killed paths of a feynman-kac run.
+    ``u`` has shape (n_snapshots, n_nodes) over the archive's time lattice,
+    whose paths are the never-killed ones of a feynman-kac run.
     """
-    if archive.mode != "feynman-kac":
-        raise ValueError(f"the map needs never-killed paths, not a {archive.mode} run's")
     n_times = len(archive)
     if u.shape != (n_times, grid.n_nodes):
         raise ValueError(

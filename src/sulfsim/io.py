@@ -3,10 +3,9 @@
 CSV is the single interchange format: one header row, comma separators,
 full-precision (shortest round-trip) decimal floats.  Trajectory archives
 use a small binary layout documented in the README: an ASCII magic, a
-version word, ensemble size, snapshot count, dt and a mode word, then per
-snapshot the positions and weights as little-endian 64-bit floats.  An
-archive is written and read one snapshot at a time; its file is the only
-copy.
+version word, ensemble size, snapshot count and dt, then per snapshot the
+positions and weights as little-endian 64-bit floats.  An archive is
+written and read one snapshot at a time; its file is the only copy.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ import numpy as np
 from .kernel import WeightedPointCloud
 
 ARCHIVE_MAGIC = b"SSAR"
-ARCHIVE_VERSION = 2  # version 1 had no mode word
-ARCHIVE_HEADER = struct.Struct("<4sIQQdQ")  # magic, version, n, snapshots, dt, mode
+ARCHIVE_VERSION = 3  # version 2 had a mode word after dt
+ARCHIVE_HEADER = struct.Struct("<4sIQQd")  # magic, version, n, snapshots, dt
 ARCHIVE_HEADER_BYTES = ARCHIVE_HEADER.size
-ARCHIVE_MODES = ("feynman-kac", "killed")  # the mode word indexes this
 
 
 def column_text(column: np.ndarray | list[str]) -> list[str]:
@@ -79,22 +77,20 @@ def snapshot_name(prefix: str, step: int) -> str:
 
 @dataclass(frozen=True)
 class TrajectoryArchive:
-    """The per-step snapshots of a run in ``mode``, held in its archive file.
+    """The per-step snapshots of a feynman-kac run, held in its archive file.
 
     Snapshot k is the ensemble state at time k*dt: row k of the file's
-    payload, N positions then N weights.  Dead particles appear with weight
-    0, so every snapshot has the full ensemble length.  The file is the only
-    copy of the snapshots: :meth:`rows` and :attr:`positions` read them one
-    row at a time into one buffer, which each row overwrites, so a reader
-    holds O(N) memory whatever the snapshot count.  :func:`read_archive`
-    checks a file and returns its archive; :func:`archive_writer` writes one.
+    payload, N positions then N weights.  The file is the only copy of the
+    snapshots: :meth:`rows` and :attr:`positions` read them one row at a
+    time into one buffer, which each row overwrites, so a reader holds O(N)
+    memory whatever the snapshot count.  :func:`read_archive` checks a file
+    and returns its archive; :func:`archive_writer` writes one.
     """
 
     path: Path
     dt: float
     n_total: int
     snapshots: int
-    mode: str = "feynman-kac"
 
     def __len__(self) -> int:
         return self.snapshots
@@ -122,8 +118,8 @@ class TrajectoryArchive:
 
 
 @contextmanager
-def archive_writer(path: str | Path, n_total: int, snapshots: int, dt: float,
-                   mode: str) -> Iterator[Callable[[WeightedPointCloud], None]]:
+def archive_writer(path: str | Path, n_total: int, snapshots: int,
+                   dt: float) -> Iterator[Callable[[WeightedPointCloud], None]]:
     """Write an archive one snapshot at a time: yields ``append(cloud)``.
 
     The header and rows go to ``path`` + ".partial", which is renamed to
@@ -150,8 +146,7 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int, dt: float,
 
     try:
         with open(partial, "wb") as fh:
-            fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n_total, snapshots,
-                                         dt, ARCHIVE_MODES.index(mode)))
+            fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n_total, snapshots, dt))
             yield append
         if written != snapshots:
             raise ValueError(f"{path} declares {snapshots} snapshots but got {written}")
@@ -162,21 +157,18 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int, dt: float,
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
     """Check an archive file and return it; DataError unless the file is
-    exactly one archive of the current version, of a known mode, with finite
-    positions and weights in [0, 1].  The values are checked in one pass
-    over the rows, which holds one row in memory."""
+    exactly one archive of the current version, with finite positions and
+    weights in [0, 1].  The values are checked in one pass over the rows,
+    which holds one row in memory."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
         if header[:4] != ARCHIVE_MAGIC or len(header) < ARCHIVE_HEADER_BYTES:
             raise DataError(f"{path} does not start with a trajectory archive header")
-        _, version, n, snaps, dt, mode = ARCHIVE_HEADER.unpack(header)
+        _, version, n, snaps, dt = ARCHIVE_HEADER.unpack(header)
         if version != ARCHIVE_VERSION:
             raise DataError(f"{path} is a version {version} archive; only version "
-                            f"{ARCHIVE_VERSION}, which records the run's mode, is read: "
-                            "re-run `simulate --archive`")
-        if mode >= len(ARCHIVE_MODES):
-            raise DataError(f"{path} has the unknown mode word {mode}")
+                            f"{ARCHIVE_VERSION} is read: re-run `simulate --archive`")
         if n == 0 or snaps == 0:
             raise DataError(f"{path} declares {n} particles and {snaps} snapshots; "
                             "both must be positive")
@@ -186,7 +178,7 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
         if size != expected:
             raise DataError(f"{path} has {size} bytes; its header needs exactly {expected}")
-    archive = TrajectoryArchive(path, dt, int(n), int(snaps), ARCHIVE_MODES[mode])
+    archive = TrajectoryArchive(path, dt, int(n), int(snaps))
     for positions, weights in archive.rows():
         if not np.isfinite(positions).all():
             raise DataError(f"{path} holds non-finite positions")

@@ -97,10 +97,8 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     rows: list[ConvergenceRow]
-    seeds: list[int]
     monotone_fk: bool
     monotone_kill: bool
-    metadata: dict
 
     def summary(self) -> str:
         lines = ["N        fk_mean_l1   fk_se        kill_mean_l1 kill_se"]
@@ -133,12 +131,12 @@ def convergence_study(
     config: SimConfig,
     n_values: list[int],
     seeds_per_n: int,
-    base_seed: int | None = None,
 ) -> ConvergenceTable:
     """Final-time L1 error of both estimators against the mollified PDE
     reference, across ensemble sizes.
 
-    The reference is solved once; each (N, seed) pair runs both modes.
+    The reference is solved once; each N runs both modes at the seeds
+    ``config.seed`` .. ``config.seed + seeds_per_n - 1``.
     The runs of one N step in stacks of at most ``STACK_PARTICLES``
     particles (at least one run each), which give each run's solo outputs.
     The comparison target is K*v, the PDE solution mollified with the
@@ -146,14 +144,12 @@ def convergence_study(
     Monte Carlo error.
     """
     config = validate_config(config.with_grid())
-    if base_seed is None:
-        base_seed = config.seed
     grid = config.grid
 
     ref = solve_pde(config, snapshot_stride=config.n_steps)
     target = mollify_grid_function(ref.densities[-1], grid, config.kernel.bandwidth)
 
-    seeds = [int(base_seed) + j for j in range(seeds_per_n)]
+    seeds = [int(config.seed) + j for j in range(seeds_per_n)]
     rows = []
     for n in n_values:
         runs = [replace(config, particles=n, seed=s, mode=mode)
@@ -168,10 +164,8 @@ def convergence_study(
                                    *_mean_and_stderr(errors["killed"])))
     return ConvergenceTable(
         rows=rows,
-        seeds=seeds,
         monotone_fk=_monotone_within_2se([r.fk_mean_l1 for r in rows], [r.fk_stderr for r in rows]),
         monotone_kill=_monotone_within_2se(
             [r.kill_mean_l1 for r in rows], [r.kill_stderr for r in rows]
         ),
-        metadata={"seeds_per_n": seeds_per_n, "base_seed": base_seed},
     )

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, validate_config
+from .config import ConfigError, SimConfig, validate_config
 from .dynamics import drift_b, reaction_rate
 from .fields import AccumulatedFields, accumulate_step
 from .initial import transform_uniforms
@@ -235,7 +235,6 @@ def run_simulations(
     snapshot_stride: int | None = None,
     archive_path: str | Path | None = None,
     fields_stride: int = 0,
-    stream_indices: np.ndarray | None = None,
     coupled_thresholds: bool = False,
 ) -> list[SimulationOutput]:
     """Run the configured particle systems and record density snapshots.
@@ -254,6 +253,8 @@ def run_simulations(
     ``archive_path`` writes the cloud of every step, and the final one, to
     that trajectory archive as the run goes (:func:`sulfsim.io.archive_writer`):
     the file appears once the run ends, and a run that raises leaves none.
+    Only a feynman-kac run is archived: a killed run's paths stop at their
+    death, so they are not paths of the fixed-point map (ConfigError).
 
     ``coupled_thresholds`` reads the killed interpretation off the paths of
     one feynman-kac run: see :func:`run_simulation`.
@@ -264,6 +265,9 @@ def run_simulations(
         raise ValueError("stacked configs may differ only in seed and mode")
     if len(configs) > 1 and (archive_path is not None or coupled_thresholds):
         raise ValueError("archive_path and coupled_thresholds need a single config")
+    if archive_path is not None and config.mode != "feynman-kac":
+        raise ConfigError([f"a trajectory archive needs mode feynman-kac, not {config.mode}: "
+                           "a killed run's paths stop at their deaths"])
     grid = config.grid
     params = config.physical
     delta = config.kernel.bandwidth
@@ -272,7 +276,7 @@ def run_simulations(
     n_steps = config.n_steps
     stride = config.recording_stride(snapshot_stride)
 
-    streams = {c.seed: ParticleStreams(c.seed, n, stream_indices) for c in configs}
+    streams = {c.seed: ParticleStreams(c.seed, n) for c in configs}
     try:
         ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
     except MemoryError as err:
@@ -316,7 +320,7 @@ def run_simulations(
     coords = None  # of X_k, handed on from the last step when one slice holds all
     # a row per step and one for the final cloud
     writer = (nullcontext() if archive_path is None else
-              archive_writer(archive_path, n, n_steps + 1, dt, config.mode))
+              archive_writer(archive_path, n, n_steps + 1, dt))
     with writer as write_row:
         for k in range(n_steps):
             cloud = ens.cloud()

@@ -72,7 +72,6 @@ class PdeState:
     A: np.ndarray = field(default=None)  # type: ignore[assignment]
     G: np.ndarray = field(default=None)  # type: ignore[assignment]
     t: float = 0.0
-    clamped_mass: float = 0.0  # total mass added by negativity clamps
 
     def __post_init__(self):
         m = self.grid.n_nodes
@@ -144,7 +143,6 @@ def pde_step(state: PdeState, params: PhysicalParams, dt: float) -> StepLedger:
     # sum_h div -> flux at the outermost interfaces
     ledger.boundary_flux = dt * ((v[1] + v[-2]) / h + float(flux[-1] - flux[0]))
     ledger.clamped = h * float(np.sum(clamped - raw))
-    state.clamped_mass += ledger.clamped
 
     state.v = new
     state.t += dt
@@ -163,7 +161,6 @@ class PdeOutput:
     boundary_flux: np.ndarray  # per-step dt * outflow
     clamped: np.ndarray  # per-step clamped mass
     residual: np.ndarray  # per-step mass-balance residual
-    state: PdeState
 
 
 def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutput:
@@ -215,5 +212,4 @@ def solve_pde(config: SimConfig, snapshot_stride: int | None = None) -> PdeOutpu
         boundary_flux=np.asarray(flux_s),
         clamped=np.asarray(clamp_s),
         residual=np.asarray(resid_s),
-        state=state,
     )

@@ -2,11 +2,11 @@
 
 Each domain has one Philox key, derived from (master seed, domain).  Draw
 number k of every particle is one Philox block at counter k: it yields
-one value per stream index 0..max(indices), and particle i takes the
-value at its stream index.  One generator per domain serves every draw,
-its counter set anew each time.  A particle's draws therefore do not depend on
-the ensemble size, the worker layout, or which other particles exist;
-reruns with the same seed are bit-identical.
+one value per stream 0..n-1, and particle i takes value i.  One generator
+per domain serves every draw, its counter set anew each time.  A
+particle's draws therefore do not depend on the ensemble size, the worker
+layout, or which other particles exist; reruns with the same seed are
+bit-identical.
 
 Two domains are used:
 
@@ -35,41 +35,27 @@ class _Domain:
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self._state = self._gen.bit_generator.state  # counter 0, empty buffer
 
-    def draw(self, counter: int, indices, method: str) -> np.ndarray:
-        """Draw number ``counter`` of every stream, gathered at ``indices``,
-        an array of stream indices; ``range(n)`` stands for streams 0..n-1,
-        which need no index array and no gather."""
+    def draw(self, counter: int, indices: range, method: str) -> np.ndarray:
+        """Draw number ``counter`` of the streams ``indices``, ``range(n)``."""
         # the state np.random.Philox(key=key, counter=[0, counter, 0, 0]) starts in
         self._state["state"]["counter"][1] = counter
         self._gen.bit_generator.state = self._state
-        if isinstance(indices, range):
-            return getattr(self._gen, method)(len(indices))
-        indices = np.asarray(indices, dtype=np.int64)
-        return getattr(self._gen, method)(int(indices.max(initial=-1)) + 1)[indices]
+        return getattr(self._gen, method)(len(indices))
 
 
-def draw_thresholds(seed: int, indices) -> np.ndarray:
+def draw_thresholds(seed: int, indices: range) -> np.ndarray:
     """One Exp(1) threshold per particle from the disjoint threshold domain;
     ``indices`` as for :meth:`_Domain.draw`."""
     return _Domain(seed, _THRESHOLD_DOMAIN).draw(0, indices, "standard_exponential")
 
 
 class ParticleStreams:
-    """Main-domain streams of the ensemble; the only state is the step.
+    """Main-domain streams 0..n-1 of the ensemble, held as ``range(n)``;
+    the only state is the step."""
 
-    ``indices`` maps ensemble slot -> stream index; permuting it permutes
-    the streams, and with them the trajectories.  Without it the streams
-    are 0..n-1, held as ``range(n)``: no array of n indices.
-    """
-
-    def __init__(self, seed: int, n: int, indices: np.ndarray | None = None):
+    def __init__(self, seed: int, n: int):
         self.n = int(n)
-        if indices is None:
-            self.indices = range(self.n)
-        else:
-            self.indices = np.asarray(indices, dtype=np.int64)
-            if self.indices.shape != (self.n,):
-                raise ValueError("indices must have one entry per particle")
+        self.indices = range(self.n)
         self._main = _Domain(seed, _MAIN_DOMAIN)
         self._step = 0
 

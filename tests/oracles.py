@@ -14,6 +14,8 @@
   hazard rate stays lambda c0 and the drift vanishes.
 - :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
   after every step.
+- :func:`run_with_clouds`: a run plus its cloud at every step and at the
+  end, which is what an archive of it would hold, in either mode.
 - :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
   map evaluated on the whole (S, N) lattice at once, with ``np.cumsum``
   time prefix sums and one flat-lattice read.
@@ -76,11 +78,11 @@ def mollify_grad(cloud: WeightedPointCloud, delta: float, query, n_total: int):
     return _mollify_sum(cloud, delta, query, n_total, grad=True)
 
 
-def write_clouds_archive(path, clouds, dt: float, mode: str = "feynman-kac") -> TrajectoryArchive:
+def write_clouds_archive(path, clouds, dt: float) -> TrajectoryArchive:
     """The archive file of ``clouds`` (snapshot k is clouds[k]), written by
     the runs' own writer and read back."""
     clouds = list(clouds)
-    with archive_writer(path, len(clouds[0]), len(clouds), dt, mode) as write_row:
+    with archive_writer(path, len(clouds[0]), len(clouds), dt) as write_row:
         for cloud in clouds:
             write_row(cloud)
     return read_archive(path)
@@ -165,6 +167,24 @@ def run_with_hazard_digests(monkeypatch, run, *args, **kwargs):
         m.setattr(sulfsim.particles, "_slice_step", recorded)
         out = run(*args, **kwargs)
     return out, digests
+
+
+def run_with_clouds(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` for one config, and copies of the cloud
+    that each step hands to ``sulfsim.particles.accumulate_step``, followed
+    by the final cloud, read off ``sim.ensemble``."""
+    clouds: list[WeightedPointCloud] = []
+    accumulate = sulfsim.particles.accumulate_step
+
+    def recorded(fields, cloud, *a, **k):
+        clouds.append(WeightedPointCloud(cloud.positions[0].copy(), cloud.weights[0].copy()))
+        return accumulate(fields, cloud, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(sulfsim.particles, "accumulate_step", recorded)
+        sim = run(*args, **kwargs)
+    clouds.append(sim.ensemble.cloud())
+    return sim, clouds
 
 
 def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) -> np.ndarray:

@@ -148,7 +148,7 @@ def test_criterion_5_pde_mass_balance():
 def test_criterion_6_estimator_vs_pde_convergence():
     cfg = SimConfig(physical=PhysicalParams(lam=0.0), particles=1000, seed=0)
     t0 = time.monotonic()
-    table = convergence_study(cfg, [250, 1000, 4000], seeds_per_n=8, base_seed=0)
+    table = convergence_study(cfg, [250, 1000, 4000], seeds_per_n=8)
     runtime = time.monotonic() - t0
     fk = [r.fk_mean_l1 for r in table.rows]
     kl = [r.kill_mean_l1 for r in table.rows]
@@ -230,10 +230,11 @@ def test_criterion_8_fixed_point_contraction(tmp_path):
     )
 
 
-def _csv_digests(root: Path) -> dict:
+def _output_digests(root: Path) -> dict:
+    """The sha256 of every CSV under ``root`` and of its archive, if any."""
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*.csv"))
+        for p in sorted(root.rglob("*.csv")) + sorted(root.glob("archive.bin"))
     }
 
 
@@ -264,7 +265,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             extra = [] if name == "pde" else ["--workers", str(workers)]
             res = runner.invoke(main, args + ["--out", str(out)] + extra)
             assert res.exit_code == 0, res.output
-            digests.append(_csv_digests(out))
+            digests.append(_output_digests(out))
         all_ok &= digests[0] == digests[1]
 
     # fixedpoint on the archived run, twice
@@ -277,6 +278,6 @@ def test_criterion_9_cli_determinism(tmp_path):
              "--config", str(cfg_path), "--out", str(out)],
         )
         assert res.exit_code == 0, res.output
-        digests.append(_csv_digests(out))
+        digests.append(_output_digests(out))
     all_ok &= digests[0] == digests[1]
     _report(9, "CLI outputs byte-identical across reruns and worker counts", all_ok)

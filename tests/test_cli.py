@@ -90,10 +90,21 @@ def test_simulate_missing_seed_exits_2(runner, cfg_file, tmp_path):
     (["convergence", "--seed", "1", "--n", "250,abc"], "--n"),
     (["convergence", "--seed", "1", "--n", "250,0"], "--n"),
     (["fixedpoint", "--archive", __file__, "--max-iters", "1"], "--max-iters"),
+    (["fixedpoint", "--archive", "{dir}"], "--archive"),
+    (["simulate", "--seed", "1", "--config", "{dir}"], "--config"),
+    (["pde", "--config", "{dir}"], "--config"),
+    (["compare", "--seed", "1", "--config", "{dir}"], "--config"),
+    (["convergence", "--seed", "1", "--config", "{dir}"], "--config"),
+    (["fixedpoint", "--archive", __file__, "--config", "{dir}"], "--config"),
 ], ids=["snapshot-neg", "snapshot-zero", "fields-neg", "pde-snapshot", "compare-snapshot",
-        "seeds-zero", "n-empty", "n-not-int", "n-zero", "max-iters-one"])
+        "seeds-zero", "n-empty", "n-not-int", "n-zero", "max-iters-one", "archive-dir",
+        "simulate-config-dir", "pde-config-dir", "compare-config-dir",
+        "convergence-config-dir", "fixedpoint-config-dir"])
 def test_out_of_range_option_exits_2(runner, cfg_file, tmp_path, args, option):
-    res = runner.invoke(main, [*args, "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    # the config file goes first, so that a case's own --config overrides it
+    command, *rest = [a.format(dir=tmp_path) for a in args]
+    res = runner.invoke(main, [command, "--config", str(cfg_file), *rest,
+                               "--out", str(tmp_path / "x")])
     assert res.exit_code == 2, res.output
     assert option in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
@@ -219,13 +230,23 @@ def test_simulate_non_finite_field_exits_3(runner, cfg_file, tmp_path, monkeypat
         return u
 
     monkeypatch.setattr(sulfsim.particles, "accumulate_step", poisoned)
+    archive = ["--archive"] if mode == "fk" else []  # only an fk run is archived
     res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--mode", mode,
-                               "--seed", "1", "--out", str(tmp_path / "x"), "--archive"])
+                               "--seed", "1", "--out", str(tmp_path / "x"), *archive])
     assert res.exit_code == 3, res.output
     assert "numerical abort: non-finite particle state at step 3," in res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
-    # the archive was written as the run went, to a partial file that the abort removed
+    # an archive is written as the run goes, to a partial file that the abort removed
     assert not any((tmp_path / "x").iterdir())
+
+
+def test_simulate_killed_archive_exits_2(runner, cfg_file, tmp_path):
+    res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--mode", "kill",
+                               "--seed", "1", "--out", str(tmp_path / "x"), "--archive"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "invalid config" in res.output and "feynman-kac" in res.output
+    assert not any((tmp_path / "x").iterdir())  # no archive.bin, no archive.bin.partial
 
 
 @pytest.mark.parametrize("command", ["simulate", "pde", "compare", "convergence"])
@@ -361,6 +382,18 @@ def _shifted(row: str) -> str:
     return f"{float(x) + 0.02!r},{u}"
 
 
+def _nan_density(a: Path) -> Path:
+    return _edit_snapshot(a, lambda ls: ls[:5] + [ls[5].split(",")[0] + ",nan"] + ls[6:])
+
+
+def _nan_time(a: Path) -> Path:
+    run = a / "run.csv"
+    lines = run.read_text().splitlines()
+    lines[2] = "nan," + lines[2].split(",", 1)[1]
+    run.write_text("\n".join(lines) + "\n")
+    return run
+
+
 # each malforms a run directory and returns the file its error must name
 _MALFORMED = {
     "stray file": _stray_snapshot,
@@ -371,6 +404,8 @@ _MALFORMED = {
     "ragged row": lambda a: _edit_snapshot(a, lambda ls: ls[:5] + ["0.1"] + ls[6:]),
     "one grid node": lambda a: _edit_snapshot(a, lambda ls: ls[:2], 0),
     "non-uniform x": _move_node_4,
+    "non-finite density": _nan_density,
+    "non-finite time": _nan_time,
 }
 
 
@@ -387,6 +422,20 @@ def test_compare_malformed_snapshot_dir_exits_4(runner, cfg_file, tmp_path, case
                                    "--out", str(tmp_path / "c")])
         assert res.exit_code == 4, (case, res.output)
         assert str(bad) in res.output, case
+
+
+def test_compare_runs_at_different_times_exits_4(runner, cfg_file, tmp_path):
+    # 50 steps of 0.001 and of 0.0005: the same step labels at different times
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, flags in ((a, []), (b, ["--step", "0.0005", "--horizon", "0.025"])):
+        res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "1",
+                                   "--out", str(d), *flags])
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["compare", "--a", str(a), "--b", str(b),
+                               "--out", str(tmp_path / "c")])
+    assert res.exit_code == 4, res.output
+    assert str(a / "run.csv") in res.output and str(b / "run.csv") in res.output
+    assert not (tmp_path / "c" / "report.csv").exists()
 
 
 def test_compare_regenerates_from_config(runner, cfg_file, tmp_path):
@@ -548,7 +597,7 @@ def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     from sulfsim.io import ARCHIVE_MAGIC, ARCHIVE_VERSION
 
     archive = tmp_path / "empty.bin"
-    archive.write_bytes(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, 0, 5, 1e-3, 0))
+    archive.write_bytes(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, 0, 5, 1e-3))
     res = runner.invoke(
         main,
         ["fixedpoint", "--archive", str(archive), "--config", str(cfg_file),
@@ -559,25 +608,20 @@ def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     assert "Traceback" not in res.output
 
 
-def test_fixedpoint_killed_archive_exits_4(runner, cfg_file, tmp_path):
-    archive = _archive_run(runner, cfg_file, tmp_path / "arch", "--mode", "kill",
-                           "--lambda", "20")
-    res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
-                               str(cfg_file), "--out", str(tmp_path / "fp")])
-    assert res.exit_code == 4, res.output
-    assert "holds a killed run" in res.output and "simulate --mode fk --archive" in res.output
-    assert not (tmp_path / "fp" / "manifest.json").exists()
-
-
-def test_fixedpoint_version_1_archive_exits_4(runner, cfg_file, tmp_path):
+@pytest.mark.parametrize("version, mode_word", [(1, b""), (2, struct.pack("<Q", 0))],
+                         ids=["version-1", "version-2"])
+def test_fixedpoint_old_archive_version_exits_4(runner, cfg_file, tmp_path, version,
+                                                mode_word):
+    # version 2 had a mode word after dt, version 1 did not
     archive = _archive_run(runner, cfg_file, tmp_path / "arch")
     data = archive.read_bytes()
-    archive.write_bytes(data[:4] + struct.pack("<IQQd", 1, 300, 51, 1e-3)
+    archive.write_bytes(data[:4] + struct.pack("<IQQd", version, 300, 51, 1e-3) + mode_word
                         + data[ARCHIVE_HEADER_BYTES:])
     res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
                                str(cfg_file), "--out", str(tmp_path / "fp")])
     assert res.exit_code == 4, res.output
-    assert "version 1 archive" in res.output and "simulate --archive" in res.output
+    assert f"version {version} archive" in res.output and "simulate --archive" in res.output
+    assert not (tmp_path / "fp" / "manifest.json").exists()
 
 
 def _small_archive_bytes(path: Path) -> bytes:
@@ -597,12 +641,10 @@ _BAD_WEIGHTS = st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0 +
 
 # each mutation turns the valid archive into one that must be refused
 _ARCHIVE_MUTATIONS = st.one_of(
-    st.integers(1, 231).map(lambda cut: lambda data: data[:-cut]),
+    st.integers(1, 223).map(lambda cut: lambda data: data[:-cut]),
     st.binary(min_size=1, max_size=64).map(lambda tail: lambda data: data + tail),
-    st.integers(0, 2**32 - 1).filter(lambda v: v != 2).map(
+    st.integers(0, 2**32 - 1).filter(lambda v: v != 3).map(
         lambda v: lambda data: data[:4] + struct.pack("<I", v) + data[8:]),
-    st.integers(1, 2**64 - 1).map(
-        lambda m: lambda data: data[:32] + struct.pack("<Q", m) + data[40:]),
     st.sampled_from([0.0, -0.01, float("inf"), float("nan")]).map(
         lambda dt: lambda data: data[:24] + struct.pack("<d", dt) + data[32:]),
     st.tuples(st.integers(0, 3), st.integers(0, 2),

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -115,13 +114,6 @@ def test_shape_mismatch_rejected(tmp_path, rng, default_params):
     archive = _toy_archive(tmp_path, rng)
     with pytest.raises(ValueError):
         apply_mkfk_map(np.zeros((3, 3)), archive, GRID, 0.3, default_params)
-
-
-def test_killed_archive_rejected(tmp_path, rng, default_params):
-    archive = replace(_toy_archive(tmp_path, rng), mode="killed")
-    with pytest.raises(ValueError, match="never-killed"):
-        apply_mkfk_map(np.zeros((len(archive), GRID.n_nodes)), archive, GRID, 0.3,
-                       default_params)
 
 
 def test_map_holds_no_time_by_particle_array(tmp_path, default_params):

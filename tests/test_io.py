@@ -65,8 +65,8 @@ def test_snapshot_name_padding():
 
 def test_archive_roundtrip_bit_exact(tmp_path, rng):
     clouds = [WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)) for _ in range(5)]
-    loaded = write_clouds_archive(tmp_path / "a.bin", clouds, 0.01, mode="killed")
-    assert loaded.dt == 0.01 and loaded.n_total == 8 and loaded.mode == "killed"
+    loaded = write_clouds_archive(tmp_path / "a.bin", clouds, 0.01)
+    assert loaded.dt == 0.01 and loaded.n_total == 8
     assert len(loaded) == 5
     positions, weights = archive_arrays(loaded)
     assert np.array_equal(positions, [c.positions for c in clouds])
@@ -94,7 +94,7 @@ def test_archive_reads_rows_into_one_buffer(tmp_path, rng):
                          ids=["too-few-rows", "too-many-rows", "short-row"])
 def test_archive_writer_refuses_wrong_rows_and_leaves_no_file(tmp_path, rng, rows, size):
     with pytest.raises(ValueError):
-        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01, "feynman-kac") as write_row:
+        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01) as write_row:
             for _ in range(rows):
                 write_row(WeightedPointCloud(rng.normal(0, 1, size), rng.random(size)))
     assert not any(tmp_path.iterdir())
@@ -102,7 +102,7 @@ def test_archive_writer_refuses_wrong_rows_and_leaves_no_file(tmp_path, rng, row
 
 def test_archive_writer_removes_partial_file_when_the_run_raises(tmp_path, rng):
     with pytest.raises(RuntimeError, match="abort"):
-        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01, "feynman-kac") as write_row:
+        with archive_writer(tmp_path / "a.bin", 8, 5, 0.01) as write_row:
             write_row(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
             assert (tmp_path / "a.bin.partial").is_file() and not (tmp_path / "a.bin").exists()
             raise RuntimeError("abort")
@@ -128,7 +128,7 @@ def _archive_bytes(tmp_path, rng):
 @pytest.mark.parametrize("cut", [8, 16, 64, 192])  # 192: a row and a half
 def test_archive_rejects_cut_file(tmp_path, rng, cut):
     data = _archive_bytes(tmp_path, rng)
-    assert len(data) == 40 + 16 * 8 * 5
+    assert len(data) == 32 + 16 * 8 * 5
     bad = tmp_path / "cut.bin"
     bad.write_bytes(data[:-cut])
     with pytest.raises(DataError, match="needs exactly"):
@@ -158,14 +158,14 @@ def test_archive_rejects_bad_values(tmp_path, rng, field, value, snapshot):
         read_archive(bad)
 
 
-def _bare_header(n, snaps, version=ARCHIVE_VERSION, dt=0.01, mode=0):
+def _bare_header(n, snaps, version=ARCHIVE_VERSION, dt=0.01):
     # an empty archive's bare header has exactly the length it declares
-    return ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, version, n, snaps, dt, mode)
+    return ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, version, n, snaps, dt)
 
 
-def _version_1(data):
-    """The version-1 layout of the same archive: no mode word."""
-    return (ARCHIVE_MAGIC + struct.pack("<IQQd", 1, 8, 5, 0.01)
+def _version_2(data):
+    """The version-2 layout of the same archive: a mode word after dt."""
+    return (ARCHIVE_MAGIC + struct.pack("<IQQdQ", 2, 8, 5, 0.01, 0)
             + data[ARCHIVE_HEADER_BYTES:])
 
 
@@ -176,10 +176,10 @@ def _version_1(data):
      (lambda data: _bare_header(8, 0), "both must be positive"),
      (lambda data: _bare_header(8, 5, dt=0.0) + data[ARCHIVE_HEADER_BYTES:], "time step"),
      (lambda data: _bare_header(8, 5, dt=np.nan) + data[ARCHIVE_HEADER_BYTES:], "time step"),
-     (lambda data: _bare_header(8, 5, mode=2) + data[ARCHIVE_HEADER_BYTES:], "mode word 2"),
-     (_version_1, "version 1 archive.*re-run `simulate --archive`")],
-    ids=["cut", "no-particles", "no-snapshots", "dt-zero", "dt-nan", "unknown-mode",
-         "version-1"],
+     (lambda data: _bare_header(8, 5, version=1) + data[ARCHIVE_HEADER_BYTES:],
+      "version 1 archive.*re-run `simulate --archive`"),
+     (_version_2, "version 2 archive.*re-run `simulate --archive`")],
+    ids=["cut", "no-particles", "no-snapshots", "dt-zero", "dt-nan", "version-1", "version-2"],
 )
 def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad = tmp_path / "head.bin"

@@ -27,10 +27,9 @@ from sulfsim.streams import ParticleStreams
 
 from oracles import (
     accumulate_from_archive,
-    archive_arrays,
-    archive_clouds,
     exact_history_args,
     hold_fields_at_zero,
+    run_with_clouds,
     run_with_hazard_digests,
 )
 
@@ -192,11 +191,12 @@ def test_run_matches_reference_steps_bit_for_bit(mode, lower, upper, lam):
             assert dead.sum() > 0.75 * cfg.particles
 
 
-def test_dead_particles_stay_at_their_death_position(small_config, tmp_path):
+def test_dead_particles_stay_at_their_death_position(small_config, monkeypatch):
     cfg = replace(small_config, mode="killed", particles=500, horizon=0.05,
                   physical=PhysicalParams(lam=20.0))
-    sim = run_simulation(cfg, archive_path=tmp_path / "a.bin")
-    positions, weights = archive_arrays(read_archive(tmp_path / "a.bin"))
+    sim, clouds = run_with_clouds(monkeypatch, run_simulation, cfg)
+    positions = np.stack([c.positions for c in clouds])
+    weights = np.stack([c.weights for c in clouds])
     ens = sim.ensemble
     dead = np.flatnonzero(~ens.alive)
     assert dead.size > cfg.particles // 4
@@ -282,15 +282,6 @@ def test_same_seed_bitwise_reproducible(small_config):
         assert np.array_equal(a.ensemble.hazards, b.ensemble.hazards)
         for ua, ub in zip(a.densities, b.densities):
             assert np.array_equal(ua, ub)
-
-
-def test_exchangeability_permuting_streams(small_config):
-    cfg = replace(small_config, particles=40, horizon=0.02)
-    perm = np.random.default_rng(0).permutation(40)
-    base = run_simulation(cfg)
-    shuffled = run_simulation(cfg, stream_indices=perm)
-    assert np.array_equal(shuffled.ensemble.positions, base.ensemble.positions[perm])
-    assert np.array_equal(shuffled.ensemble.hazards, base.ensemble.hazards[perm])
 
 
 def test_archive_snapshot_count(small_config, tmp_path):
@@ -379,12 +370,11 @@ def test_run_deposits_each_cloud_once(monkeypatch, small_config, mode):
 
 
 @pytest.mark.parametrize("mode", ["feynman-kac", "killed"])
-def test_field_snapshots_hold_fields_before_their_step(small_config, mode, tmp_path):
+def test_field_snapshots_hold_fields_before_their_step(small_config, mode, monkeypatch):
     cfg = replace(small_config, mode=mode, horizon=0.02,
                   physical=PhysicalParams(lam=8.0))  # deaths in the killed run
-    sim = run_simulation(cfg, snapshot_stride=2, archive_path=tmp_path / "a.bin",
-                         fields_stride=3)
-    clouds = archive_clouds(read_archive(tmp_path / "a.bin"))
+    sim, clouds = run_with_clouds(monkeypatch, run_simulation, cfg, snapshot_stride=2,
+                                  fields_stride=3)
     steps = [s for s, _, _ in sim.field_snaps]
     assert steps == [0, 6, 12, 18, cfg.n_steps]
     _, a0, g0 = sim.field_snaps[0]

@@ -95,7 +95,7 @@ def test_mass_at_zero_and_mass_balance(default_params):
     res = solve_pde(cfg)
     assert res.mass[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(res.residual)) < 1e-12
-    assert res.state.clamped_mass == 0.0
+    assert not res.clamped.any()
     assert np.all(res.densities[-1] >= 0.0)
 
 
