@@ -9,7 +9,6 @@ record output checksums so reruns can be verified byte-for-byte.
 from __future__ import annotations
 
 import ctypes
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -78,14 +77,6 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _out_dir(out: str | None, default: str) -> Path:
-    if out is None:
-        out = os.environ.get("SULFSIM_OUTDIR") or default
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # (flag, YAML key path, type, help): one config option each, whose click
 # parameter is the key path with "__" for "."
 _CONFIG_FLAGS = [
@@ -119,6 +110,14 @@ def _with_config_options(fn):
                         default=None, help="YAML config file; flags override its fields.")(fn)
 
 
+def _out_option(default: str):
+    """``--out``, a directory (an existing file is a usage error), which the
+    command creates once it has something to write."""
+    return click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
+                        envvar="SULFSIM_OUTDIR", default=default, show_default=True,
+                        help="output directory (or $SULFSIM_OUTDIR)")
+
+
 _workers_option = click.option(
     "--workers", type=int, default=1, expose_value=False,
     help="ignored: every command runs single-threaded (kept for existing scripts)")
@@ -143,7 +142,6 @@ def _write_snapshots(directory: Path, prefix: str, header: list[str], nodes: lis
     """One CSV per recorded step: the node column, which the caller formats
     once (``column_text``) for all of its files, then the step's row of each
     series."""
-    directory.mkdir(exist_ok=True)
     return [write_csv(directory / snapshot_name(prefix, int(step)), header, [nodes, *values])
             for step, *values in zip(steps, *series)]
 
@@ -212,7 +210,7 @@ def main():
 @click.option("--mode", type=click.Choice(["fk", "kill", "feynman-kac", "killed"]),
               default=None, help="reaction mode (default: the config's mode)")
 @click.option("--seed", type=int, required=True, help="master RNG seed (required)")
-@click.option("--out", type=click.Path(), default=None, help="output directory")
+@_out_option("sim-out")
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
 @click.option("--fields-stride", type=click.IntRange(min=0), default=0,
@@ -222,10 +220,9 @@ def main():
               help="dump full trajectories for the fixedpoint command")
 @_workers_option
 @_handle_errors
-def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cfg_kwargs):
+def simulate(mode, seed, out_dir, snapshot_stride, fields_stride, archive_flag, **cfg_kwargs):
     """Run the particle system and write snapshots, series, and manifest."""
     cfg = _build_config(mode=_MODE_ALIASES.get(mode, mode), seed=seed, **cfg_kwargs)
-    out_dir = _out_dir(out, "sim-out")
     archive = out_dir / "archive.bin" if archive_flag else None
     sim = run_simulation(
         cfg,
@@ -242,15 +239,14 @@ def simulate(mode, seed, out, snapshot_stride, fields_stride, archive_flag, **cf
 
 @main.command()
 @_with_config_options
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("pde-out")
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
 @_workers_option
 @_handle_errors
-def pde(out, snapshot_stride, **cfg_kwargs):
+def pde(out_dir, snapshot_stride, **cfg_kwargs):
     """Solve the deterministic reference PDE on the configured grid."""
     cfg = _build_config(**cfg_kwargs)
-    out_dir = _out_dir(out, "pde-out")
     res = solve_pde(cfg, snapshot_stride=snapshot_stride)
     manifest = RunManifest(
         command="pde",
@@ -331,12 +327,12 @@ def _write_summary(out_dir: Path, summary: str, manifest: RunManifest) -> None:
               help="second snapshot directory")
 @click.option("--seed", type=int, default=None,
               help="seed (required when regenerating from --config)")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("compare-out")
 @click.option("--snapshot-stride", type=click.IntRange(min=1), default=None,
               help=_SNAPSHOT_STRIDE_HELP)
 @_workers_option
 @_handle_errors
-def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
+def compare(dir_a, dir_b, seed, out_dir, snapshot_stride, **cfg_kwargs):
     """Compare two snapshot directories, or regenerate both estimators and
     the PDE reference from a config and compare everything."""
     if dir_a is None and dir_b is None:
@@ -352,7 +348,6 @@ def compare(dir_a, dir_b, seed, out, snapshot_stride, **cfg_kwargs):
         if ignored:
             raise click.UsageError(f"--a/--b compare two runs as they are; "
                                    f"{', '.join(ignored)} would be ignored")
-    out_dir = _out_dir(out, "compare-out")
     manifest = RunManifest(command="compare", config={})
     if dir_a is not None:
         xa, sa, ta, ua = _load_snapshot_series(Path(dir_a))
@@ -409,13 +404,12 @@ def _ensemble_sizes(ctx, param, value: str) -> list[int]:
 @click.option("--seeds", "seeds_per_n", type=click.IntRange(min=1), default=8,
               show_default=True)
 @click.option("--seed", type=int, required=True, help="base seed (required)")
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("convergence-out")
 @_workers_option
 @_handle_errors
-def convergence(n_values, seeds_per_n, seed, out, **cfg_kwargs):
+def convergence(n_values, seeds_per_n, seed, out_dir, **cfg_kwargs):
     """Estimator-vs-reference error table across ensemble sizes."""
     cfg = _build_config(seed=seed, **cfg_kwargs)
-    out_dir = _out_dir(out, "convergence-out")
     table = convergence_study(cfg, n_values, seeds_per_n)
     manifest = RunManifest(command="convergence", config=cfg.to_dict(),
                            diagnostics={"monotone_fk": table.monotone_fk,
@@ -446,12 +440,11 @@ def _tolerance(ctx, param, value: float) -> float:
 @click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance,
               help="stop once the sup distance of two iterates is at most this")
 @click.option("--max-iters", type=click.IntRange(min=2), default=50, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_out_option("fixedpoint-out")
 @_handle_errors
-def fixedpoint(archive_path, tol, max_iters, out, **cfg_kwargs):
+def fixedpoint(archive_path, tol, max_iters, out_dir, **cfg_kwargs):
     """Picard iteration of the discounted-kernel map on an archived run."""
     cfg = _build_config(**cfg_kwargs)
-    out_dir = _out_dir(out, "fixedpoint-out")
     archive = read_archive(archive_path)
     # the map runs on the archive's time steps and ensemble: a flag that says
     # otherwise is an error, and the manifest records what the archive holds

@@ -4,8 +4,8 @@ CSV is the single interchange format: one header row, comma separators,
 full-precision (shortest round-trip) decimal floats.  Trajectory archives
 use a small binary layout documented in the README: an ASCII magic, a
 version word, ensemble size, snapshot count and dt, then per snapshot the
-positions and weights as little-endian 64-bit floats.  An archive is
-written and read one snapshot at a time; its file is the only copy.
+positions as little-endian 64-bit floats.  An archive is written and read
+one snapshot at a time; its file is the only copy.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import WeightedPointCloud
-
 ARCHIVE_MAGIC = b"SSAR"
-ARCHIVE_VERSION = 3  # version 2 had a mode word after dt
+ARCHIVE_VERSION = 4  # version 3 held each row's weights after its positions
 ARCHIVE_HEADER = struct.Struct("<4sIQQd")  # magic, version, n, snapshots, dt
 ARCHIVE_HEADER_BYTES = ARCHIVE_HEADER.size
 
@@ -41,8 +39,9 @@ def column_text(column: np.ndarray | list[str]) -> list[str]:
 
 def write_csv(path: str | Path, header: list[str], columns: list) -> Path:
     """Write columns (arrays, or the fields of :func:`column_text`) to a CSV
-    file with full-precision floats."""
+    file with full-precision floats, creating its directory if need be."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     rows = zip(*map(column_text, columns))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -79,12 +78,12 @@ def snapshot_name(prefix: str, step: int) -> str:
 class TrajectoryArchive:
     """The per-step snapshots of a feynman-kac run, held in its archive file.
 
-    Snapshot k is the ensemble state at time k*dt: row k of the file's
-    payload, N positions then N weights.  The file is the only copy of the
-    snapshots: :meth:`rows` and :attr:`positions` read them one row at a
-    time into one buffer, which each row overwrites, so a reader holds O(N)
-    memory whatever the snapshot count.  :func:`read_archive` checks a file
-    and returns its archive; :func:`archive_writer` writes one.
+    Snapshot k is the ensemble's positions at time k*dt: row k of the
+    file's payload, N floats.  The file is the only copy of the snapshots:
+    :attr:`positions` reads them one row at a time into one buffer, which
+    each row overwrites, so a reader holds O(N) memory whatever the snapshot
+    count.  :func:`read_archive` checks a file and returns its archive;
+    :func:`archive_writer` writes one.
     """
 
     path: Path
@@ -95,56 +94,47 @@ class TrajectoryArchive:
     def __len__(self) -> int:
         return self.snapshots
 
-    def _read(self, shape: tuple[int, ...]) -> Iterator[np.ndarray]:
-        """The first prod(shape) floats of each row in turn, in one reused buffer."""
-        buf = np.empty(shape, dtype="<f8")
+    @property
+    def positions(self) -> Iterator[np.ndarray]:
+        """Each snapshot's positions in turn, in one reused (N,) buffer."""
+        buf = np.empty(self.n_total, dtype="<f8")
         with open(self.path, "rb") as fh:
+            fh.seek(ARCHIVE_HEADER_BYTES)
             for k in range(self.snapshots):
-                fh.seek(ARCHIVE_HEADER_BYTES + 16 * self.n_total * k)
                 if fh.readinto(buf) != buf.nbytes:
                     raise DataError(f"{self.path} ends inside snapshot {k}: it was cut after "
                                     "it was checked")
                 yield buf
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """Each snapshot in turn as a (2, N) array of positions and weights;
-        one buffer holds them all, each row overwriting the last."""
-        return self._read((2, self.n_total))
-
-    @property
-    def positions(self) -> Iterator[np.ndarray]:
-        """Each snapshot's positions in turn, in one reused (N,) buffer."""
-        return self._read((self.n_total,))
-
 
 @contextmanager
 def archive_writer(path: str | Path, n_total: int, snapshots: int,
-                   dt: float) -> Iterator[Callable[[WeightedPointCloud], None]]:
-    """Write an archive one snapshot at a time: yields ``append(cloud)``.
+                   dt: float) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write an archive one snapshot at a time: yields ``append(positions)``.
 
-    The header and rows go to ``path`` + ".partial", which is renamed to
-    ``path`` once the block ends with all ``snapshots`` rows written; when
-    the block raises, the partial file is removed, so an aborted run leaves
-    no archive.  ValueError for a row that is not N positions and N weights,
-    or for more or fewer rows than ``snapshots``.
+    The header and rows go to ``path`` + ".partial", whose directory is
+    created if need be, and which is renamed to ``path`` once the block ends
+    with all ``snapshots`` rows written; when the block raises, the partial
+    file is removed, so an aborted run leaves no archive.  ValueError for a
+    row that is not N positions, or for more or fewer rows than ``snapshots``.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     written = 0
 
-    def append(cloud: WeightedPointCloud) -> None:
+    def append(positions: np.ndarray) -> None:
         nonlocal written
         if written == snapshots:
             raise ValueError(f"{path} declares {snapshots} snapshots; no more fit")
-        # no copy for float64 rows
-        row = [np.ascontiguousarray(v, dtype="<f8") for v in (cloud.positions, cloud.weights)]
-        if row[0].size != n_total or row[1].size != n_total:
-            raise ValueError(f"a snapshot of {row[0].size} positions and {row[1].size} weights "
-                             f"for an archive of {n_total} particles")
-        fh.writelines(row)
+        row = np.ascontiguousarray(positions, dtype="<f8")  # no copy for a float64 row
+        if row.size != n_total:
+            raise ValueError(f"a snapshot of {row.size} positions for an archive of "
+                             f"{n_total} particles")
+        fh.write(row)
         written += 1
 
     try:
+        partial.parent.mkdir(parents=True, exist_ok=True)
         with open(partial, "wb") as fh:
             fh.write(ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, n_total, snapshots, dt))
             yield append
@@ -157,9 +147,9 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int,
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
     """Check an archive file and return it; DataError unless the file is
-    exactly one archive of the current version, with finite positions and
-    weights in [0, 1].  The values are checked in one pass over the rows,
-    which holds one row in memory."""
+    exactly one archive of the current version, with finite positions.  The
+    values are checked in one pass over the rows, which holds one row in
+    memory."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
@@ -175,15 +165,13 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         if not 0.0 < dt < np.inf:
             raise DataError(f"{path} declares the time step {dt}; it must be positive and finite")
         size = os.fstat(fh.fileno()).st_size
-        expected = ARCHIVE_HEADER_BYTES + 16 * n * snaps
+        expected = ARCHIVE_HEADER_BYTES + 8 * n * snaps
         if size != expected:
             raise DataError(f"{path} has {size} bytes; its header needs exactly {expected}")
     archive = TrajectoryArchive(path, dt, int(n), int(snaps))
-    for positions, weights in archive.rows():
+    for positions in archive.positions:
         if not np.isfinite(positions).all():
             raise DataError(f"{path} holds non-finite positions")
-        if not (weights.min() >= 0.0 and weights.max() <= 1.0):  # false for a NaN weight
-            raise DataError(f"{path} holds weights outside [0, 1]")
     return archive
 
 

@@ -33,8 +33,7 @@ position ends the run once the sweep is over, naming every such particle.
 only in seed and mode as one ensemble of (R, N) arrays: one pass of array
 operations per step for all R, rows kept apart by the deposit and the field
 reads, one draw per seed, and each replica's outputs bit for bit its solo run's.
-:func:`run_simulation` is one run of it; with ``coupled_thresholds=True`` it
-also reads the killed interpretation off a feynman-kac run's paths.
+:func:`run_simulation` is one run of it.
 """
 
 from __future__ import annotations
@@ -226,8 +225,6 @@ class SimulationOutput:
     ensemble: ParticleEnsemble
     fields: AccumulatedFields
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    coupled_alive: np.ndarray | None = None
-    coupled_band: np.ndarray | None = None
 
 
 def run_simulations(
@@ -235,7 +232,6 @@ def run_simulations(
     snapshot_stride: int | None = None,
     archive_path: str | Path | None = None,
     fields_stride: int = 0,
-    coupled_thresholds: bool = False,
 ) -> list[SimulationOutput]:
     """Run the configured particle systems and record density snapshots.
 
@@ -250,21 +246,18 @@ def run_simulations(
     only the final cloud is deposited for the record alone.  A field
     snapshot at step k holds A and G before step k's term.
 
-    ``archive_path`` writes the cloud of every step, and the final one, to
-    that trajectory archive as the run goes (:func:`sulfsim.io.archive_writer`):
+    ``archive_path`` writes the positions of every step, and the final ones,
+    to that trajectory archive as the run goes (:func:`sulfsim.io.archive_writer`):
     the file appears once the run ends, and a run that raises leaves none.
     Only a feynman-kac run is archived: a killed run's paths stop at their
     death, so they are not paths of the fixed-point map (ConfigError).
-
-    ``coupled_thresholds`` reads the killed interpretation off the paths of
-    one feynman-kac run: see :func:`run_simulation`.
     """
     configs = [validate_config(c.with_grid()) for c in configs]
     config = configs[0]
     if any(replace(c, seed=config.seed, mode=config.mode) != config for c in configs):
         raise ValueError("stacked configs may differ only in seed and mode")
-    if len(configs) > 1 and (archive_path is not None or coupled_thresholds):
-        raise ValueError("archive_path and coupled_thresholds need a single config")
+    if len(configs) > 1 and archive_path is not None:
+        raise ValueError("archive_path needs a single config")
     if archive_path is not None and config.mode != "feynman-kac":
         raise ConfigError([f"a trajectory archive needs mode feynman-kac, not {config.mode}: "
                            "a killed run's paths stop at their deaths"])
@@ -282,11 +275,6 @@ def run_simulations(
     except MemoryError as err:
         stack = f" in each of {len(configs)} replicas" if len(configs) > 1 else ""
         raise MemoryError(f"an ensemble of {n} particles{stack} is too large ({err})") from err
-    thresholds = None
-    if coupled_thresholds:
-        if config.mode != "feynman-kac":
-            raise ValueError("coupled_thresholds requires feynman-kac mode")
-        thresholds = draw_thresholds(config.seed, streams[config.seed].indices)
 
     acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
                             out_of_domain=np.zeros(len(configs), dtype=np.int64))
@@ -294,7 +282,6 @@ def run_simulations(
     negative_I = np.zeros(len(configs), dtype=np.int64)
     times, steps_rec = [], []
     densities, mass, weight_or_alive, escaped = ([[] for _ in configs] for _ in range(4))
-    coupled_alive, coupled_band = [], []
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def record(k: int, cloud: WeightedPointCloud, u: np.ndarray | None = None) -> None:
@@ -308,12 +295,6 @@ def run_simulations(
             mass[r].append(float(np.trapezoid(u[r], dx=grid.spacing)))
             weight_or_alive[r].append(float(cloud.weights[r].mean()))
             escaped[r].append(float(cloud.weights[r][outside[r]].sum() / n))
-        if coupled_thresholds:
-            alive_frac = float(np.mean(ens.hazards[0] < thresholds))
-            w = cloud.weights[0]
-            vbar = float(np.mean(w * (1.0 - w)))
-            coupled_alive.append(alive_frac)
-            coupled_band.append(3.0 * np.sqrt(vbar / n))
 
     width = max(1, SLICE_PARTICLES // len(configs))  # columns per slice of the sweep
     one_slice = n <= width
@@ -328,7 +309,7 @@ def run_simulations(
             if recording and fields_stride and k % fields_stride == 0:
                 field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
             if write_row is not None:
-                write_row(cloud)
+                write_row(ens.positions)
             u = accumulate_step(acc, cloud, n, dt)
             if recording:
                 record(k, cloud, u)
@@ -347,12 +328,11 @@ def run_simulations(
             if bad:
                 raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
 
-        final_cloud = ens.cloud()
         if write_row is not None:
-            write_row(final_cloud)
+            write_row(ens.positions)
     if fields_stride:
         field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
-    record(n_steps, final_cloud)
+    record(n_steps, ens.cloud())
 
     outputs = []
     for r, c in enumerate(configs):
@@ -372,21 +352,10 @@ def run_simulations(
             ensemble=ens.row(r),
             fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], diag["out_of_domain"]),
             field_snaps=[(k, a[r], g[r]) for k, a, g in field_snaps],
-            coupled_alive=np.asarray(coupled_alive) if coupled_thresholds else None,
-            coupled_band=np.asarray(coupled_band) if coupled_thresholds else None,
         ))
     return outputs
 
 
 def run_simulation(config: SimConfig, **options) -> SimulationOutput:
-    """One run of :func:`run_simulations`, with the same options.
-
-    ``coupled_thresholds=True`` on a feynman-kac config is the coupled
-    readout: killing thresholds drawn from the disjoint per-particle
-    threshold streams, so the trajectory and hazard arrays are bit-identical
-    to the plain run's.  Conditionally on the paths the survival indicators
-    are independent Bernoulli(w_i), which makes |mean weight - alive
-    fraction| <= 3 sqrt(vbar / N) the calibrated band recorded in
-    ``coupled_band``, next to the alive fraction in ``coupled_alive``.
-    """
+    """One run of :func:`run_simulations`, with the same options."""
     return run_simulations([config], **options)[0]

@@ -145,15 +145,19 @@ def emit_plot_scripts(run_dir: str | Path) -> list[Path]:
 
 
 def _envelope_rate(run_dir: Path) -> float:
-    """lambda * c0 from the run manifest, falling back to 1.0."""
-    from .io import load_manifest
+    """lambda * c0 from the run manifest, each falling back to 1.0; DataError,
+    naming the manifest, when it is not JSON or its ``config.physical`` is
+    not a mapping of numbers."""
+    from .io import DataError, load_manifest
 
     manifest = run_dir / "manifest.json"
-    if manifest.is_file():
-        cfg = load_manifest(manifest).get("config", {})
-        phys = cfg.get("physical", {})
+    if not manifest.is_file():
+        return 1.0
+    try:
+        phys = load_manifest(manifest).get("config", {}).get("physical", {})
         return float(phys.get("lambda", 1.0)) * float(phys.get("c0", 1.0))
-    return 1.0
+    except (ValueError, TypeError, AttributeError) as err:  # JSONDecodeError is a ValueError
+        raise DataError(f"{manifest} holds no readable config.physical: {err}") from err
 
 
 def render_scripts(scripts: list[Path]) -> list[Path]:

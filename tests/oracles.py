@@ -3,9 +3,9 @@
 - :func:`mollify` / :func:`mollify_grad`: dense point queries summing over
   particles in index order, with the same 8-bandwidth cutoff as
   :func:`sulfsim.kernel.grid_density`.
-- :func:`write_clouds_archive` / :func:`archive_arrays`: an archive file
-  written from given clouds, and the (S, N) arrays of an archive file read
-  at once; :func:`archive_clouds` gives its snapshots as clouds.
+- :func:`write_paths_archive` / :func:`archive_paths`: an archive file
+  written from given positions, and the (S, N) paths of an archive file
+  read at once.
 - :func:`exact_history_args`: the accumulated integrals (I, J) evaluated
   from stored snapshots with no spatial interpolation.
 - :func:`accumulate_from_archive`: stored snapshots replayed through the
@@ -15,7 +15,9 @@
 - :func:`run_with_hazard_digests`: a run plus the sha256 of its hazards
   after every step.
 - :func:`run_with_clouds`: a run plus its cloud at every step and at the
-  end, which is what an archive of it would hold, in either mode.
+  end, in either mode.
+- :func:`run_with_coupled_readout`: a feynman-kac run plus the killed
+  interpretation read off its paths.
 - :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
   map evaluated on the whole (S, N) lattice at once, with ``np.cumsum``
   time prefix sums and one flat-lattice read.
@@ -41,6 +43,7 @@ from sulfsim.kernel import (
     kernel_grad,
     kernel_value,
 )
+from sulfsim.streams import draw_thresholds
 
 _QUERY_CHUNK = 256
 
@@ -78,26 +81,20 @@ def mollify_grad(cloud: WeightedPointCloud, delta: float, query, n_total: int):
     return _mollify_sum(cloud, delta, query, n_total, grad=True)
 
 
-def write_clouds_archive(path, clouds, dt: float) -> TrajectoryArchive:
-    """The archive file of ``clouds`` (snapshot k is clouds[k]), written by
-    the runs' own writer and read back."""
-    clouds = list(clouds)
-    with archive_writer(path, len(clouds[0]), len(clouds), dt) as write_row:
-        for cloud in clouds:
-            write_row(cloud)
+def write_paths_archive(path, paths, dt: float) -> TrajectoryArchive:
+    """The archive file of ``paths`` (snapshot k is paths[k], N positions),
+    written by the runs' own writer and read back."""
+    paths = list(paths)
+    with archive_writer(path, len(paths[0]), len(paths), dt) as write_row:
+        for positions in paths:
+            write_row(positions)
     return read_archive(path)
 
 
-def archive_arrays(archive: TrajectoryArchive) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, N) positions and weights of an archive, read from its file at once."""
+def archive_paths(archive: TrajectoryArchive) -> np.ndarray:
+    """The (S, N) positions of an archive, read from its file at once."""
     payload = np.fromfile(archive.path, dtype="<f8", offset=ARCHIVE_HEADER_BYTES)
-    payload = payload.reshape(len(archive), 2, archive.n_total)
-    return payload[:, 0], payload[:, 1]
-
-
-def archive_clouds(archive: TrajectoryArchive) -> list[WeightedPointCloud]:
-    """Every snapshot of an archive as a cloud of its own arrays."""
-    return [WeightedPointCloud(x, w) for x, w in zip(*archive_arrays(archive))]
+    return payload.reshape(len(archive), archive.n_total)
 
 
 def exact_history_args(
@@ -187,6 +184,44 @@ def run_with_clouds(monkeypatch, run, *args, **kwargs):
     return sim, clouds
 
 
+def run_with_coupled_readout(monkeypatch, config, **options):
+    """``run_simulation(config, **options)`` of a feynman-kac config, and the
+    killed interpretation read off its paths at each recorded step: the
+    alive fraction mean(Lambda < Z), with thresholds Z from the disjoint
+    per-particle threshold streams, and the band 3 sqrt(mean(w (1 - w)) / N),
+    w = exp(-Lambda).
+
+    Conditionally on the paths the survival indicators are independent
+    Bernoulli(w_i), which makes |mean weight - alive fraction| <= band the
+    calibrated check.  The readout is taken from the hazards that each call
+    of ``sulfsim.particles._slice_step`` starts from, and from the final
+    ones; N <= ``SLICE_PARTICLES`` makes each call a whole step.  Two floats
+    are kept per step.
+    """
+    n = config.particles
+    assert config.mode == "feynman-kac" and n <= sulfsim.particles.SLICE_PARTICLES
+    thresholds = draw_thresholds(config.seed, range(n))
+    readout: list[tuple[float, float]] = []
+
+    def read(hazards):
+        w = np.exp(np.negative(hazards))
+        readout.append((float(np.mean(hazards < thresholds)),
+                        3.0 * np.sqrt(float(np.mean(w * (1.0 - w))) / n)))
+
+    step = sulfsim.particles._slice_step
+
+    def recorded(part, *a, **k):
+        read(part.hazards[0])
+        return step(part, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(sulfsim.particles, "_slice_step", recorded)
+        sim = sulfsim.particles.run_simulation(config, **options)
+    read(sim.ensemble.hazards)
+    alive, band = np.array(readout)[sim.steps_recorded].T
+    return sim, alive, band
+
+
 def inner_integral(u: np.ndarray, paths: np.ndarray, grid: Grid1D, dt: float) -> np.ndarray:
     """I[s, i] = dt * sum_{r<s} u(r, X_s^i) for lattice u and (S, N) paths."""
     prefix = np.zeros(u.shape)
@@ -205,7 +240,7 @@ def whole_lattice_map(
 ) -> np.ndarray:
     """The discounted-kernel map of :func:`sulfsim.fixedpoint.apply_mkfk_map`
     with every (S, N) intermediate formed at once."""
-    paths = archive_arrays(archive)[0]
+    paths = archive_paths(archive)
     dt = archive.dt
     lam, c0 = params.lam, params.c0
     inner = inner_integral(u, paths, grid, dt)

@@ -28,9 +28,10 @@ from sulfsim.cli import main
 from sulfsim.io import read_archive
 from oracles import (
     accumulate_from_archive,
-    archive_clouds,
     exact_history_args,
     hold_fields_at_zero,
+    run_with_clouds,
+    run_with_coupled_readout,
     run_with_hazard_digests,
 )
 
@@ -99,11 +100,11 @@ def test_criterion_3_estimator_coupling(monkeypatch):
     cfg = SimConfig(particles=10_000, seed=99)
     fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
                                              snapshot_stride=25)
-    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
-                                             snapshot_stride=25, coupled_thresholds=True)
+    (cp, alive, band), cp_digests = run_with_hazard_digests(
+        monkeypatch, run_with_coupled_readout, monkeypatch, cfg, snapshot_stride=25)
     bit_exact = len(fk_digests) == cfg.n_steps and cp_digests == fk_digests
-    diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
-    exceed = int(np.sum(diff > cp.coupled_band))
+    diff = np.abs(cp.weight_or_alive - alive)
+    exceed = int(np.sum(diff > band))
     quota = int(0.05 * len(diff))
     _report(
         3,
@@ -162,7 +163,7 @@ def test_criterion_6_estimator_vs_pde_convergence():
     )
 
 
-def test_criterion_7_field_oracle_equivalence(tmp_path):
+def test_criterion_7_field_oracle_equivalence(monkeypatch):
     cfg = SimConfig(
         particles=100,
         horizon=0.4,
@@ -171,8 +172,7 @@ def test_criterion_7_field_oracle_equivalence(tmp_path):
         grid=Grid1D(-12.0, 12.0, 0.1),
     )
     delta = cfg.kernel.bandwidth
-    sim = run_simulation(cfg, archive_path=tmp_path / "archive.bin")
-    clouds = archive_clouds(read_archive(tmp_path / "archive.bin"))
+    sim, clouds = run_with_clouds(monkeypatch, run_simulation, cfg)
     nodes = cfg.grid.nodes()
     exact = exact_history_args(clouds, cfg.step, nodes, delta, cfg.particles, steps=cfg.n_steps)
     rel_a = float(np.max(np.abs(sim.fields.A - exact.I)) / np.max(sim.fields.A))

@@ -14,12 +14,11 @@ from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sulfsim import WeightedPointCloud
 from sulfsim.cli import main
 from sulfsim.config import MAX_STEPS, InitialDensitySpec, derive_grid
 from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv
 
-from oracles import write_clouds_archive
+from oracles import write_paths_archive
 
 
 @pytest.fixture
@@ -108,6 +107,36 @@ def test_out_of_range_option_exits_2(runner, cfg_file, tmp_path, args, option):
     assert res.exit_code == 2, res.output
     assert option in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+_REQUIRED = {"simulate": ["--seed", "1"], "pde": [], "compare": ["--seed", "1"],
+             "convergence": ["--seed", "1"], "fixedpoint": ["--archive", __file__]}
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_out_naming_a_file_exits_2(runner, cfg_file, tmp_path, command, via):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    flag = ["--out", str(taken)] if via == "flag" else []
+    env = {"SULFSIM_OUTDIR": str(taken)} if via == "env" else {}
+    res = runner.invoke(main, [command, "--config", str(cfg_file), *_REQUIRED[command], *flag],
+                        env=env)
+    assert res.exit_code == 2, res.output
+    assert "--out" in res.output and "is a file" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_out_flag_beats_the_environment_and_an_empty_variable_is_unset(runner, cfg_file,
+                                                                      tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for env, written in (({"SULFSIM_OUTDIR": str(tmp_path / "env")}, "flag"),
+                         ({"SULFSIM_OUTDIR": ""}, "pde-out")):
+        flag = ["--out", str(tmp_path / "flag")] if written == "flag" else []
+        res = runner.invoke(main, ["pde", "--config", str(cfg_file), *flag], env=env)
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / written / "manifest.json").is_file()
+    assert not (tmp_path / "env").exists()
 
 
 def test_simulate_invalid_config_exits_2(runner, cfg_file, tmp_path):
@@ -237,7 +266,7 @@ def test_simulate_non_finite_field_exits_3(runner, cfg_file, tmp_path, monkeypat
     assert "numerical abort: non-finite particle state at step 3," in res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     # an archive is written as the run goes, to a partial file that the abort removed
-    assert not any((tmp_path / "x").iterdir())
+    assert not any((tmp_path / "x").glob("*"))
 
 
 def test_simulate_killed_archive_exits_2(runner, cfg_file, tmp_path):
@@ -246,7 +275,7 @@ def test_simulate_killed_archive_exits_2(runner, cfg_file, tmp_path):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert "invalid config" in res.output and "feynman-kac" in res.output
-    assert not any((tmp_path / "x").iterdir())  # no archive.bin, no archive.bin.partial
+    assert not (tmp_path / "x").exists()  # refused before anything was written
 
 
 @pytest.mark.parametrize("command", ["simulate", "pde", "compare", "convergence"])
@@ -422,6 +451,17 @@ def test_compare_malformed_snapshot_dir_exits_4(runner, cfg_file, tmp_path, case
                                    "--out", str(tmp_path / "c")])
         assert res.exit_code == 4, (case, res.output)
         assert str(bad) in res.output, case
+        assert not (tmp_path / "c").exists()
+
+
+def test_compare_dir_without_snapshots_exits_4_and_writes_nothing(runner, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    res = runner.invoke(main, ["compare", "--a", str(empty), "--b", str(empty),
+                               "--out", str(tmp_path / "c")])
+    assert res.exit_code == 4, res.output
+    assert f"no snapshots under {empty}" in res.output
+    assert not (tmp_path / "c").exists()
 
 
 def test_compare_runs_at_different_times_exits_4(runner, cfg_file, tmp_path):
@@ -435,7 +475,7 @@ def test_compare_runs_at_different_times_exits_4(runner, cfg_file, tmp_path):
                                "--out", str(tmp_path / "c")])
     assert res.exit_code == 4, res.output
     assert str(a / "run.csv") in res.output and str(b / "run.csv") in res.output
-    assert not (tmp_path / "c" / "report.csv").exists()
+    assert not (tmp_path / "c").exists()
 
 
 def test_compare_regenerates_from_config(runner, cfg_file, tmp_path):
@@ -563,18 +603,17 @@ def test_fixedpoint_nonfinite_archive_exits_4(runner, cfg_file, tmp_path):
     assert "non-finite positions" in res.output
 
 
-def _last_row(data: bytes, field: int, value: float) -> bytes:
-    """The archive of a run of N = 300 with ``value`` at particle 0 of ``field``
-    (0 positions, 1 weights) in its last snapshot."""
-    at = len(data) - 16 * 300 + 8 * 300 * field
+def _last_row(data: bytes, value: float) -> bytes:
+    """The archive of a run of N = 300 with ``value`` at particle 0 of its
+    last snapshot."""
+    at = len(data) - 8 * 300
     return data[:at] + struct.pack("<d", value) + data[at + 8:]
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda data: _last_row(data, 0, float("nan")), "non-finite positions"),
-    (lambda data: _last_row(data, 1, 1.5), r"weights outside [0, 1]"),
-    (lambda data: data[: -16 * 300 - 8 * 150], "needs exactly"),
-], ids=["last-row-position-nan", "last-row-weight-above-1", "cut-mid-row"])
+    (lambda data: _last_row(data, float("nan")), "non-finite positions"),
+    (lambda data: data[: -8 * 300 - 8 * 150], "needs exactly"),
+], ids=["last-row-position-nan", "cut-mid-row"])
 def test_fixedpoint_bad_last_row_exits_4_before_any_map(runner, cfg_file, tmp_path,
                                                         monkeypatch, mutate, message):
     import sulfsim.fixedpoint
@@ -590,7 +629,7 @@ def test_fixedpoint_bad_last_row_exits_4_before_any_map(runner, cfg_file, tmp_pa
                                str(cfg_file), "--out", str(tmp_path / "fp")])
     assert res.exit_code == 4, res.output
     assert message in res.output
-    assert not (tmp_path / "fp" / "trace.csv").exists()
+    assert not (tmp_path / "fp").exists()
 
 
 def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
@@ -608,50 +647,48 @@ def test_fixedpoint_empty_archive_exits_4(runner, cfg_file, tmp_path):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("version, mode_word", [(1, b""), (2, struct.pack("<Q", 0))],
-                         ids=["version-1", "version-2"])
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["version-1", "version-2", "version-3"])
 def test_fixedpoint_old_archive_version_exits_4(runner, cfg_file, tmp_path, version,
-                                                mode_word):
-    # version 2 had a mode word after dt, version 1 did not
+                                                monkeypatch):
+    import sulfsim.fixedpoint
+
+    # versions 1 to 3 held each row's weights after its positions, and
+    # version 2 a mode word after dt
     archive = _archive_run(runner, cfg_file, tmp_path / "arch")
-    data = archive.read_bytes()
-    archive.write_bytes(data[:4] + struct.pack("<IQQd", version, 300, 51, 1e-3) + mode_word
-                        + data[ARCHIVE_HEADER_BYTES:])
+    rows = np.fromfile(archive, dtype="<f8", offset=ARCHIVE_HEADER_BYTES).reshape(51, 1, 300)
+    mode_word = struct.pack("<Q", 0) if version == 2 else b""
+    archive.write_bytes(b"SSAR" + struct.pack("<IQQd", version, 300, 51, 1e-3) + mode_word
+                        + np.concatenate([rows, np.ones_like(rows)], axis=1).tobytes())
+    monkeypatch.setattr(sulfsim.fixedpoint, "apply_mkfk_map", None)  # no map may run
     res = runner.invoke(main, ["fixedpoint", "--archive", str(archive), "--config",
                                str(cfg_file), "--out", str(tmp_path / "fp")])
     assert res.exit_code == 4, res.output
     assert f"version {version} archive" in res.output and "simulate --archive" in res.output
-    assert not (tmp_path / "fp" / "manifest.json").exists()
+    assert not (tmp_path / "fp").exists()
 
 
 def _small_archive_bytes(path: Path) -> bytes:
     """A valid feynman-kac archive of 3 particles and 4 snapshots."""
-    clouds = [WeightedPointCloud(np.array([-1.0, 0.0, 1.0]) * k, np.full(3, 0.5))
-              for k in range(4)]
-    return write_clouds_archive(path, clouds, 0.01).path.read_bytes()
+    paths = [np.array([-1.0, 0.0, 1.0]) * k for k in range(4)]
+    return write_paths_archive(path, paths, 0.01).path.read_bytes()
 
 
-def _set_value(data: bytes, snapshot: int, field: int, particle: int, value: float) -> bytes:
-    at = ARCHIVE_HEADER_BYTES + 8 * (3 * (2 * snapshot + field) + particle)
+def _set_value(data: bytes, snapshot: int, particle: int, value: float) -> bytes:
+    at = ARCHIVE_HEADER_BYTES + 8 * (3 * snapshot + particle)
     return data[:at] + struct.pack("<d", value) + data[at + 8:]
 
 
-_BAD_WEIGHTS = st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 2**-52),
-                         st.just(float("nan")))
-
 # each mutation turns the valid archive into one that must be refused
 _ARCHIVE_MUTATIONS = st.one_of(
-    st.integers(1, 223).map(lambda cut: lambda data: data[:-cut]),
+    st.integers(1, 127).map(lambda cut: lambda data: data[:-cut]),
     st.binary(min_size=1, max_size=64).map(lambda tail: lambda data: data + tail),
-    st.integers(0, 2**32 - 1).filter(lambda v: v != 3).map(
+    st.integers(0, 2**32 - 1).filter(lambda v: v != 4).map(
         lambda v: lambda data: data[:4] + struct.pack("<I", v) + data[8:]),
     st.sampled_from([0.0, -0.01, float("inf"), float("nan")]).map(
         lambda dt: lambda data: data[:24] + struct.pack("<d", dt) + data[32:]),
     st.tuples(st.integers(0, 3), st.integers(0, 2),
               st.sampled_from([float("nan"), float("inf"), -float("inf")])).map(
-        lambda a: lambda data: _set_value(data, a[0], 0, a[1], a[2])),
-    st.tuples(st.integers(0, 3), st.integers(0, 2), _BAD_WEIGHTS).map(
-        lambda a: lambda data: _set_value(data, a[0], 1, a[1], a[2])),
+        lambda a: lambda data: _set_value(data, *a)),
 )
 
 
@@ -665,8 +702,7 @@ def test_fixedpoint_refuses_every_malformed_archive(tmp_path_factory, mutate):
                                     "--out", str(root / "fp")])
     assert res.exit_code == 4, res.output
     assert isinstance(res.exception, SystemExit) and "data error" in res.output
-    assert not (root / "fp" / "manifest.json").exists()
-    assert not (root / "fp" / "trace.csv").exists()
+    assert not (root / "fp").exists()
 
 
 def _archive_run(runner, cfg_file, run_dir, *flags):
@@ -740,6 +776,22 @@ def test_emit_plots_empty_dir_exits_4(runner, tmp_path):
     empty.mkdir()
     res = runner.invoke(main, ["emit-plots", "--run", str(empty)])
     assert res.exit_code == 4
+
+
+@pytest.mark.parametrize("manifest", ["{not json", '{"config": {"physical": 3}}', "[1, 2]",
+                                      '{"config": {"physical": {"lambda": "fast"}}}'],
+                         ids=["not-json", "physical-not-a-mapping", "not-an-object",
+                              "lambda-not-a-number"])
+def test_emit_plots_malformed_manifest_exits_4(runner, cfg_file, tmp_path, manifest):
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "4",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    (out / "manifest.json").write_text(manifest)
+    res = runner.invoke(main, ["emit-plots", "--run", str(out), "--no-render"])
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"data error: {out / 'manifest.json'}" in res.output
 
 
 def test_emit_plots_convergence_script(runner, cfg_file, tmp_path):

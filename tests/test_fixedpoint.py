@@ -19,20 +19,15 @@ from sulfsim import (
 from sulfsim.io import read_archive
 from sulfsim.kernel import grid_density
 
-from oracles import archive_clouds, inner_integral, whole_lattice_map, write_clouds_archive
-
-
-def _paths_archive(path, paths, dt):
-    """The archive file of unit-weight (S, N) ``paths``."""
-    return write_clouds_archive(path, [WeightedPointCloud(x, np.ones(x.size)) for x in paths], dt)
+from oracles import archive_paths, inner_integral, whole_lattice_map, write_paths_archive
 
 
 def _toy_archive(tmp_path, rng, n=20, steps=15, dt=0.01):
-    clouds, pos = [], rng.normal(0, 1, n)
+    paths, pos = [], rng.normal(0, 1, n)
     for _ in range(steps + 1):
-        clouds.append(WeightedPointCloud(pos, np.ones(n)))
+        paths.append(pos)
         pos = pos + np.sqrt(2 * dt) * rng.normal(0, 1, n)
-    return write_clouds_archive(tmp_path / "toy.bin", clouds, dt)
+    return write_paths_archive(tmp_path / "toy.bin", paths, dt)
 
 
 GRID = Grid1D(-8.0, 8.0, 0.1)
@@ -40,7 +35,8 @@ GRID = Grid1D(-8.0, 8.0, 0.1)
 
 def _plain(archive, t):
     """Undiscounted deposit of snapshot t, the map's envelope."""
-    return grid_density(archive_clouds(archive)[t], GRID, 0.3, archive.n_total)[0]
+    x = archive_paths(archive)[t]
+    return grid_density(WeightedPointCloud(x, np.ones(x.size)), GRID, 0.3, archive.n_total)[0]
 
 
 def test_zero_input_gives_constant_rate_discount(tmp_path, rng, default_params):
@@ -119,12 +115,12 @@ def test_shape_mismatch_rejected(tmp_path, rng, default_params):
 def test_map_holds_no_time_by_particle_array(tmp_path, default_params):
     n_times, n = 201, 4000
     r = np.random.default_rng(5)
-    clouds, pos = [], r.normal(0.0, 1.0, n)
+    paths, pos = [], r.normal(0.0, 1.0, n)
     for _ in range(n_times):
-        clouds.append(WeightedPointCloud(pos, np.ones(n)))
+        paths.append(pos)
         pos = pos + np.sqrt(2e-3) * r.normal(0.0, 1.0, n)
-    path = write_clouds_archive(tmp_path / "a.bin", clouds, 1e-3).path
-    del clouds
+    path = write_paths_archive(tmp_path / "a.bin", paths, 1e-3).path
+    del paths
     u = np.full((n_times, GRID.n_nodes), 0.1)
     apply_mkfk_map(u, read_archive(path), GRID, 0.3, default_params)  # fills the stencil cache
     tracemalloc.start()
@@ -215,7 +211,7 @@ def test_output_rows_are_deposits_of_discounted_cloud(case, lam, c0, delta):
     grid, paths, dt, u = case
     n = paths.shape[1]
     with tempfile.TemporaryDirectory() as tmp:
-        archive = _paths_archive(Path(tmp) / "a.bin", paths, dt)
+        archive = write_paths_archive(Path(tmp) / "a.bin", paths, dt)
         out = apply_mkfk_map(u, archive, grid, delta, PhysicalParams(lam=lam, c0=c0))
     inner = _old_inner(u, paths, grid, dt)
     hazard = np.zeros(paths.shape)
@@ -245,6 +241,6 @@ def test_streaming_map_equals_whole_lattice_oracle(case, keep, lam, c0, delta):
     paths = paths[:, -keep:]  # the last path crosses the grid and leaves it
     params = PhysicalParams(lam=lam, c0=c0)
     with tempfile.TemporaryDirectory() as tmp:
-        archive = _paths_archive(Path(tmp) / "a.bin", paths, dt)
+        archive = write_paths_archive(Path(tmp) / "a.bin", paths, dt)
         streamed = apply_mkfk_map(u, archive, grid, delta, params)
         assert np.array_equal(streamed, whole_lattice_map(u, archive, grid, delta, params))

@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-from sulfsim import WeightedPointCloud
 from sulfsim.io import (
     ARCHIVE_HEADER,
     ARCHIVE_HEADER_BYTES,
@@ -21,7 +20,7 @@ from sulfsim.io import (
     write_csv,
 )
 
-from oracles import archive_arrays, write_clouds_archive
+from oracles import archive_paths, write_paths_archive
 
 
 def test_csv_roundtrip_full_precision(tmp_path, rng):
@@ -64,25 +63,24 @@ def test_snapshot_name_padding():
 
 
 def test_archive_roundtrip_bit_exact(tmp_path, rng):
-    clouds = [WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)) for _ in range(5)]
-    loaded = write_clouds_archive(tmp_path / "a.bin", clouds, 0.01)
+    paths = rng.normal(0, 1, (5, 8))
+    loaded = write_paths_archive(tmp_path / "a.bin", paths, 0.01)
     assert loaded.dt == 0.01 and loaded.n_total == 8
     assert len(loaded) == 5
-    positions, weights = archive_arrays(loaded)
-    assert np.array_equal(positions, [c.positions for c in clouds])
-    assert np.array_equal(weights, [c.weights for c in clouds])
+    assert np.array_equal(archive_paths(loaded), paths)
+    assert loaded.path.stat().st_size == 32 + 8 * 8 * 5
     assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]  # the partial file is renamed
+
+
+def test_archive_writer_creates_its_directory(tmp_path, rng):
+    paths = rng.normal(0, 1, (5, 8))
+    loaded = write_paths_archive(tmp_path / "new" / "a.bin", paths, 0.01)
+    assert np.array_equal(archive_paths(loaded), paths)
 
 
 def test_archive_reads_rows_into_one_buffer(tmp_path, rng):
     loaded = read_archive(_archive_path(tmp_path, rng))
-    positions, weights = archive_arrays(loaded)
-    rows = []
-    for k, row in enumerate(loaded.rows()):
-        assert row.shape == (2, 8)
-        assert np.array_equal(row[0], positions[k]) and np.array_equal(row[1], weights[k])
-        rows.append(row)
-    assert all(row is rows[0] for row in rows)
+    positions = archive_paths(loaded)
     seen = []
     for k, x in enumerate(loaded.positions):
         assert x.shape == (8,) and np.array_equal(x, positions[k])
@@ -96,14 +94,14 @@ def test_archive_writer_refuses_wrong_rows_and_leaves_no_file(tmp_path, rng, row
     with pytest.raises(ValueError):
         with archive_writer(tmp_path / "a.bin", 8, 5, 0.01) as write_row:
             for _ in range(rows):
-                write_row(WeightedPointCloud(rng.normal(0, 1, size), rng.random(size)))
+                write_row(rng.normal(0, 1, size))
     assert not any(tmp_path.iterdir())
 
 
 def test_archive_writer_removes_partial_file_when_the_run_raises(tmp_path, rng):
     with pytest.raises(RuntimeError, match="abort"):
         with archive_writer(tmp_path / "a.bin", 8, 5, 0.01) as write_row:
-            write_row(WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)))
+            write_row(rng.normal(0, 1, 8))
             assert (tmp_path / "a.bin.partial").is_file() and not (tmp_path / "a.bin").exists()
             raise RuntimeError("abort")
     assert not any(tmp_path.iterdir())
@@ -117,18 +115,17 @@ def test_archive_rejects_bad_magic(tmp_path):
 
 
 def _archive_path(tmp_path, rng):
-    clouds = [WeightedPointCloud(rng.normal(0, 1, 8), rng.random(8)) for _ in range(5)]
-    return write_clouds_archive(tmp_path / "a.bin", clouds, 0.01).path
+    return write_paths_archive(tmp_path / "a.bin", rng.normal(0, 1, (5, 8)), 0.01).path
 
 
 def _archive_bytes(tmp_path, rng):
     return _archive_path(tmp_path, rng).read_bytes()
 
 
-@pytest.mark.parametrize("cut", [8, 16, 64, 192])  # 192: a row and a half
+@pytest.mark.parametrize("cut", [8, 16, 64, 192])  # 192: three rows
 def test_archive_rejects_cut_file(tmp_path, rng, cut):
     data = _archive_bytes(tmp_path, rng)
-    assert len(data) == 32 + 16 * 8 * 5
+    assert len(data) == 32 + 8 * 8 * 5
     bad = tmp_path / "cut.bin"
     bad.write_bytes(data[:-cut])
     with pytest.raises(DataError, match="needs exactly"):
@@ -142,19 +139,15 @@ def test_archive_rejects_trailing_bytes(tmp_path, rng):
         read_archive(bad)
 
 
-@pytest.mark.parametrize("field, value, snapshot",
-                         [(0, np.nan, 0), (0, -np.inf, 0), (1, 1.5, 0), (1, -0.1, 0),
-                          (1, np.nan, 0), (0, np.nan, 4), (1, 1.5, 4)],
-                         ids=["position-nan", "position-inf", "weight-above-1",
-                              "weight-negative", "weight-nan", "last-row-position-nan",
-                              "last-row-weight-above-1"])
-def test_archive_rejects_bad_values(tmp_path, rng, field, value, snapshot):
+@pytest.mark.parametrize("value, snapshot", [(np.nan, 0), (-np.inf, 0), (np.nan, 4)],
+                         ids=["position-nan", "position-inf", "last-row-position-nan"])
+def test_archive_rejects_bad_values(tmp_path, rng, value, snapshot):
     data = bytearray(_archive_bytes(tmp_path, rng))
-    at = ARCHIVE_HEADER_BYTES + 8 * (8 * (2 * snapshot + field) + 3)  # particle 3
+    at = ARCHIVE_HEADER_BYTES + 8 * (8 * snapshot + 3)  # particle 3
     data[at : at + 8] = struct.pack("<d", value)
     bad = tmp_path / "values.bin"
     bad.write_bytes(bytes(data))
-    with pytest.raises(DataError, match="non-finite positions" if field == 0 else r"\[0, 1\]"):
+    with pytest.raises(DataError, match="non-finite positions"):
         read_archive(bad)
 
 
@@ -163,10 +156,21 @@ def _bare_header(n, snaps, version=ARCHIVE_VERSION, dt=0.01):
     return ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, version, n, snaps, dt)
 
 
-def _version_2(data):
-    """The version-2 layout of the same archive: a mode word after dt."""
-    return (ARCHIVE_MAGIC + struct.pack("<IQQdQ", 2, 8, 5, 0.01, 0)
-            + data[ARCHIVE_HEADER_BYTES:])
+def _weighted_payload(data):
+    """The payload of the same archive with each row's unit weights after its
+    positions, as versions 1 to 3 held it."""
+    rows = np.frombuffer(data, dtype="<f8", offset=ARCHIVE_HEADER_BYTES).reshape(5, 1, 8)
+    return np.concatenate([rows, np.ones_like(rows)], axis=1).tobytes()
+
+
+def _old_version(version):
+    """The layout of the same archive in ``version``: the 32-byte header of
+    versions 1 and 3, with a mode word after dt in version 2."""
+    def make(data):
+        mode = struct.pack("<Q", 0) if version == 2 else b""
+        return (ARCHIVE_MAGIC + struct.pack("<IQQd", version, 8, 5, 0.01) + mode
+                + _weighted_payload(data))
+    return make
 
 
 @pytest.mark.parametrize(
@@ -176,10 +180,10 @@ def _version_2(data):
      (lambda data: _bare_header(8, 0), "both must be positive"),
      (lambda data: _bare_header(8, 5, dt=0.0) + data[ARCHIVE_HEADER_BYTES:], "time step"),
      (lambda data: _bare_header(8, 5, dt=np.nan) + data[ARCHIVE_HEADER_BYTES:], "time step"),
-     (lambda data: _bare_header(8, 5, version=1) + data[ARCHIVE_HEADER_BYTES:],
-      "version 1 archive.*re-run `simulate --archive`"),
-     (_version_2, "version 2 archive.*re-run `simulate --archive`")],
-    ids=["cut", "no-particles", "no-snapshots", "dt-zero", "dt-nan", "version-1", "version-2"],
+     *((_old_version(v), f"version {v} archive.*re-run `simulate --archive`")
+       for v in (1, 2, 3))],
+    ids=["cut", "no-particles", "no-snapshots", "dt-zero", "dt-nan",
+         "version-1", "version-2", "version-3"],
 )
 def test_archive_rejects_bad_header(tmp_path, rng, make, match):
     bad = tmp_path / "head.bin"

@@ -30,6 +30,7 @@ from oracles import (
     exact_history_args,
     hold_fields_at_zero,
     run_with_clouds,
+    run_with_coupled_readout,
     run_with_hazard_digests,
 )
 
@@ -328,18 +329,14 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
 def test_coupled_run_matches_fk_and_bernoulli_band(monkeypatch, small_config):
     cfg = replace(small_config, particles=5000)
     fk, fk_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg)
-    cp, cp_digests = run_with_hazard_digests(monkeypatch, run_simulation, cfg,
-                                             coupled_thresholds=True)
+    (cp, alive, band), cp_digests = run_with_hazard_digests(
+        monkeypatch, run_with_coupled_readout, monkeypatch, cfg)
     assert len(fk_digests) == cfg.n_steps
-    assert cp_digests == fk_digests
-    diff = np.abs(cp.weight_or_alive - cp.coupled_alive)
-    exceed = np.sum(diff > cp.coupled_band)
+    assert cp_digests == fk_digests  # the readout leaves the run's paths as they are
+    assert alive[0] == 1.0 and band[0] == 0.0
+    diff = np.abs(cp.weight_or_alive - alive)
+    exceed = np.sum(diff > band)
     assert exceed <= max(1, int(0.05 * len(diff)))
-
-
-def test_coupled_requires_fk_mode(small_config):
-    with pytest.raises(ValueError):
-        run_simulation(replace(small_config, mode="killed"), coupled_thresholds=True)
 
 
 def test_modes_identical_when_lambda_zero(small_config):
@@ -470,12 +467,12 @@ def test_run_simulations_refuses_configs_that_differ_beyond_seed_and_mode(small_
         run_simulations([small_config, replace(small_config, seed=5, mode="killed", **change)])
 
 
-@pytest.mark.parametrize("option", ["archive_path", "coupled_thresholds"])
+@pytest.mark.parametrize("option", ["archive_path"])
 def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, option,
                                                                    tmp_path):
-    value = tmp_path / "a.bin" if option == "archive_path" else True
     with pytest.raises(ValueError, match="single config"):
-        run_simulations([small_config, replace(small_config, seed=5)], **{option: value})
+        run_simulations([small_config, replace(small_config, seed=5)],
+                        **{option: tmp_path / "a.bin"})
     assert not any(tmp_path.iterdir())
 
 
