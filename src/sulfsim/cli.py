@@ -9,6 +9,7 @@ record output checksums so reruns can be verified byte-for-byte.
 from __future__ import annotations
 
 import ctypes
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -110,12 +111,25 @@ def _with_config_options(fn):
                         default=None, help="YAML config file; flags override its fields.")(fn)
 
 
+def _writable_out(ctx, param, value: Path) -> Path:
+    """Refuse an ``--out`` that the command could not create or write in: its
+    nearest existing ancestor must be a directory this process may write.
+    Nothing is created here."""
+    existing = next(p for p in (value, *value.parents) if p.exists())
+    if not existing.is_dir():
+        raise click.BadParameter(f"{value} lies under {existing}, which is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise click.BadParameter(f"{existing} is a directory that cannot be written")
+    return value
+
+
 def _out_option(default: str):
-    """``--out``, a directory (an existing file is a usage error), which the
-    command creates once it has something to write."""
+    """``--out``, a directory (an existing file, a path under one or an
+    unwritable directory is a usage error), which the command creates once it
+    has something to write."""
     return click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
                         envvar="SULFSIM_OUTDIR", default=default, show_default=True,
-                        help="output directory (or $SULFSIM_OUTDIR)")
+                        callback=_writable_out, help="output directory (or $SULFSIM_OUTDIR)")
 
 
 _workers_option = click.option(

@@ -6,15 +6,20 @@ The map sends a candidate lattice function u to
                      sum_{s<t} exp(-lambda dt sum_{r<s} u(r, X_s^i)))
 
 with the inner sums read off the archived paths by linear interpolation
-in space.  The map streams over the time rows t in order, carrying two
+in space.  The map goes over the time rows t in order, carrying two
 running sums: sum_{r<t} u(r) on the lattice, and sum_{s<t} exp(-lambda
 I(s, X_s^i)) per path.  Row t reads the first at X_t and deposits the
-discounted cloud of X_t with one ``grid_density``, so one map is O(SN)
-work for S snapshots of N paths.  The paths stay in the archive file, which
-each map reads one row at a time into one (N,) buffer, so besides the
-(S, m) lattices a map holds O(m + N) memory whatever S is.  Iterating from
-u == 0 gives the constant-rate discount as the first iterate; the distance
-trace records the empirical contraction.
+discounted cloud of X_t, so one map is O(SN) work for S snapshots of N
+paths.  The paths stay in the archive file, which each map reads in stacks
+of up to 2^13 positions (``TrajectoryArchive.stacks``: several snapshots of
+a small ensemble, one of a large one) into one reused buffer.  Per stack
+the map adds the running sums row by row, as a map of one row at a time
+would, reads the inner sums of all of its rows with one interpolation and
+deposits them with one ``grid_density`` of u alone, whose rows are bit for
+bit their solo deposits.  So besides the (S, m) lattices a map holds
+O(m + N) memory whatever S is.  Iterating from u == 0 gives the
+constant-rate discount as the first iterate; the distance trace records
+the empirical contraction.
 """
 
 from __future__ import annotations
@@ -49,20 +54,38 @@ def apply_mkfk_map(
         )
     dt = archive.dt
     lam, c0 = params.lam, params.c0
-    u_sum = np.zeros(grid.n_nodes)  # sum_{r<t} u[r]
-    e_sum = np.zeros(archive.n_total)  # sum_{s<t} exp(-lambda I[s])
+    m, n = grid.n_nodes, archive.n_total
+    u_sum = np.zeros(m)  # sum_{r<t} u[r]
+    e_sum = np.zeros(n)  # sum_{s<t} exp(-lambda I[s])
     out = np.empty(u.shape)
-    for t, x in enumerate(archive.positions):
-        # discount exp(-lambda c0 dt sum_{s<t} exp(-lambda I[s]))
-        discount = lam * c0 * dt * e_sum
-        np.exp(-discount, out=discount)
-        out[t] = grid_density(WeightedPointCloud.unchecked(x, discount), grid, delta,
-                              archive.n_total)[0]
-        if t + 1 < n_times:  # I[t] = dt sum_{r<t} u(r, X_t)
-            j, frac = lerp_coords(grid, x)[:2]
-            inner = lerp(j, frac, dt * u_sum)[0]
-            e_sum += np.exp(-lam * inner)
-            u_sum += u[t]
+    t = 0  # the stack's first row
+    for x in archive.stacks:
+        rows = len(x)
+        reads = min(rows, n_times - 1 - t)  # the last row's I[t] is never used
+        # I[t + k] = dt sum_{r<t+k} u(r, X_{t+k}): row k of the stacked lattice
+        # is read at j + k*m of its flat values
+        lattice = np.empty((reads, m))
+        for k in range(reads):
+            lattice[k] = u_sum
+            u_sum += u[t + k]
+        lattice *= dt
+        j, frac = lerp_coords(grid, x[:reads])[:2]
+        j += m * np.arange(reads)[:, None]
+        e = lerp(j, frac, lattice.ravel())[0]
+        e *= -lam
+        np.exp(e, out=e)
+        # discount exp(-lambda c0 dt sum_{s<t+k} exp(-lambda I[s])) of row k
+        discount = np.empty((rows, n))
+        for k in range(rows):
+            discount[k] = e_sum
+            if k < reads:
+                e_sum += e[k]
+        discount *= lam * c0 * dt
+        np.negative(discount, out=discount)
+        np.exp(discount, out=discount)
+        out[t : t + rows] = grid_density(WeightedPointCloud.unchecked(x, discount), grid,
+                                         delta, n, gradient=False)[0]
+        t += rows
     return out
 
 

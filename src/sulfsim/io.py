@@ -4,8 +4,9 @@ CSV is the single interchange format: one header row, comma separators,
 full-precision (shortest round-trip) decimal floats.  Trajectory archives
 use a small binary layout documented in the README: an ASCII magic, a
 version word, ensemble size, snapshot count and dt, then per snapshot the
-positions as little-endian 64-bit floats.  An archive is written and read
-one snapshot at a time; its file is the only copy.
+positions as little-endian 64-bit floats.  An archive is written one
+snapshot at a time and read in stacks of snapshots; its file is the only
+copy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import struct
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +27,9 @@ ARCHIVE_MAGIC = b"SSAR"
 ARCHIVE_VERSION = 4  # version 3 held each row's weights after its positions
 ARCHIVE_HEADER = struct.Struct("<4sIQQd")  # magic, version, n, snapshots, dt
 ARCHIVE_HEADER_BYTES = ARCHIVE_HEADER.size
+
+# positions per stack of an archive read: as many snapshots as fit, at least one
+STACK_POSITIONS = 1 << 13
 
 
 def column_text(column: np.ndarray | list[str]) -> list[str]:
@@ -80,9 +84,11 @@ class TrajectoryArchive:
 
     Snapshot k is the ensemble's positions at time k*dt: row k of the
     file's payload, N floats.  The file is the only copy of the snapshots:
-    :attr:`positions` reads them one row at a time into one buffer, which
-    each row overwrites, so a reader holds O(N) memory whatever the snapshot
-    count.  :func:`read_archive` checks a file and returns its archive;
+    :attr:`stacks` reads them in order in stacks of up to 2^13 positions
+    (max(1, STACK_POSITIONS // N) snapshots) into one buffer, which each
+    stack overwrites, so a reader holds O(N) memory whatever the snapshot
+    count.
+    :func:`read_archive` checks a file and returns its archive;
     :func:`archive_writer` writes one.
     """
 
@@ -95,16 +101,19 @@ class TrajectoryArchive:
         return self.snapshots
 
     @property
-    def positions(self) -> Iterator[np.ndarray]:
-        """Each snapshot's positions in turn, in one reused (N,) buffer."""
-        buf = np.empty(self.n_total, dtype="<f8")
+    def stacks(self) -> Iterator[np.ndarray]:
+        """The snapshots in order as (rows, N) views of one reused buffer,
+        rows = max(1, STACK_POSITIONS // N); the last stack holds the rest."""
+        rows = max(1, STACK_POSITIONS // self.n_total)
+        buf = np.empty((min(rows, self.snapshots), self.n_total), dtype="<f8")
         with open(self.path, "rb") as fh:
             fh.seek(ARCHIVE_HEADER_BYTES)
-            for k in range(self.snapshots):
-                if fh.readinto(buf) != buf.nbytes:
-                    raise DataError(f"{self.path} ends inside snapshot {k}: it was cut after "
-                                    "it was checked")
-                yield buf
+            for k in range(0, self.snapshots, rows):
+                stack = buf[: self.snapshots - k]
+                if fh.readinto(stack) != stack.nbytes:
+                    raise DataError(f"{self.path} ends inside snapshots {k} to "
+                                    f"{k + len(stack) - 1}: it was cut after it was checked")
+                yield stack
 
 
 @contextmanager
@@ -115,11 +124,13 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int,
     The header and rows go to ``path`` + ".partial", whose directory is
     created if need be, and which is renamed to ``path`` once the block ends
     with all ``snapshots`` rows written; when the block raises, the partial
-    file is removed, so an aborted run leaves no archive.  ValueError for a
-    row that is not N positions, or for more or fewer rows than ``snapshots``.
+    file and the directories created for it are removed, so an aborted run
+    leaves no archive and no empty directory.  ValueError for a row that is
+    not N positions, or for more or fewer rows than ``snapshots``.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
+    created = [d for d in (path.parent, *path.parent.parents) if not d.exists()]  # deepest first
     written = 0
 
     def append(positions: np.ndarray) -> None:
@@ -141,15 +152,19 @@ def archive_writer(path: str | Path, n_total: int, snapshots: int,
         if written != snapshots:
             raise ValueError(f"{path} declares {snapshots} snapshots but got {written}")
         os.replace(partial, path)
-    finally:
+    except BaseException:
         partial.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory something else wrote into stays
+            for directory in created:
+                directory.rmdir()
+        raise
 
 
 def read_archive(path: str | Path) -> TrajectoryArchive:
     """Check an archive file and return it; DataError unless the file is
     exactly one archive of the current version, with finite positions.  The
-    values are checked in one pass over the rows, which holds one row in
-    memory."""
+    values are checked in one pass over the stacks of
+    :attr:`TrajectoryArchive.stacks`, which holds one stack in memory."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(ARCHIVE_HEADER_BYTES)
@@ -169,7 +184,7 @@ def read_archive(path: str | Path) -> TrajectoryArchive:
         if size != expected:
             raise DataError(f"{path} has {size} bytes; its header needs exactly {expected}")
     archive = TrajectoryArchive(path, dt, int(n), int(snaps))
-    for positions in archive.positions:
+    for positions in archive.stacks:
         if not np.isfinite(positions).all():
             raise DataError(f"{path} holds non-finite positions")
     return archive

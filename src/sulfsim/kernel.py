@@ -13,8 +13,11 @@ block-Toeplitz matrix of the stencils, cached per (spacing, bandwidth),
 give the nodes the block reaches, and the overlapping spans of
 neighbouring blocks are then added in a fixed order.  Only the blocks
 from the first to the last that holds a particle enter the product and
-the adds.  BLAS may run the product on several threads, but each node's
-sum has a fixed order that does not depend on the thread count.  The rows
+the adds.  A deposit of u alone (the fixed-point map) multiplies by a
+matrix of the u columns only, which halves the product and the adds;
+each u sum keeps its order, so u keeps its bits.
+BLAS may run the product on several threads, but each node's sum has a
+fixed order that does not depend on the thread count.  The rows
 of a stacked (R, N) cloud share the bincounts and the product, their blocks
 laid back to back; each row's overlap-add reads its own blocks, so each row
 equals its 1-d deposit.
@@ -151,22 +154,23 @@ def _stencils(h: float, delta: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _block_matrix(h: float, delta: float) -> tuple[np.ndarray, int]:
+def _block_matrix(h: float, delta: float, gradient: bool = True) -> tuple[np.ndarray, int]:
     """Read-only block-Toeplitz matrix of the stencils, and half.
 
     The matrix maps the moments of a block of _BLOCK cells, rows (r, p), to
     the span of q*_BLOCK nodes they reach, columns (node, u or u'), with
     q = ceil((_BLOCK + 2*half) / _BLOCK): row (r, p) holds the u and u'
     stencil rows p at nodes r..r+2*half.  It is stored as q panels of
-    _BLOCK nodes each, shape (q, _BLOCK*R, 2*_BLOCK).
+    _BLOCK nodes each, shape (q, _BLOCK*R, 2*_BLOCK).  Without ``gradient``
+    it holds the u columns alone, shape (q, _BLOCK*R, _BLOCK).
     """
-    stencils = _stencils(h, delta)
-    n_rows, width = stencils.shape[1:]
+    stencils = _stencils(h, delta)[: 2 if gradient else 1]
+    n_values, n_rows, width = stencils.shape
     q = -(-(_BLOCK + width - 1) // _BLOCK)
-    mat = np.zeros((_BLOCK, n_rows, q * _BLOCK, 2))
+    mat = np.zeros((_BLOCK, n_rows, q * _BLOCK, n_values))
     for r in range(_BLOCK):
         mat[r, :, r : r + width] = stencils.transpose(1, 2, 0)
-    mat = mat.reshape(_BLOCK * n_rows, q, 2 * _BLOCK).transpose(1, 0, 2)
+    mat = mat.reshape(_BLOCK * n_rows, q, n_values * _BLOCK).transpose(1, 0, 2)
     mat = np.ascontiguousarray(mat)
     mat.flags.writeable = False
     return mat, width // 2
@@ -177,12 +181,15 @@ def grid_density(
     grid: Grid1D,
     delta: float,
     n_total: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    gradient: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate the mollified density and its gradient at every grid node.
 
     Returns ``(u, du)`` with ``u[g] = (1/n_total) sum_i w_i K(x_g - x_i)``,
     and K' in place of K for ``du``, up to the 8-bandwidth truncation and a
-    Taylor remainder below 1e-17 of the kernel's peak.  The divisor is the
+    Taylor remainder below 1e-17 of the kernel's peak.  With ``gradient``
+    false, du is None and the matrix product and the overlap-add carry the
+    u columns alone, which halves them; u keeps its bits.  The divisor is the
     ensemble size, which exceeds the number of contributing particles once
     some have died.  The bincounts, the matrix product and the
     overlap-add run over the occupied blocks only: from the first to the
@@ -196,12 +203,13 @@ def grid_density(
         raise ValueError("divisor n_total must be positive")
     m = grid.n_nodes
     h = grid.spacing
-    mat, half = _block_matrix(h, delta)
-    q, n_rows = mat.shape[0], mat.shape[1] // _BLOCK
+    mat, half = _block_matrix(h, delta, gradient)
+    q, n_rows, width = mat.shape[0], mat.shape[1] // _BLOCK, mat.shape[2] // _BLOCK
     stacked = cloud.positions.ndim == 2
     pos, w = np.atleast_2d(cloud.positions, cloud.weights)
-    u, du = np.zeros((len(pos), m)), np.zeros((len(pos), m))
-    out = (u, du) if stacked else (u[0], du[0])  # views, filled in place below
+    u = np.zeros((len(pos), m))
+    du = np.zeros((len(pos), m)) if gradient else None
+    out = (u, du) if stacked else (u[0], du[0] if gradient else None)  # filled in place below
     if pos.size == 0:
         return out
 
@@ -274,14 +282,15 @@ def grid_density(
             else:
                 moments[:, p] = counts
 
-    # spans[k, b]: what the moments of block b give its k-th block of nodes;
-    # the spans of a row's neighbouring blocks overlap and are added for
-    # k = 0..q-1, row by row
+    # spans[k, b]: what the moments of block b give its k-th block of nodes,
+    # ``width`` values (u, or u and u') per node; the spans of a row's
+    # neighbouring blocks overlap and are added for k = 0..q-1, row by row
     spans = moments.reshape(total, -1) @ mat
     for r, first, last, b, n_blocks, lo in rows:
-        nodes = np.zeros((n_blocks + q - 1, 2 * _BLOCK))
+        nodes = np.zeros((n_blocks + q - 1, width * _BLOCK))
         for k in range(q):
             nodes[k : k + n_blocks] += spans[k, b : b + n_blocks]
-        nodes = nodes.reshape(-1, 2) / n_total
-        u[r, first : last + 1], du[r, first : last + 1] = nodes[lo : lo + last - first + 1].T
+        nodes = nodes.reshape(-1, width) / n_total
+        for values, col in zip((u, du), nodes[lo : lo + last - first + 1].T):
+            values[r, first : last + 1] = col
     return out

@@ -127,6 +127,54 @@ def test_out_naming_a_file_exits_2(runner, cfg_file, tmp_path, command, via):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def _refuse_work(monkeypatch):
+    import sulfsim.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for name in ("run_simulation", "solve_pde"):
+        monkeypatch.setattr(sulfsim.cli, name, refused)
+
+
+@pytest.mark.parametrize("command", ["simulate", "pde"])
+def test_out_under_a_file_exits_2_before_any_work(runner, cfg_file, tmp_path, monkeypatch,
+                                                   command):
+    _refuse_work(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    res = runner.invoke(main, [command, "--config", str(cfg_file), *_REQUIRED[command],
+                               "--out", str(taken / "sub" / "deeper")])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert f"lies under {taken}, which is not a directory" in res.output
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "pde"])
+def test_out_in_an_unwritable_directory_exits_2_before_any_work(runner, cfg_file, tmp_path,
+                                                                monkeypatch, command):
+    import sulfsim.cli
+
+    _refuse_work(monkeypatch)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o555)
+    # root writes whatever the mode bits say, so the access check is told what they say
+    access = sulfsim.cli.os.access
+    monkeypatch.setattr(sulfsim.cli.os, "access", lambda path, mode: access(path, mode) and not (
+        Path(path) == locked and mode & sulfsim.cli.os.W_OK))
+    try:
+        for out in (locked, locked / "sub"):
+            res = runner.invoke(main, [command, "--config", str(cfg_file), *_REQUIRED[command],
+                                       "--out", str(out)])
+            assert res.exit_code == 2, res.output
+            assert f"{locked} is a directory that cannot be written" in res.output
+            assert not (locked / "sub").exists()
+    finally:
+        locked.chmod(0o755)
+
+
 def test_out_flag_beats_the_environment_and_an_empty_variable_is_unset(runner, cfg_file,
                                                                       tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -265,8 +313,9 @@ def test_simulate_non_finite_field_exits_3(runner, cfg_file, tmp_path, monkeypat
     assert res.exit_code == 3, res.output
     assert "numerical abort: non-finite particle state at step 3," in res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
-    # an archive is written as the run goes, to a partial file that the abort removed
-    assert not any((tmp_path / "x").glob("*"))
+    # an archive is written as the run goes, to a partial file that the abort
+    # removed with the directory it had created for it
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_killed_archive_exits_2(runner, cfg_file, tmp_path):

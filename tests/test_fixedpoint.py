@@ -16,7 +16,7 @@ from sulfsim import (
     picard_solve,
     run_simulation,
 )
-from sulfsim.io import read_archive
+from sulfsim.io import STACK_POSITIONS, read_archive
 from sulfsim.kernel import grid_density
 
 from oracles import archive_paths, inner_integral, whole_lattice_map, write_paths_archive
@@ -134,6 +134,28 @@ def test_map_holds_no_time_by_particle_array(tmp_path, default_params):
     assert peak < n_times * n * 8 // 4
 
 
+def test_map_memory_is_a_few_stacks_whatever_the_snapshot_count(tmp_path, default_params):
+    # N = 500 reads stacks of 16 snapshots; the paths do not spread with time, so
+    # the deposit's occupied blocks, and its moments, do not grow with S either
+    n_times, n = 401, 500
+    assert STACK_POSITIONS // n == 16
+    paths = np.random.default_rng(6).normal(0.0, 1.0, (n_times, n))
+    archive = write_paths_archive(tmp_path / "a.bin", paths, 1e-3)
+    del paths
+    u = np.full((n_times, GRID.n_nodes), 0.1)
+    apply_mkfk_map(u, archive, GRID, 0.3, default_params)  # fills the stencil cache
+    tracemalloc.start()
+    try:
+        out = apply_mkfk_map(u, archive, GRID, 0.3, default_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # besides its (S, m) output the map holds one stack's reads, sums and deposit
+    # (about 0.77 MB here): within 16 float64 arrays of a full stack (1 MiB) at
+    # any S, below the 1.6 MB of the (S, N) paths
+    assert peak - out.nbytes < 16 * STACK_POSITIONS * 8
+
+
 def test_max_iters_too_small_rejected(tmp_path, rng, default_params):
     archive = _toy_archive(tmp_path, rng)
     with pytest.raises(ValueError):
@@ -236,6 +258,11 @@ def _small_case(n_times, n):
 @example(case=_small_case(1, 1), keep=1, lam=1.0, c0=1.0, delta=0.3)
 @example(case=_small_case(4, 1), keep=1, lam=0.0, c0=1.0, delta=0.3)
 @example(case=_small_case(1, 3), keep=3, lam=0.0, c0=2.0, delta=0.5)
+# stacks of 2, 2 and 1 snapshots; one snapshot a stack, just past the budget
+@example(case=_small_case(5, STACK_POSITIONS // 2), keep=STACK_POSITIONS // 2, lam=1.0,
+         c0=1.0, delta=0.3)
+@example(case=_small_case(3, STACK_POSITIONS + 1), keep=STACK_POSITIONS + 1, lam=1.0,
+         c0=1.0, delta=0.3)
 def test_streaming_map_equals_whole_lattice_oracle(case, keep, lam, c0, delta):
     grid, paths, dt, u = case
     paths = paths[:, -keep:]  # the last path crosses the grid and leaves it

@@ -9,6 +9,7 @@ from sulfsim.io import (
     ARCHIVE_HEADER_BYTES,
     ARCHIVE_MAGIC,
     ARCHIVE_VERSION,
+    STACK_POSITIONS,
     DataError,
     RunManifest,
     archive_writer,
@@ -78,14 +79,20 @@ def test_archive_writer_creates_its_directory(tmp_path, rng):
     assert np.array_equal(archive_paths(loaded), paths)
 
 
-def test_archive_reads_rows_into_one_buffer(tmp_path, rng):
-    loaded = read_archive(_archive_path(tmp_path, rng))
+@pytest.mark.parametrize("n, heights", [(8, [5]), (STACK_POSITIONS // 2, [2, 2, 1]),
+                                        (STACK_POSITIONS + 1, [1] * 5)],
+                         ids=["one-stack", "part-filled-last", "one-row-each"])
+def test_archive_reads_stacks_into_one_buffer(tmp_path, rng, n, heights):
+    # max(1, STACK_POSITIONS // N) snapshots a stack, the last one part-filled
+    loaded = write_paths_archive(tmp_path / "a.bin", rng.normal(0, 1, (5, n)), 0.01)
     positions = archive_paths(loaded)
-    seen = []
-    for k, x in enumerate(loaded.positions):
-        assert x.shape == (8,) and np.array_equal(x, positions[k])
+    seen, k = [], 0
+    for x in loaded.stacks:
+        assert x.shape == (len(x), n) and np.array_equal(x, positions[k : k + len(x)])
         seen.append(x)
-    assert len(seen) == 5 and all(x is seen[0] for x in seen)
+        k += len(x)
+    assert [len(x) for x in seen] == heights
+    assert all(np.shares_memory(x, seen[0]) for x in seen)
 
 
 @pytest.mark.parametrize("rows, size", [(4, 8), (6, 8), (5, 7)],
@@ -105,6 +112,23 @@ def test_archive_writer_removes_partial_file_when_the_run_raises(tmp_path, rng):
             assert (tmp_path / "a.bin.partial").is_file() and not (tmp_path / "a.bin").exists()
             raise RuntimeError("abort")
     assert not any(tmp_path.iterdir())
+
+
+def test_archive_writer_removes_the_directories_it_created_when_the_run_raises(tmp_path, rng):
+    # tmp_path was there before the writer, so it stays
+    with pytest.raises(RuntimeError, match="abort"):
+        with archive_writer(tmp_path / "new" / "deeper" / "a.bin", 8, 5, 0.01) as write_row:
+            write_row(rng.normal(0, 1, 8))
+            raise RuntimeError("abort")
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())
+
+
+def test_archive_writer_keeps_a_created_directory_that_holds_another_file(tmp_path, rng):
+    with pytest.raises(RuntimeError, match="abort"):
+        with archive_writer(tmp_path / "new" / "a.bin", 8, 5, 0.01):
+            (tmp_path / "new" / "other.txt").write_text("not the writer's\n")
+            raise RuntimeError("abort")
+    assert [p.name for p in (tmp_path / "new").iterdir()] == ["other.txt"]
 
 
 def test_archive_rejects_bad_magic(tmp_path):

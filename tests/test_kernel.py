@@ -362,6 +362,31 @@ def test_grid_density_of_a_stack_equals_its_rows(case, n_rows, seed):
         assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_deposit_case(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_grid_density_without_gradient_keeps_the_bits_of_u(case, n_rows, tiled, seed):
+    # n_rows 0 is the 1-d cloud; a stack's row 1 lies wholly past the deposit's
+    # reach, the others are shifted copies; ``tiled`` repeats the cloud past one
+    # slice
+    cloud, grid, delta, half = case
+    r = np.random.default_rng(seed)
+    pos, w = cloud.positions, cloud.weights
+    if tiled:
+        reps = SLICE_COLUMNS // pos.size + 1
+        pos = np.tile(pos, reps) + r.normal(0.0, grid.spacing, reps * pos.size)
+        w = np.tile(w, reps)
+    if n_rows:
+        reach = grid.upper - grid.lower + 2.0 * (half + 1) * grid.spacing
+        shift = r.uniform(-0.5, 0.5, (n_rows, 1)) * reach
+        shift[0] = 0.0
+        shift[1:2] = 2.0 * reach
+        pos, w = pos + shift, np.stack([r.permutation(w) for _ in range(n_rows)])
+    stacked = WeightedPointCloud.unchecked(pos, w)
+    u, du = grid_density(stacked, grid, delta, pos.shape[-1] + 1, gradient=False)
+    assert du is None
+    assert np.array_equal(u, grid_density(stacked, grid, delta, pos.shape[-1] + 1)[0])
+
+
 @pytest.mark.parametrize("shape", [(4, 6000), (2, SLICE_COLUMNS + 3)])
 def test_sliced_deposit_rows_of_a_stack_equal_their_solo_deposits(shape):
     # the slices cut every stack at the same columns as its rows' solo deposits;
