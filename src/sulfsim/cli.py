@@ -4,13 +4,18 @@ Exit codes: 0 success, 2 invalid config/usage (an ensemble too large to
 allocate included), 3 numerical abort, 4 missing or mismatched data.
 Every command is a pure function of (config file, flags, seed); manifests
 record output checksums so reruns can be verified byte-for-byte.
+
+The group callback ``main()`` sets the process up before any command runs:
+it pins glibc's malloc thresholds (``_pin_malloc_thresholds``) and registers
+``gc.freeze`` to run at interpreter exit (``_freeze_collector_at_exit``).
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
+import gc
 import os
-import subprocess
 import sys
 from dataclasses import replace
 from functools import wraps
@@ -212,11 +217,29 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _freeze_collector_at_exit() -> None:
+    """Register ``gc.freeze`` to run at interpreter exit, once per process.
+
+    Finalization runs the cyclic collector over every module object and frees
+    them one by one; frozen objects are skipped and the OS takes the memory
+    back at once.  Python does not promise ``__del__`` for objects alive at
+    exit, and every file a command writes is closed before it returns.
+    Measured from a perfbench child's stamp to its exit
+    (``tools/exit_times.py``; 2-core Xeon, Python 3.11.7, numpy 2.4.6), median
+    of 6: 36 -> 7 ms for each of `picard`'s two commands, 34 -> 7 ms on
+    `kill-wide`.  Nothing is frozen while the process runs, so an in-process
+    caller (the test suite) keeps collecting its cycles.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
     """Particle and finite-difference solvers for the sulphation model."""
     _pin_malloc_thresholds()
+    _freeze_collector_at_exit()
 
 
 @main.command()
@@ -500,6 +523,8 @@ def emit_plots(run_dir, render):
     scripts = emit_plot_scripts(run_dir)
     click.echo("emitted: " + ", ".join(s.name for s in scripts))
     if render:
+        import subprocess  # only a render starts processes
+
         try:
             pngs = render_scripts(scripts)
         except subprocess.CalledProcessError as err:

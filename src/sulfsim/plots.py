@@ -8,7 +8,6 @@ the scripts stay the single source of plotting truth.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 from pathlib import Path
 
@@ -162,6 +161,8 @@ def _envelope_rate(run_dir: Path) -> float:
 
 def render_scripts(scripts: list[Path]) -> list[Path]:
     """Execute emitted plot scripts in place; returns the PNGs produced."""
+    import subprocess  # kept out of every other command's imports
+
     pngs: list[Path] = []
     for script in scripts:
         before = set(script.parent.glob("*.png"))

@@ -23,11 +23,17 @@
   time prefix sums and one flat-lattice read.
 - :func:`porosity` / :func:`drift_lipschitz_bound`: the porosity the drift
   is the log-gradient of, and the bound on |b| / |J| it implies.
+- :func:`run_python`: a fresh interpreter that imports this checkout's
+  ``sulfsim``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -262,3 +268,18 @@ def porosity(c, p: PhysicalParams):
 def drift_lipschitz_bound(p: PhysicalParams) -> float:
     """Upper bound on |b(I, J)| / |J|, uniform in I >= 0."""
     return abs(p.phi1) * p.lam * p.c0 / min(p.phi0, p.phi0 + p.phi1 * p.c0)
+
+
+def run_python(args: list[str], cwd=None, blas_threads: int | None = None) -> str:
+    """Standard output of ``python *args`` in a fresh interpreter that finds
+    this checkout's ``sulfsim`` first; the run must exit 0.  ``blas_threads``
+    pins the BLAS and OpenMP thread counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sulfsim.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(blas_threads)
+    res = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout

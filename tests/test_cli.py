@@ -1,4 +1,6 @@
+import atexit
 import contextlib
+import gc
 import hashlib
 import json
 import signal
@@ -18,7 +20,7 @@ from sulfsim.cli import main
 from sulfsim.config import MAX_STEPS, InitialDensitySpec, derive_grid
 from sulfsim.io import ARCHIVE_HEADER, ARCHIVE_HEADER_BYTES, read_csv
 
-from oracles import write_paths_archive
+from oracles import run_python, write_paths_archive
 
 
 @pytest.fixture
@@ -794,6 +796,76 @@ def test_fixedpoint_takes_run_values_from_archive_not_config(runner, cfg_file, t
         assert config["horizon"] == pytest.approx(0.02, rel=1e-12)
         assert config["step"] == 1e-3
         assert config["particles"] == 100
+
+
+def test_main_freezes_nothing_in_process_and_registers_the_exit_freeze_once(
+        runner, cfg_file, tmp_path, monkeypatch):
+    # the handlers atexit holds from here on, kept as atexit keeps them:
+    # unregister drops every registration of a function
+    handlers = []
+    register, unregister = atexit.register, atexit.unregister
+
+    def recording_register(fn, *args, **kwargs):
+        handlers.append(fn)
+        return register(fn, *args, **kwargs)
+
+    def recording_unregister(fn):
+        handlers[:] = [h for h in handlers if h != fn]
+        unregister(fn)
+
+    monkeypatch.setattr(atexit, "register", recording_register)
+    monkeypatch.setattr(atexit, "unregister", recording_unregister)
+    frozen = gc.get_freeze_count()
+    for name in ("a", "b"):
+        res = runner.invoke(main, ["pde", "--config", str(cfg_file), "--horizon", "0.005",
+                                   "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    assert gc.get_freeze_count() == frozen  # the caller keeps collecting its cycles
+    assert handlers == [gc.freeze]
+
+
+# atexit runs its handlers last in, first out: the probe, registered first, runs
+# after anything sulfsim registered
+_EXIT_FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import sulfsim.cli
+if sys.argv[1:]:
+    sulfsim.cli.main(args=sys.argv[1:], prog_name="sulfsim")
+"""
+
+
+@pytest.mark.parametrize("command", [False, True], ids=["import-only", "pde"])
+def test_a_cli_process_freezes_the_collector_at_exit(cfg_file, tmp_path, command):
+    out = tmp_path / "pde"
+    args = ["pde", "--config", str(cfg_file), "--horizon", "0.005", "--out", str(out)]
+    stdout = run_python(["-c", _EXIT_FREEZE_PROBE, *(args if command else [])])
+    assert stdout.splitlines()[-1] == f"frozen at exit: {command}"
+    assert (out / "manifest.json").is_file() == command
+
+
+def _assert_manifest_outputs_whole(out: Path) -> list[dict]:
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs
+    for entry in outputs:
+        data = (out / entry["path"]).read_bytes()
+        assert len(data) == entry["bytes"], entry["path"]
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"], entry["path"]
+    return outputs
+
+
+def test_archive_then_fixedpoint_processes_leave_every_listed_output_whole(cfg_file, tmp_path):
+    sim, fp = tmp_path / "sim", tmp_path / "fp"
+    stdout = run_python(["-m", "sulfsim.cli", "simulate", "--config", str(cfg_file),
+                         "--seed", "2", "--archive", "--out", str(sim)])
+    outputs = _assert_manifest_outputs_whole(sim)
+    assert stdout.strip() == f"simulate: wrote {len(outputs)} files to {sim}"
+    assert "archive.bin" in [entry["path"] for entry in outputs]
+    stdout = run_python(["-m", "sulfsim.cli", "fixedpoint", "--archive", str(sim / "archive.bin"),
+                         "--config", str(cfg_file), "--out", str(fp)])
+    _assert_manifest_outputs_whole(fp)
+    assert stdout.startswith("fixed point reached after iteration ")
+    assert stdout.strip() == (fp / "summary.txt").read_text().strip()
 
 
 def test_pde_nonfinite_state_exits_3(runner, cfg_file, tmp_path, monkeypatch):

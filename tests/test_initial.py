@@ -1,13 +1,8 @@
-import os
 import statistics
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sulfsim
 from sulfsim.config import Grid1D, InitialDensitySpec, SimConfig
 from sulfsim.initial import (
     density,
@@ -19,6 +14,8 @@ from sulfsim.initial import (
 )
 from sulfsim.particles import SLICE_PARTICLES, init_ensemble
 from sulfsim.streams import ParticleStreams
+
+from oracles import run_python
 
 EXP_M2 = float(np.exp(-2.0))
 # the branch edges of the rational approximations, the clip bounds and the centre
@@ -148,12 +145,12 @@ def test_ndtri_matches_stdlib_inverse_cdf(rng):
 
 
 def test_cli_import_leaves_out_scipy():
-    src = str(Path(sulfsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    res = subprocess.run(
-        [sys.executable, "-c", "import sys, sulfsim.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    out = run_python(["-c", "import sys, sulfsim.cli; print('scipy' in sys.modules)"])
+    assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_subprocess():
+    """Only ``emit-plots --render`` starts processes; no other command pays
+    for importing ``subprocess``."""
+    out = run_python(["-c", "import sys, sulfsim.cli; print('subprocess' in sys.modules)"])
+    assert out.strip() == "False"

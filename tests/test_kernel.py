@@ -1,8 +1,5 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sulfsim
 from sulfsim import Grid1D, WeightedPointCloud, kernel_grad, kernel_value
 import sulfsim.kernel
 from sulfsim.kernel import SLICE_COLUMNS, _BLOCK, _block_matrix, _stencils, grid_density
 
-from oracles import mollify, mollify_grad
+from oracles import mollify, mollify_grad, run_python
 
 
 def test_kernel_value_closed_forms():
@@ -234,18 +230,6 @@ print(digest.hexdigest())
 """
 
 
-def _run(args, cwd, blas_threads=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(sulfsim.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(blas_threads)
-    res = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    return res.stdout
-
-
 def _csv_digests(root: Path) -> dict:
     return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*.csv"))}
@@ -259,21 +243,22 @@ def _tiny_config(tmp_path: Path) -> Path:
 
 
 def test_deposit_and_simulate_bits_do_not_depend_on_blas_threads(tmp_path):
-    deposits = {threads: _run(["-c", _DEPOSIT_DIGEST], tmp_path, threads) for threads in (1, 2)}
+    deposits = {threads: run_python(["-c", _DEPOSIT_DIGEST], tmp_path, threads)
+                for threads in (1, 2)}
     assert deposits[1] == deposits[2]
     cfg = _tiny_config(tmp_path)
     for threads in (1, 2):
-        _run(["-m", "sulfsim.cli", "simulate", "--config", str(cfg), "--mode", "kill",
-              "--seed", "4", "--out", str(tmp_path / f"sim{threads}")], tmp_path, threads)
+        run_python(["-m", "sulfsim.cli", "simulate", "--config", str(cfg), "--mode", "kill",
+                    "--seed", "4", "--out", str(tmp_path / f"sim{threads}")], tmp_path, threads)
     assert _csv_digests(tmp_path / "sim1") == _csv_digests(tmp_path / "sim2")
 
 
 def test_convergence_bits_do_not_depend_on_workers(tmp_path):
     cfg = _tiny_config(tmp_path)
     for workers in (1, 2):
-        _run(["-m", "sulfsim.cli", "convergence", "--config", str(cfg), "--n", "100,300",
-              "--seeds", "3", "--seed", "5", "--workers", str(workers),
-              "--out", str(tmp_path / f"conv{workers}")], tmp_path)
+        run_python(["-m", "sulfsim.cli", "convergence", "--config", str(cfg), "--n", "100,300",
+                    "--seeds", "3", "--seed", "5", "--workers", str(workers),
+                    "--out", str(tmp_path / f"conv{workers}")], tmp_path)
     digests = _csv_digests(tmp_path / "conv1")
     assert digests and digests == _csv_digests(tmp_path / "conv2")
 
