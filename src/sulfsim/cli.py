@@ -431,6 +431,9 @@ def _ensemble_sizes(ctx, param, value: str) -> list[int]:
             f"{value!r} is not a comma-separated list of integers") from None
     if not sizes or min(sizes) < 1:
         raise click.BadParameter(f"{value!r} must list at least one size, each >= 1")
+    repeated = sorted({n for n in sizes if sizes.count(n) > 1})
+    if repeated:
+        raise click.BadParameter(f"{value!r} lists the size {repeated[0]} more than once")
     return sizes
 
 

@@ -24,8 +24,9 @@ from .kernel import WeightedPointCloud, grid_density
 @dataclass
 class AccumulatedFields:
     """Grid samples of the running time integrals at bandwidth ``delta``.
-    A and G hold m node values, or (R, m) for a stack of R replicas, whose
-    row r is read at j + r*m of ``A.ravel()`` and counted off-grid apart."""
+    A and G hold m node values, or (R, m) for a stack of R replicas: replica
+    r is read at j + r*m of ``A.ravel()``, and its off-grid reads are
+    counted apart."""
 
     grid: Grid1D
     delta: float
@@ -42,41 +43,54 @@ class AccumulatedFields:
         if self.A.shape[-1:] != (m,) or self.A.ndim > 2 or self.G.shape != self.A.shape:
             raise ValueError("A and G must have one entry per grid node")
 
-    def coords_at(self, x) -> LerpCoords:
-        """Coordinates of x, one row per row of A, into the flat node values."""
+    def coords_at(self, x, offsets: np.ndarray | None = None) -> LerpCoords:
+        """Coordinates of x into the flat node values; in a stack, ``offsets``
+        holds r*m for each position of replica r."""
         coords = lerp_coords(self.grid, np.asarray(x, dtype=float))
-        if self.A.size > self.grid.n_nodes:
-            coords.j[...] += self.grid.n_nodes * np.arange(len(self.A))[:, None]
+        if offsets is not None:
+            coords.j[...] += offsets
         return coords
 
-    def args_at(self, coords: LerpCoords, gradient: bool = True) -> DriftArgs:
+    def args_at(self, coords: LerpCoords, gradient: bool = True, bounds=None) -> DriftArgs:
         """Piecewise-linear read of (A, G) at the :class:`LerpCoords` of
         :meth:`coords_at`; with ``gradient`` false only A is read and J is None.
 
         Queries beyond the grid return the boundary-node values and bump the
-        out-of-domain counter (of each row of a stack), once per read;
+        out-of-domain counter once per read, per replica of a stack whose
+        replica r holds the queries ``bounds[r]`` .. ``bounds[r+1] - 1``;
         positions are never clamped, so the dynamics continue off-grid.
         """
         j, frac, outside = coords
         if outside.any():
-            self.out_of_domain = self.out_of_domain + np.count_nonzero(outside, axis=-1)
+            self.out_of_domain = self.out_of_domain + count_by_row(outside, bounds)
         if gradient:
             return DriftArgs(*lerp(j, frac, self.A.ravel(), self.G.ravel()))
         return DriftArgs(lerp(j, frac, self.A.ravel())[0], None)
 
 
+def count_by_row(flags: np.ndarray, bounds=None):
+    """The number of true ``flags``: in all, or of each row r of the flags
+    ``bounds[r]`` .. ``bounds[r+1] - 1`` when there are several rows."""
+    if bounds is None or len(bounds) == 2:
+        return np.count_nonzero(flags)
+    return np.diff(np.concatenate(([0], np.cumsum(flags)))[bounds])
+
+
 def accumulate_step(
     fields: AccumulatedFields,
     cloud: WeightedPointCloud,
-    n_total: int,
+    n_total,
     dt: float,
+    bounds=None,
 ) -> np.ndarray:
     """Add one left-endpoint quadrature term of the cloud at the fields'
     bandwidth: A(x_g) += dt * u(x_g), G(x_g) += dt * u'(x_g).  ``fields``
     is updated in place; returns the cloud's density u at the nodes, so
-    that a caller recording it need not deposit again.
+    that a caller recording it need not deposit again.  A stack's cloud
+    comes with the replicas' ``bounds`` and divisors, as for
+    :func:`~sulfsim.kernel.grid_density`.
     """
-    u, du = grid_density(cloud, fields.grid, fields.delta, n_total)
+    u, du = grid_density(cloud, fields.grid, fields.delta, n_total, bounds=bounds)
     fields.A += dt * u
     fields.G += dt * du
     return u

@@ -15,9 +15,9 @@ of up to 2^13 positions (``TrajectoryArchive.stacks``: several snapshots of
 a small ensemble, one of a large one) into one reused buffer.  Per stack
 the map adds the running sums row by row, as a map of one row at a time
 would, reads the inner sums of all of its rows with one interpolation and
-deposits them with one ``grid_density`` of u alone, whose rows are bit for
-bit their solo deposits.  So besides the (S, m) lattices a map holds
-O(m + N) memory whatever S is.  Iterating from u == 0 gives the
+deposits them, laid end to end, with one ``grid_density`` of u alone, whose
+rows are bit for bit their solo deposits.  So besides the (S, m) lattices a
+map holds O(m + N) memory whatever S is.  Iterating from u == 0 gives the
 constant-rate discount as the first iterate; the distance trace records
 the empirical contraction.
 """
@@ -83,8 +83,9 @@ def apply_mkfk_map(
         discount *= lam * c0 * dt
         np.negative(discount, out=discount)
         np.exp(discount, out=discount)
-        out[t : t + rows] = grid_density(WeightedPointCloud.unchecked(x, discount), grid,
-                                         delta, n, gradient=False)[0]
+        cloud = WeightedPointCloud.unchecked(x.ravel(), discount.ravel())
+        out[t : t + rows] = grid_density(cloud, grid, delta, [n] * rows, gradient=False,
+                                         bounds=np.arange(rows + 1) * n)[0]
         t += rows
     return out
 

@@ -17,20 +17,23 @@ the adds.  A deposit of u alone (the fixed-point map) multiplies by a
 matrix of the u columns only, which halves the product and the adds;
 each u sum keeps its order, so u keeps its bits.
 BLAS may run the product on several threads, but each node's sum has a
-fixed order that does not depend on the thread count.  The rows
-of a stacked (R, N) cloud share the bincounts and the product, their blocks
-laid back to back; each row's overlap-add reads its own blocks, so each row
-equals its 1-d deposit.
+fixed order that does not depend on the thread count.  A cloud may hold
+several rows end to end, row r in columns ``bounds[r]`` .. ``bounds[r+1] - 1``
+with its own divisor: the rows share the bincounts and the product, their
+blocks laid back to back; each row's overlap-add reads its own blocks, so
+each row equals its 1-d deposit.
 
-The passes over the particles run over slices of ``SLICE_COLUMNS`` = 2^14
-columns, whatever the stack height, so their temporaries stay in cache and
-only the cloud itself spans the ensemble.  Each slice adds its bincounts to
-the moments; a cell sums its row's particles slice by slice in column
-order, and a row of a stack is cut where its solo deposit is, so the rows
-keep their 1-d bits.  The nearest node is monotone in the position, so a
-row's range of nodes comes from its smallest and largest positions; only a
-row with particles beyond the kernel's reach takes one more pass over the
-slices, for the range of the particles that reach the grid.
+The passes over the particles run over at most ``SLICE_COLUMNS`` = 2^14
+columns, so their temporaries stay in cache and only the cloud itself spans
+the ensemble.  Each pass adds its bincounts to the moments; a cell sums its
+row's particles pass by pass in column order, and a pass cuts a row only
+where its solo deposit does, at multiples of ``SLICE_COLUMNS`` of the row's
+own columns, so the rows keep their 1-d bits; short rows share a pass.  The
+nearest node is monotone in the position, so a row's range of nodes comes
+from its smallest and largest positions, taken for all rows with one
+reduction each; only a row with particles beyond the kernel's reach takes
+one more pass over its slices, for the range of the particles that reach
+the grid.
 
 Contributions beyond 8 bandwidths, where the Gaussian tail is below
 1e-15 relative, are skipped.  The tests compare the deposit with a dense
@@ -55,9 +58,9 @@ CUTOFF_BANDWIDTHS = 8.0
 # cells per block of the deposit's matrix product
 _BLOCK = 16
 
-# columns per slice of the deposit's passes over the particles, at every stack
-# height: a cell sums its row's particles slice by slice, in column order, so
-# a row of a stack must be cut where its solo deposit is
+# columns per pass of the deposit over the particles, and per slice of a row:
+# a cell sums its row's particles slice by slice, in column order, so a pass
+# may cut a row of a stack only where its solo deposit does
 SLICE_COLUMNS = 1 << 14
 
 # the highest Taylor order a stencil may need; spacing/bandwidth = 10 needs 200
@@ -176,12 +179,41 @@ def _block_matrix(h: float, delta: float, gradient: bool = True) -> tuple[np.nda
     return mat, width // 2
 
 
+@functools.lru_cache(maxsize=16)
+def _passes(bounds: tuple[int, ...],
+            columns: int) -> tuple[tuple[int, int, int, np.ndarray | None], ...]:
+    """The deposit's passes over a cloud of rows laid out by ``bounds``:
+    (lo, hi, first row, row lengths) of consecutive column ranges.  Each row
+    is cut into slices of ``columns`` of its own columns, as its solo
+    deposit is; a pass packs whole slices, in order, up to ``columns``
+    columns.  The row lengths of a pass are None when it holds one slice."""
+    slices = [(r, lo, min(lo + columns, bounds[r + 1]))
+              for r in range(len(bounds) - 1) for lo in range(bounds[r], bounds[r + 1], columns)]
+    passes: list[list[tuple[int, int, int]]] = []
+    for piece in slices:
+        if passes and piece[2] - passes[-1][0][1] <= columns:
+            passes[-1].append(piece)
+        else:
+            passes.append([piece])
+    out = []
+    for p in passes:
+        lengths = None
+        if len(p) > 1:  # the empty rows among the pass's rows hold no columns
+            lengths = np.zeros(p[-1][0] - p[0][0] + 1, dtype=np.int64)
+            for r, lo, hi in p:
+                lengths[r - p[0][0]] = hi - lo
+            lengths.flags.writeable = False  # cached: every caller gets this array
+        out.append((p[0][1], p[-1][2], p[0][0], lengths))
+    return tuple(out)
+
+
 def grid_density(
     cloud: WeightedPointCloud,
     grid: Grid1D,
     delta: float,
-    n_total: int,
+    n_total,
     gradient: bool = True,
+    bounds=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate the mollified density and its gradient at every grid node.
 
@@ -194,23 +226,31 @@ def grid_density(
     some have died.  The bincounts, the matrix product and the
     overlap-add run over the occupied blocks only: from the first to the
     last block of cells that holds a particle reaching the grid.
-    A stacked (R, N) cloud gives (R, m) arrays, row r the deposit of its
-    row r alone: each row keeps its own first node, block phase and reach,
-    its blocks follow the last row's in the product, and its overlap-add
-    reads its own blocks only.
+
+    With ``bounds`` (R + 1 increasing offsets from 0 to the cloud's size)
+    the cloud holds R rows, row r its particles ``bounds[r]`` ..
+    ``bounds[r+1] - 1``, and ``n_total`` holds one divisor per row; it gives
+    (R, m) arrays, row r the deposit of row r alone: each row keeps its own
+    first node, block phase and reach, its blocks follow the last row's in
+    the product, and its overlap-add reads its own blocks only.
     """
-    if n_total <= 0:
+    pos, w = cloud.positions, cloud.weights
+    stacked = bounds is not None
+    bounds = tuple(np.asarray(bounds).tolist()) if stacked else (0, pos.size)
+    divisors = np.asarray(n_total).tolist() if stacked else [n_total]
+    if min(divisors, default=1) <= 0:
         raise ValueError("divisor n_total must be positive")
+    if len(divisors) != len(bounds) - 1 or bounds[0] != 0 or bounds[-1] != pos.size:
+        raise ValueError("bounds must cut the cloud into rows, with one divisor each")
     m = grid.n_nodes
     h = grid.spacing
     mat, half = _block_matrix(h, delta, gradient)
     q, n_rows, width = mat.shape[0], mat.shape[1] // _BLOCK, mat.shape[2] // _BLOCK
-    stacked = cloud.positions.ndim == 2
-    pos, w = np.atleast_2d(cloud.positions, cloud.weights)
-    u = np.zeros((len(pos), m))
-    du = np.zeros((len(pos), m)) if gradient else None
+    u = np.zeros((len(divisors), m))
+    du = np.zeros((len(divisors), m)) if gradient else None
     out = (u, du) if stacked else (u[0], du[0] if gradient else None)  # filled in place below
-    if pos.size == 0:
+    filled = [r for r in range(len(divisors)) if bounds[r + 1] > bounds[r]]
+    if not filled:
         return out
 
     def nearest(x):
@@ -223,74 +263,83 @@ def grid_density(
 
     # j is monotone in x, so a row's nodes run from j(min x) to j(max x), here
     # formed by the same operations on Python floats; rows with particles out
-    # of reach take one more pass over the slices for the range of those that
-    # reach, and a row that reaches no node gets no blocks
-    slices = [slice(lo, lo + SLICE_COLUMNS) for lo in range(0, pos.shape[1], SLICE_COLUMNS)]
-    j_min, j_max = ([math.floor((x - grid.lower) / h + 0.5) for x in ext.tolist()]
-                    for ext in (pos.min(axis=1), pos.max(axis=1)))
-    clipped = [r for r, (lo_j, hi_j) in enumerate(zip(j_min, j_max))
-               if lo_j < -half or hi_j >= m + half]
-    if clipped:
-        lo_j, hi_j = np.full(len(clipped), m + half), np.full(len(clipped), -half - 1)
-        for cols in slices:
-            j = nearest(pos[clipped, cols])[0]
+    # of reach take one more pass over their slices for the range of those
+    # that reach, and a row that reaches no node, or holds none, gets no blocks
+    j_min, j_max = {}, {}
+    starts = [bounds[r] for r in filled]
+    for ext, ufunc in ((j_min, np.minimum), (j_max, np.maximum)):
+        for r, x in zip(filled, ufunc.reduceat(pos, starts).tolist()):
+            ext[r] = math.floor((x - grid.lower) / h + 0.5)
+    clipped = [r for r in filled if j_min[r] < -half or j_max[r] >= m + half]
+    for r in clipped:
+        lo_j, hi_j = m + half, -half - 1
+        for lo in range(bounds[r], bounds[r + 1], SLICE_COLUMNS):
+            j = nearest(pos[lo : min(lo + SLICE_COLUMNS, bounds[r + 1])])[0]
             reach = (j >= -half) & (j < m + half)
-            np.minimum(lo_j, np.where(reach, j, m + half).min(axis=1), out=lo_j)
-            np.maximum(hi_j, np.where(reach, j, -half - 1).max(axis=1), out=hi_j)
-        for r, lo, hi in zip(clipped, lo_j.tolist(), hi_j.tolist()):
-            j_min[r], j_max[r] = lo, hi
+            lo_j = min(lo_j, int(np.where(reach, j, m + half).min()))
+            hi_j = max(hi_j, int(np.where(reach, j, -half - 1).max()))
+        j_min[r], j_max[r] = lo_j, hi_j
     # a row reaches nodes first..last; its cells are numbered j - first + half
     # and grouped in blocks of _BLOCK from cell 0; only its blocks b0..b0 +
     # n_blocks - 1, which hold particles, enter at block ``start`` of the
     # product, right after the blocks of the row before
-    rows, shift, start = [], [], 0
-    for r, (lo_j, hi_j) in enumerate(zip(j_min, j_max)):
-        first, last = max(lo_j - half, 0), min(hi_j + half, m - 1)
-        b0 = (lo_j - first + half) // _BLOCK
-        n_blocks = (hi_j - first + half) // _BLOCK - b0 + 1
-        shift.append(first - half + (b0 - start) * _BLOCK)
+    rows, shift, start = [], np.zeros(len(divisors), dtype=np.int64), 0
+    block_at = []  # each row's first block in the product, then the end
+    for r in range(len(divisors)):
+        block_at.append(start)
+        if r not in j_min:  # it holds no particle
+            continue
+        first, last = max(j_min[r] - half, 0), min(j_max[r] + half, m - 1)
+        b0 = (j_min[r] - first + half) // _BLOCK
+        n_blocks = (j_max[r] - first + half) // _BLOCK - b0 + 1
+        shift[r] = first - half + (b0 - start) * _BLOCK
         if n_blocks > 0:  # node row 2*half - b0*_BLOCK of the row's add is node first
             rows.append((r, first, last, start, n_blocks, 2 * half - b0 * _BLOCK))
             start += n_blocks
+    block_at.append(start)
     if not rows:
         return out
     # at least two blocks: numpy takes a one-row product as a vector product,
     # which sums in another order than the matrix product of more rows
     total = max(start, 2)
-    shift = np.array(shift)[:, None]
 
     # moment p of a cell: sum over its particles of w exp(-s^2/2) s^p, with
-    # s = (x - x_j) / delta formed in j's buffer; each slice adds its bincounts
-    moments = np.empty((total * _BLOCK, n_rows))
-    for cols in slices:
-        x = pos[:, cols]
+    # s = (x - x_j) / delta formed in j's buffer; each pass adds its bincounts,
+    # over the cells of its own rows only, to moments that start at +0.0,
+    # which adding leaves every sum's bits as they are
+    moments = np.zeros((total * _BLOCK, n_rows))
+    for lo, hi, r0, lengths in _passes(bounds, SLICE_COLUMNS):
+        r1 = r0 + (1 if lengths is None else len(lengths))
+        c0, c1 = block_at[r0] * _BLOCK, block_at[r1] * _BLOCK
+        x = pos[lo:hi]
         cell, s = nearest(x)
         np.subtract(x, np.add(np.multiply(cell, h, out=s), grid.lower, out=s), out=s)
         s /= delta
         reach = (cell >= -half) & (cell < m + half) if clipped else None
-        cell -= shift
-        cell, s, ws = (v.ravel() if reach is None else v[reach] for v in (cell, s, w[:, cols]))
+        cell -= shift[r0] + c0 if lengths is None else np.repeat(shift[r0:r1] + c0, lengths)
+        ws = w[lo:hi]
+        if reach is not None:
+            cell, s, ws = cell[reach], s[reach], ws[reach]
         term = -0.5 * s * s
         np.exp(term, out=term)
         term *= ws
         for p in range(n_rows):
             if p:
                 term *= s
-            counts = np.bincount(cell, weights=term, minlength=total * _BLOCK)
-            if cols.start:
-                moments[:, p] += counts
-            else:
-                moments[:, p] = counts
+            counts = np.bincount(cell, weights=term, minlength=c1 - c0)
+            moments[c0:c1, p] += counts
 
     # spans[k, b]: what the moments of block b give its k-th block of nodes,
     # ``width`` values (u, or u and u') per node; the spans of a row's
-    # neighbouring blocks overlap and are added for k = 0..q-1, row by row
+    # neighbouring blocks overlap and are added for k = 0..q-1, row by row;
+    # the moments go once multiplied, so that they do not add to the adds'
     spans = moments.reshape(total, -1) @ mat
+    del moments
     for r, first, last, b, n_blocks, lo in rows:
         nodes = np.zeros((n_blocks + q - 1, width * _BLOCK))
         for k in range(q):
             nodes[k : k + n_blocks] += spans[k, b : b + n_blocks]
-        nodes = nodes.reshape(-1, width) / n_total
+        nodes = nodes.reshape(-1, width) / divisors[r]
         for values, col in zip((u, du), nodes[lo : lo + last - first + 1].T):
             values[r, first : last + 1] = col
     return out

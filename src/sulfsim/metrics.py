@@ -12,8 +12,9 @@ from .pde import mollify_grid_function, solve_pde
 
 NORMS = ("l1", "l2", "sup")
 
-# replicas of one ensemble size step together up to this many particles: the
-# stack's gain over solo runs is gone by then, and beyond it only memory grows
+# the runs of a convergence study, of every ensemble size, step together up to
+# this many particles: the stack's gain over solo runs is gone by then, and
+# beyond it only memory grows
 STACK_PARTICLES = 1 << 16
 
 
@@ -133,16 +134,19 @@ def convergence_study(
     seeds_per_n: int,
 ) -> ConvergenceTable:
     """Final-time L1 error of both estimators against the mollified PDE
-    reference, across ensemble sizes.
+    reference, across ensemble sizes, one row per N in increasing order.
 
     The reference is solved once; each N runs both modes at the seeds
-    ``config.seed`` .. ``config.seed + seeds_per_n - 1``.
-    The runs of one N step in stacks of at most ``STACK_PARTICLES``
+    ``config.seed`` .. ``config.seed + seeds_per_n - 1``.  The runs of all
+    sizes, in increasing N, step in stacks of at most ``STACK_PARTICLES``
     particles (at least one run each), which give each run's solo outputs.
     The comparison target is K*v, the PDE solution mollified with the
     same kernel, so that the kernel bias is excluded from the reported
-    Monte Carlo error.
+    Monte Carlo error.  ValueError for a size given twice.
     """
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise ValueError(f"ensemble sizes {repeated} are given more than once")
     config = validate_config(config.with_grid())
     grid = config.grid
 
@@ -150,18 +154,21 @@ def convergence_study(
     target = mollify_grid_function(ref.densities[-1], grid, config.kernel.bandwidth)
 
     seeds = [int(config.seed) + j for j in range(seeds_per_n)]
-    rows = []
-    for n in n_values:
-        runs = [replace(config, particles=n, seed=s, mode=mode)
-                for s in seeds for mode in ("feynman-kac", "killed")]
-        per_stack = max(1, STACK_PARTICLES // n)
-        errors: dict[str, list[float]] = {"feynman-kac": [], "killed": []}
-        for i in range(0, len(runs), per_stack):
-            stack = runs[i : i + per_stack]
-            for cfg, out in zip(stack, run_simulations(stack, snapshot_stride=config.n_steps)):
-                errors[cfg.mode].append(density_distance(out.densities[-1], target, grid, "l1"))
-        rows.append(ConvergenceRow(n, *_mean_and_stderr(errors["feynman-kac"]),
-                                   *_mean_and_stderr(errors["killed"])))
+    runs = [replace(config, particles=n, seed=s, mode=mode) for n in sorted(n_values)
+            for s in seeds for mode in ("feynman-kac", "killed")]
+    stacks: list[list[SimConfig]] = []
+    for run in runs:
+        if stacks and sum(c.particles for c in stacks[-1]) + run.particles <= STACK_PARTICLES:
+            stacks[-1].append(run)
+        else:
+            stacks.append([run])
+    errors: dict[tuple[int, str], list[float]] = {}
+    for stack in stacks:
+        for cfg, out in zip(stack, run_simulations(stack, snapshot_stride=config.n_steps)):
+            errors.setdefault((cfg.particles, cfg.mode), []).append(
+                density_distance(out.densities[-1], target, grid, "l1"))
+    rows = [ConvergenceRow(n, *_mean_and_stderr(errors[n, "feynman-kac"]),
+                           *_mean_and_stderr(errors[n, "killed"])) for n in sorted(n_values)]
     return ConvergenceTable(
         rows=rows,
         monotone_fk=_monotone_within_2se([r.fk_mean_l1 for r in rows], [r.fk_stderr for r in rows]),

@@ -30,10 +30,11 @@ queries and negative-I clamps of alive particles only.  A non-finite
 position ends the run once the sweep is over, naming every such particle.
 
 :func:`run_simulations`, the one stepping loop, steps replicas that differ
-only in seed and mode as one ensemble of (R, N) arrays: one pass of array
-operations per step for all R, rows kept apart by the deposit and the field
-reads, one draw per seed, and each replica's outputs bit for bit its solo run's.
-:func:`run_simulation` is one run of it.
+in seed, mode and ensemble size as one ensemble of 1-d arrays, replica r in
+columns ``bounds[r]`` .. ``bounds[r+1] - 1``: one pass of array operations
+per step for all of them, replicas kept apart by the deposit and the field
+reads, one draw per seed, and each replica's outputs bit for bit its solo
+run's.  :func:`run_simulation` is one run of it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .config import ConfigError, SimConfig, validate_config
 from .dynamics import drift_b, reaction_rate
-from .fields import AccumulatedFields, accumulate_step
+from .fields import AccumulatedFields, accumulate_step, count_by_row
 from .initial import transform_uniforms
 from .io import archive_writer
 from .kernel import WeightedPointCloud, grid_density
@@ -72,38 +73,51 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass
 class ParticleEnsemble:
-    """One ensemble, or R replicas as (R, N) arrays; ``killed`` flags the
-    killed-mode replicas, shaped () or (R, 1).  ``thresholds`` is None exactly
-    when none is killed; else a feynman-kac row has thresholds +inf, so it
-    stays alive.  The weights and the alive mask are read off the hazards."""
+    """R replicas end to end in 1-d arrays: replica r owns the columns
+    ``bounds[r]`` .. ``bounds[r+1] - 1``, and ``killed[r]`` flags its mode.
+    One run is R = 1.  ``thresholds`` is None exactly when none is killed;
+    else a feynman-kac replica has thresholds +inf, so it stays alive.  The
+    weights and the alive mask are read off the hazards."""
 
     positions: np.ndarray
     hazards: np.ndarray
     thresholds: np.ndarray | None
     killed: np.ndarray
+    bounds: np.ndarray
 
     @classmethod
     def stack(cls, members: list[ParticleEnsemble]) -> ParticleEnsemble:
-        """The (R, N) ensemble whose row r is the 1-d ensemble ``members[r]``."""
-        killed = np.array([[bool(e.killed)] for e in members])
-        # one member's arrays are wrapped as a row, not copied
-        join = np.stack if len(members) > 1 else (lambda arrays: arrays[0][None])
-        thresholds = join([np.full(e.positions.shape, np.inf) if e.thresholds is None
-                           else e.thresholds for e in members]) if killed.any() else None
-        return cls(join([e.positions for e in members]), join([e.hazards for e in members]),
-                   thresholds, killed)
+        """The ensemble whose replicas are those of ``members``, in order;
+        one member is returned as it is, not copied."""
+        if len(members) == 1:
+            return members[0]
+        killed = np.concatenate([e.killed for e in members])
+        thresholds = np.concatenate([np.full(e.positions.shape, np.inf) if e.thresholds is None
+                                     else e.thresholds for e in members]) if killed.any() else None
+        bounds = np.cumsum([0] + [e.positions.size for e in members])
+        return cls(np.concatenate([e.positions for e in members]),
+                   np.concatenate([e.hazards for e in members]), thresholds, killed, bounds)
+
+    def head(self, n: int, killed: bool) -> ParticleEnsemble:
+        """The first n particles of a one-replica ensemble as one replica of
+        mode ``killed``, as views; a feynman-kac replica keeps no thresholds."""
+        return ParticleEnsemble(self.positions[:n], self.hazards[:n],
+                                self.thresholds[:n] if killed else None,
+                                np.array([killed]), np.array([0, n]))
 
     def row(self, r: int) -> ParticleEnsemble:
-        """Replica r of a stack, as views of its rows."""
-        killed = self.killed[r, 0]
-        return ParticleEnsemble(self.positions[r], self.hazards[r],
-                                self.thresholds[r] if killed else None, killed)
+        """Replica r, as views of its columns."""
+        lo, hi = self.bounds[r : r + 2].tolist()
+        return ParticleEnsemble(self.positions[lo:hi], self.hazards[lo:hi],
+                                self.thresholds[lo:hi] if self.killed[r] else None,
+                                self.killed[r : r + 1], np.array([0, hi - lo]))
 
-    def columns(self, cols: slice) -> ParticleEnsemble:
-        """The particles in columns ``cols`` of every row, as views."""
-        return ParticleEnsemble(self.positions[..., cols], self.hazards[..., cols],
-                                None if self.thresholds is None else self.thresholds[..., cols],
-                                self.killed)
+    def columns(self, lo: int, hi: int) -> ParticleEnsemble:
+        """The particles in columns lo .. hi - 1, as views; replica r holds
+        its columns among them, none when it lies outside."""
+        return ParticleEnsemble(self.positions[lo:hi], self.hazards[lo:hi],
+                                None if self.thresholds is None else self.thresholds[lo:hi],
+                                self.killed, np.clip(self.bounds - lo, 0, hi - lo))
 
     @property
     def weights(self) -> np.ndarray:
@@ -122,13 +136,23 @@ class ParticleEnsemble:
         Feynman-Kac: every particle with its discount weight.  Killed:
         surviving particles with weight 1; the dead carry weight 0, which
         is the cemetery convention (they drop out of every sum) while the
-        divisor stays the full ensemble size.  The arrays are not checked
+        divisor stays the full ensemble size.  Each run of replicas of one
+        mode computes its own weights only.  The arrays are not checked
         again: the initial positions are finite draws, :func:`_slice_step`
         checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
-        weights = self.weights
-        if self.thresholds is not None:
-            np.copyto(weights, self.alive, where=self.killed)
+        weights = np.empty(self.hazards.shape)
+        killed, bounds = self.killed.tolist(), self.bounds.tolist()
+        first = 0
+        for r in range(1, len(killed) + 1):
+            if r < len(killed) and killed[r] == killed[first]:
+                continue
+            cols = slice(bounds[first], bounds[r])
+            if killed[first]:
+                np.less(self.hazards[cols], self.thresholds[cols], out=weights[cols])
+            else:
+                np.exp(np.negative(self.hazards[cols], out=weights[cols]), out=weights[cols])
+            first = r
         return WeightedPointCloud.unchecked(self.positions, weights)
 
 
@@ -138,11 +162,12 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     Positions are i.i.d. rho_0 (one uniform per particle through the
     inverse CDF); hazards start at 0; killed mode draws
     Exp(1) thresholds from streams disjoint from position/noise streams.
+    The ensemble has one particle per stream of ``streams``, which by
+    default are the config's N.
     """
     config = validate_config(config.with_grid())
-    n = config.particles
     if streams is None:
-        streams = ParticleStreams(config.seed, n)
+        streams = ParticleStreams(config.seed, config.particles)
     positions = streams.initial_uniforms()  # transformed in place, a slice at a time
     for lo in range(0, positions.size, SLICE_PARTICLES):
         cols = slice(lo, lo + SLICE_PARTICLES)
@@ -150,20 +175,21 @@ def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> 
     thresholds = None
     if config.mode == "killed":
         thresholds = draw_thresholds(config.seed, streams.indices)
-    return ParticleEnsemble(positions, np.zeros(n), thresholds,
-                            np.array(config.mode == "killed"))
+    return ParticleEnsemble(positions, np.zeros(positions.size), thresholds,
+                            np.array([config.mode == "killed"]), np.array([0, positions.size]))
 
 
 def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, params,
-                negative_I: np.ndarray, coords=None):
+                negative_I: np.ndarray, coords=None, offsets=None):
     """Step the slice ``part`` (views of the ensemble's columns) from X_k to X_{k+1}.
 
     Reads (I, J) at X_k, or at its ``coords`` when given; moves Y += b(I, J) dt
     + sqrt(2 dt) xi, with xi the slice's standard normals ``noise`` (scaled in
     place); checks that the positions are finite; reads I at X_{k+1}; then
-    adds dt * rate(I) to the hazards.  Each read clamps I at 0, and counts
-    only alive particles, per row of a stack, in ``negative_I`` (in place)
-    and in the fields' ``out_of_domain``.
+    adds dt * rate(I) to the hazards.  In a stack ``offsets`` holds each
+    particle's offset into the stacked fields.  Each read clamps I at 0, and
+    counts only alive particles, per replica of a stack, in ``negative_I``
+    (in place) and in the fields' ``out_of_domain``.
 
     In killed mode b dt, sqrt(2 dt) xi and dt * rate are multiplied by the
     alive mask Lambda < Z at X_k: a dead particle stays put and keeps its
@@ -177,21 +203,22 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
     non-finite A or G read.
     """
     alive = part.alive if part.thresholds is not None else None
+    bounds = part.bounds
 
     def read(coords, gradient):
         if alive is not None:  # the dead's off-grid flags go: coords are the step's own
             np.logical_and(coords.outside, alive, out=coords.outside)
-        I, J = fields.args_at(coords, gradient)
+        I, J = fields.args_at(coords, gradient, bounds)
         negative = I < 0.0
         if negative.any():
             if alive is not None:
                 negative &= alive
-            negative_I[...] += np.count_nonzero(negative, axis=-1)
+            negative_I[...] += count_by_row(negative, bounds)
             I = np.maximum(I, 0.0)
         return I, J
 
     x = part.positions
-    I, J = read(fields.coords_at(x) if coords is None else coords, True)
+    I, J = read(fields.coords_at(x, offsets) if coords is None else coords, True)
     b = drift_b(I, J, params)
     b *= dt
     noise *= np.sqrt(2.0 * dt)
@@ -202,7 +229,7 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
     x += noise
     if not np.isfinite(x).all():
         return None
-    coords = fields.coords_at(x)
+    coords = fields.coords_at(x, offsets)
     increment = dt * reaction_rate(read(coords, False)[0], params)
     if alive is not None:
         increment *= alive
@@ -235,9 +262,13 @@ def run_simulations(
 ) -> list[SimulationOutput]:
     """Run the configured particle systems and record density snapshots.
 
-    The configs may differ only in ``seed`` and ``mode``: they step as one
-    (R, N) stack, and each replica's outputs are bit for bit those of its
-    run alone.  A non-finite position in any replica aborts the stack.
+    The configs may differ only in ``particles``, ``seed`` and ``mode``: they
+    step as one stack of replicas laid end to end, and each replica's outputs
+    are bit for bit those of its run alone.  Each seed draws once per step,
+    and once for the initial state, sized to its largest replica, which
+    replica r reads the first N_r values of: streams are prefix-stable in N,
+    so these are its solo run's draws.  A non-finite position in any replica
+    aborts the stack.
 
     The dynamics read the time integrals from grid fields
     (:class:`AccumulatedFields`); the tests hold their interpolation-free
@@ -254,8 +285,9 @@ def run_simulations(
     """
     configs = [validate_config(c.with_grid()) for c in configs]
     config = configs[0]
-    if any(replace(c, seed=config.seed, mode=config.mode) != config for c in configs):
-        raise ValueError("stacked configs may differ only in seed and mode")
+    if any(replace(c, particles=config.particles, seed=config.seed, mode=config.mode) != config
+           for c in configs):
+        raise ValueError("stacked configs may differ only in particles, seed and mode")
     if len(configs) > 1 and archive_path is not None:
         raise ValueError("archive_path needs a single config")
     if archive_path is not None and config.mode != "feynman-kac":
@@ -264,20 +296,34 @@ def run_simulations(
     grid = config.grid
     params = config.physical
     delta = config.kernel.bandwidth
-    n = config.particles
     dt = config.step
     n_steps = config.n_steps
     stride = config.recording_stride(snapshot_stride)
+    sizes = np.array([c.particles for c in configs])
+    total = int(sizes.sum())
 
-    streams = {c.seed: ParticleStreams(c.seed, n) for c in configs}
+    largest: dict[int, int] = {}
+    for c in configs:
+        largest[c.seed] = max(largest.get(c.seed, 0), c.particles)
+    streams = {seed: ParticleStreams(seed, n) for seed, n in largest.items()}
     try:
-        ens = ParticleEnsemble.stack([init_ensemble(c, streams[c.seed]) for c in configs])
+        # each seed's initial state once, thresholds too if one of its replicas is killed
+        drawn = {seed: init_ensemble(replace(config, seed=seed, particles=s.n, mode=(
+                     "killed" if any(c.seed == seed and c.mode == "killed" for c in configs)
+                     else "feynman-kac")), s) for seed, s in streams.items()}
+        ens = ParticleEnsemble.stack([drawn[c.seed].head(c.particles, c.mode == "killed")
+                                      for c in configs])
     except MemoryError as err:
-        stack = f" in each of {len(configs)} replicas" if len(configs) > 1 else ""
-        raise MemoryError(f"an ensemble of {n} particles{stack} is too large ({err})") from err
+        stack = f", the largest of {len(configs)} replicas," if len(configs) > 1 else ""
+        raise MemoryError(f"an ensemble of {sizes.max()} particles{stack} is too large "
+                          f"({err})") from err
+    del drawn
+    bounds = ens.bounds
 
     acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
                             out_of_domain=np.zeros(len(configs), dtype=np.int64))
+    # replica r reads row r of the stacked fields, at j + r*m of their flat values
+    offsets = np.repeat(np.arange(len(configs)) * grid.n_nodes, sizes) if len(configs) > 1 else None
 
     negative_I = np.zeros(len(configs), dtype=np.int64)
     times, steps_rec = [], []
@@ -286,22 +332,22 @@ def run_simulations(
 
     def record(k: int, cloud: WeightedPointCloud, u: np.ndarray | None = None) -> None:
         if u is None:  # the step did not deposit this cloud
-            u, _ = grid_density(cloud, grid, delta, n)
+            u, _ = grid_density(cloud, grid, delta, sizes, bounds=bounds)
         times.append(k * dt)
         steps_rec.append(k)
         outside = (cloud.positions < grid.lower) | (cloud.positions > grid.upper)
-        for r in range(len(configs)):
+        for r, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            weights = cloud.weights[lo:hi]
             densities[r].append(u[r])
             mass[r].append(float(np.trapezoid(u[r], dx=grid.spacing)))
-            weight_or_alive[r].append(float(cloud.weights[r].mean()))
-            escaped[r].append(float(cloud.weights[r][outside[r]].sum() / n))
+            weight_or_alive[r].append(float(weights.mean()))
+            escaped[r].append(float(weights[outside[lo:hi]].sum() / (hi - lo)))
 
-    width = max(1, SLICE_PARTICLES // len(configs))  # columns per slice of the sweep
-    one_slice = n <= width
+    one_slice = total <= SLICE_PARTICLES
     coords = None  # of X_k, handed on from the last step when one slice holds all
     # a row per step and one for the final cloud
     writer = (nullcontext() if archive_path is None else
-              archive_writer(archive_path, n, n_steps + 1, dt))
+              archive_writer(archive_path, total, n_steps + 1, dt))
     with writer as write_row:
         for k in range(n_steps):
             cloud = ens.cloud()
@@ -310,23 +356,27 @@ def run_simulations(
                 field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
             if write_row is not None:
                 write_row(ens.positions)
-            u = accumulate_step(acc, cloud, n, dt)
+            u = accumulate_step(acc, cloud, sizes, dt, bounds)
             if recording:
                 record(k, cloud, u)
             del cloud  # its weight array is not read by the step
             draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
-            noise = (np.stack([draws[c.seed] for c in configs]) if len(configs) > 1
-                     else draws[config.seed][None])
+            noise = (np.concatenate([draws[c.seed][: c.particles] for c in configs])
+                     if len(configs) > 1 else draws[config.seed])
             del draws
             bad = False  # the sweep goes past a non-finite slice: the error names every particle
-            for lo in range(0, n, width):
-                cols = slice(lo, lo + width)
-                coords = _slice_step(ens.columns(cols), acc, noise[:, cols], dt, params,
-                                     negative_I, coords if one_slice else None)
+            for lo in range(0, total, SLICE_PARTICLES):
+                hi = min(lo + SLICE_PARTICLES, total)
+                coords = _slice_step(ens if one_slice else ens.columns(lo, hi), acc,
+                                     noise[lo:hi], dt, params, negative_I,
+                                     coords if one_slice else None,
+                                     None if offsets is None else offsets[lo:hi])
                 bad |= coords is None
             del noise
-            if bad:
-                raise NonFiniteStateError(k, np.nonzero(~np.isfinite(ens.positions))[-1])
+            if bad:  # each particle by its index in its own replica
+                bad = np.flatnonzero(~np.isfinite(ens.positions))
+                replica = np.searchsorted(bounds, bad, "right") - 1
+                raise NonFiniteStateError(k, bad - bounds[replica])
 
         if write_row is not None:
             write_row(ens.positions)
@@ -336,10 +386,11 @@ def run_simulations(
 
     outputs = []
     for r, c in enumerate(configs):
+        replica = ens.row(r)
         diag = {"negative_I": int(negative_I[r]),
                 "out_of_domain": int(acc.out_of_domain[r]), "final_escaped_mass": escaped[r][-1]}
         if c.mode == "killed":
-            diag["deaths"] = int(np.count_nonzero(ens.hazards[r] >= ens.thresholds[r]))
+            diag["deaths"] = int(np.count_nonzero(replica.hazards >= replica.thresholds))
         outputs.append(SimulationOutput(
             config=c,
             times=np.asarray(times),
@@ -349,7 +400,7 @@ def run_simulations(
             weight_or_alive=np.asarray(weight_or_alive[r]),
             escaped=np.asarray(escaped[r]),
             diagnostics=diag,
-            ensemble=ens.row(r),
+            ensemble=replica,
             fields=AccumulatedFields(grid, delta, acc.A[r], acc.G[r], diag["out_of_domain"]),
             field_snaps=[(k, a[r], g[r]) for k, a, g in field_snaps],
         ))

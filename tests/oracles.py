@@ -180,7 +180,7 @@ def run_with_clouds(monkeypatch, run, *args, **kwargs):
     accumulate = sulfsim.particles.accumulate_step
 
     def recorded(fields, cloud, *a, **k):
-        clouds.append(WeightedPointCloud(cloud.positions[0].copy(), cloud.weights[0].copy()))
+        clouds.append(WeightedPointCloud(cloud.positions.copy(), cloud.weights.copy()))
         return accumulate(fields, cloud, *a, **k)
 
     with monkeypatch.context() as m:
@@ -217,7 +217,7 @@ def run_with_coupled_readout(monkeypatch, config, **options):
     step = sulfsim.particles._slice_step
 
     def recorded(part, *a, **k):
-        read(part.hazards[0])
+        read(part.hazards)
         return step(part, *a, **k)
 
     with monkeypatch.context() as m:

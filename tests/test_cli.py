@@ -581,6 +581,30 @@ def test_convergence_table_shape(runner, cfg_file, tmp_path):
     assert len(cols["fk_stderr"]) == 3
 
 
+def test_convergence_rows_are_in_increasing_n_whatever_the_order_of_n(runner, cfg_file,
+                                                                      tmp_path):
+    # the monotone flags read the rows in order, so both must follow N
+    got = {}
+    for order in ("100,25", "25,100"):
+        out = tmp_path / order.replace(",", "-")
+        res = runner.invoke(main, ["convergence", "--config", str(cfg_file), "--n", order,
+                                   "--seeds", "2", "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        got[order] = ((out / "convergence.csv").read_bytes(),
+                      json.loads((out / "manifest.json").read_text())["diagnostics"])
+    assert got["100,25"] == got["25,100"]
+    assert read_csv(tmp_path / "100-25" / "convergence.csv")["n"].tolist() == [25.0, 100.0]
+
+
+def test_convergence_refuses_a_size_given_twice(runner, cfg_file, tmp_path):
+    res = runner.invoke(main, ["convergence", "--config", str(cfg_file), "--n", "3,3",
+                               "--seed", "1", "--out", str(tmp_path / "conv")])
+    assert res.exit_code == 2, res.output
+    assert "--n" in res.output and "size 3 more than once" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "conv").exists()
+
+
 def test_fixedpoint_lambda_zero_converges_iteration_one(runner, cfg_file, tmp_path):
     run_dir = tmp_path / "arch"
     res = runner.invoke(
@@ -1013,6 +1037,7 @@ def test_convergence_numeric_flags_exit_cleanly(tmp_path_factory, n, seeds):
     _assert_clean_exit(res)
     sizes = [v for v in n.split(",") if v]  # --n skips empty entries
     valid = (bool(sizes) and all(v.isdigit() and int(v) >= 1 for v in sizes)
+             and len({int(v) for v in sizes}) == len(sizes)  # no size twice
              and seeds.isdigit() and int(seeds) >= 1)
     assert (res.exit_code == 0) == valid, res.output
 

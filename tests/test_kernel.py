@@ -326,25 +326,39 @@ def test_grid_density_of_massless_cloud_is_zero(case):
         assert np.all(u == 0.0) and np.all(du == 0.0)
 
 
+def _stacked_deposit(rows, weights, grid, delta, divisors, gradient=True):
+    """The deposit of 1-d rows laid end to end, one divisor each."""
+    bounds = np.cumsum([0] + [len(x) for x in rows])
+    cloud = WeightedPointCloud.unchecked(np.concatenate(rows), np.concatenate(weights))
+    return grid_density(cloud, grid, delta, divisors, gradient, bounds=bounds)
+
+
+def _assert_rows_are_solo_deposits(rows, weights, grid, delta, divisors):
+    u, du = _stacked_deposit(rows, weights, grid, delta, divisors)
+    assert u.shape == du.shape == (len(rows), grid.n_nodes)
+    for r, (x, w, n) in enumerate(zip(rows, weights, divisors)):
+        u_row, du_row = grid_density(WeightedPointCloud(x, w), grid, delta, n)
+        assert np.array_equal(u[r], u_row) and np.array_equal(du[r], du_row), r
+    return u, du
+
+
 @settings(max_examples=60, deadline=None)
 @given(_deposit_case(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_grid_density_of_a_stack_equals_its_rows(case, n_rows, seed):
-    # row 0 is the case's cloud, the others that cloud squeezed (into one block
-    # of cells, some of them) and shifted, some of them past the deposit's reach
+    # row 0 is the case's cloud, the others a part of that cloud of their own
+    # size, some of them empty, squeezed (into one block of cells, some of
+    # them) and shifted, some of them past the deposit's reach; each row has
+    # its own divisor
     cloud, grid, delta, half = case
     r = np.random.default_rng(seed)
     reach = grid.upper - grid.lower + 2.0 * (half + 1) * grid.spacing
-    shift = r.uniform(-1.5, 1.5, (n_rows, 1)) * reach
-    scale = r.choice([1.0, 1e-3], (n_rows, 1))
-    shift[0], scale[0] = 0.0, 1.0
-    pos = cloud.positions * scale + shift
-    w = np.stack([r.permutation(cloud.weights) for _ in range(n_rows)])
-    n = len(cloud) + 1
-    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, delta, n)
-    assert u.shape == du.shape == (n_rows, grid.n_nodes)
-    for row in range(n_rows):
-        u_row, du_row = grid_density(WeightedPointCloud(pos[row], w[row]), grid, delta, n)
-        assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
+    rows, weights = [cloud.positions], [cloud.weights]
+    for _ in range(n_rows - 1):
+        part = r.permutation(len(cloud))[: r.integers(0, len(cloud) + 1)]
+        rows.append(cloud.positions[part] * r.choice([1.0, 1e-3]) + r.uniform(-1.5, 1.5) * reach)
+        weights.append(cloud.weights[r.permutation(part)])
+    _assert_rows_are_solo_deposits(rows, weights, grid, delta,
+                                   [len(x) + r.integers(1, 4) for x in rows])
 
 
 @settings(max_examples=40, deadline=None)
@@ -360,30 +374,38 @@ def test_grid_density_without_gradient_keeps_the_bits_of_u(case, n_rows, tiled, 
         reps = SLICE_COLUMNS // pos.size + 1
         pos = np.tile(pos, reps) + r.normal(0.0, grid.spacing, reps * pos.size)
         w = np.tile(w, reps)
-    if n_rows:
-        reach = grid.upper - grid.lower + 2.0 * (half + 1) * grid.spacing
-        shift = r.uniform(-0.5, 0.5, (n_rows, 1)) * reach
-        shift[0] = 0.0
-        shift[1:2] = 2.0 * reach
-        pos, w = pos + shift, np.stack([r.permutation(w) for _ in range(n_rows)])
-    stacked = WeightedPointCloud.unchecked(pos, w)
-    u, du = grid_density(stacked, grid, delta, pos.shape[-1] + 1, gradient=False)
+    n = pos.size + 1
+    if not n_rows:
+        cloud = WeightedPointCloud.unchecked(pos, w)
+        u, du = grid_density(cloud, grid, delta, n, gradient=False)
+        assert du is None
+        assert np.array_equal(u, grid_density(cloud, grid, delta, n)[0])
+        return
+    reach = grid.upper - grid.lower + 2.0 * (half + 1) * grid.spacing
+    shift = r.uniform(-0.5, 0.5, n_rows) * reach
+    shift[0] = 0.0
+    shift[1:2] = 2.0 * reach
+    rows, weights = [pos + dx for dx in shift], [r.permutation(w) for _ in shift]
+    u, du = _stacked_deposit(rows, weights, grid, delta, [n] * n_rows, gradient=False)
     assert du is None
-    assert np.array_equal(u, grid_density(stacked, grid, delta, pos.shape[-1] + 1)[0])
+    assert np.array_equal(u, _stacked_deposit(rows, weights, grid, delta, [n] * n_rows)[0])
 
 
-@pytest.mark.parametrize("shape", [(4, 6000), (2, SLICE_COLUMNS + 3)])
+@pytest.mark.parametrize("shape", [[6000] * 4, [SLICE_COLUMNS + 3] * 2,
+                                   [SLICE_COLUMNS + 3, 5, "beyond", 7000, 2 * SLICE_COLUMNS]])
 def test_sliced_deposit_rows_of_a_stack_equal_their_solo_deposits(shape):
-    # the slices cut every stack at the same columns as its rows' solo deposits;
-    # cutting a stack of R rows at SLICE_COLUMNS // R columns changes the rows' bits
-    r = np.random.default_rng(shape[0])
-    grid, n = Grid1D(-14.4, 14.4, 0.05), shape[1]
-    pos = r.normal(r.uniform(-3.0, 3.0, (shape[0], 1)), 1.5, shape)
-    w = r.random(shape)
-    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, 0.3, n)
-    for row in range(shape[0]):
-        u_row, du_row = grid_density(WeightedPointCloud(pos[row], w[row]), grid, 0.3, n)
-        assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
+    # a pass cuts each row where its solo deposit does, at SLICE_COLUMNS of its
+    # own columns, and packs short rows and the ends of long ones together;
+    # cutting the stack at SLICE_COLUMNS of its columns changes the rows' bits
+    r = np.random.default_rng(len(shape))
+    grid = Grid1D(-14.4, 14.4, 0.05)
+    rows = [r.uniform(40.0, 50.0, 9) if n == "beyond" else r.normal(r.uniform(-3.0, 3.0), 1.5, n)
+            for n in shape]
+    weights = [r.random(x.size) for x in rows]
+    u, du = _assert_rows_are_solo_deposits(rows, weights, grid, 0.3, [x.size for x in rows])
+    if "beyond" in shape:
+        beyond = shape.index("beyond")
+        assert not u[beyond].any() and not du[beyond].any()
 
 
 @pytest.mark.parametrize("where", ["inside", "beyond-both", "boundaries"])
@@ -408,12 +430,10 @@ def test_multi_slice_stack_with_a_row_out_of_reach_matches_offset_deposit(rng):
     # rows inside the grid, wholly past its reach, and partly past it on both sides
     grid, delta = Grid1D(-3.0, 3.0, 0.05), 0.3
     n = 2 * SLICE_COLUMNS + 3
-    pos = np.stack([rng.normal(0.0, 1.0, n), rng.uniform(20.0, 30.0, n),
-                    rng.normal(2.0, 4.0, n)])
-    w = rng.random(pos.shape)
-    u, du = grid_density(WeightedPointCloud.unchecked(pos, w), grid, delta, n)
-    for row in range(len(pos)):
-        u_row, du_row = _assert_matches_offset_deposit(
-            WeightedPointCloud(pos[row], w[row]), grid, delta)
+    rows = [rng.normal(0.0, 1.0, n), rng.uniform(20.0, 30.0, n), rng.normal(2.0, 4.0, n)]
+    weights = [rng.random(n) for _ in rows]
+    u, du = _stacked_deposit(rows, weights, grid, delta, [n] * len(rows))
+    for row, (x, w) in enumerate(zip(rows, weights)):
+        u_row, du_row = _assert_matches_offset_deposit(WeightedPointCloud(x, w), grid, delta)
         assert np.array_equal(u[row], u_row) and np.array_equal(du[row], du_row)
     assert not u[1].any() and not du[1].any()

@@ -11,7 +11,9 @@ from sulfsim import (
     run_simulation,
     total_mass,
 )
-from sulfsim.metrics import compare_series
+import sulfsim.metrics
+from sulfsim.metrics import ConvergenceRow, _mean_and_stderr, compare_series
+from sulfsim.pde import mollify_grid_function, solve_pde
 
 from oracles import hold_fields_at_zero
 
@@ -113,6 +115,52 @@ def test_convergence_study_reproducible():
     b = convergence_study(replace(cfg, seed=9), [100, 200], seeds_per_n=2)
     assert [r.fk_mean_l1 for r in a.rows] == [r.fk_mean_l1 for r in b.rows]
     assert [r.kill_stderr for r in a.rows] == [r.kill_stderr for r in b.rows]
+
+
+def _solo_rows(cfg, n_values, seeds_per_n):
+    """The convergence rows built from one run at a time."""
+    grid = cfg.grid
+    ref = solve_pde(cfg, snapshot_stride=cfg.n_steps)
+    target = mollify_grid_function(ref.densities[-1], grid, cfg.kernel.bandwidth)
+    rows = []
+    for n in n_values:
+        stats = []
+        for mode in ("feynman-kac", "killed"):
+            runs = [run_simulation(replace(cfg, particles=n, seed=cfg.seed + j, mode=mode),
+                                   snapshot_stride=cfg.n_steps) for j in range(seeds_per_n)]
+            stats += _mean_and_stderr([density_distance(out.densities[-1], target, grid, "l1")
+                                       for out in runs])
+        rows.append(ConvergenceRow(n, *stats))
+    return rows
+
+
+@pytest.mark.parametrize("stack_particles", [None, 10])
+def test_convergence_study_stacks_every_size(monkeypatch, stack_particles):
+    # one stack for all runs, in increasing N; with stacks of at most 10
+    # particles they split, some stack holding two sizes; the table is the
+    # same, and equals the one built from solo runs
+    cfg = replace(_tiny_study_config(), physical=PhysicalParams(lam=1.0), horizon=0.02, seed=4)
+    if stack_particles is not None:
+        monkeypatch.setattr(sulfsim.metrics, "STACK_PARTICLES", stack_particles)
+    stacks = []
+    run = sulfsim.metrics.run_simulations
+
+    def counted(configs, **options):
+        stacks.append([c.particles for c in configs])
+        return run(configs, **options)
+
+    monkeypatch.setattr(sulfsim.metrics, "run_simulations", counted)
+    table = convergence_study(cfg, [7, 3], seeds_per_n=2)
+    if stack_particles is None:
+        assert stacks == [[3, 3, 3, 3, 7, 7, 7, 7]]
+    else:
+        assert stacks == [[3, 3, 3], [3, 7], [7], [7], [7]]
+    assert table.rows == _solo_rows(cfg, [3, 7], 2)
+
+
+def test_convergence_study_refuses_a_size_given_twice():
+    with pytest.raises(ValueError, match=r"sizes \[3\] are given more than once"):
+        convergence_study(_tiny_study_config(), [3, 7, 3], seeds_per_n=1)
 
 
 def test_default_scenario_errors_decrease_with_n():

@@ -300,10 +300,10 @@ class _ExactHistoryView:
     def __init__(self, clouds, dt, delta, n_total):
         self.clouds, self.dt, self.delta, self.n_total = clouds, dt, delta, n_total
 
-    def coords_at(self, x):
+    def coords_at(self, x, offsets=None):
         return np.array(x, dtype=float)
 
-    def args_at(self, x, gradient=True):
+    def args_at(self, x, gradient=True, bounds=None):
         return exact_history_args(self.clouds, self.dt, x, self.delta, self.n_total)
 
 
@@ -432,16 +432,17 @@ _NARROW = SimConfig(particles=2, horizon=0.01, step=1e-3, physical=PhysicalParam
 
 
 @settings(max_examples=30, deadline=None)
-@given(replicas=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["feynman-kac", "killed"])),
-                         min_size=1, max_size=5),
-       n=st.integers(1, 60), lam=st.sampled_from([0.0, 1.0, 300.0]),
-       width=st.sampled_from([0.5, 1.0, 6.0]))
-@example(replicas=[(3, "feynman-kac"), (0, "killed"), (2, "killed"), (1, "feynman-kac")],
-         n=2, lam=300.0, width=6.0)
-def test_stacked_run_equals_solo_runs_bit_for_bit(replicas, n, lam, width):
-    base = replace(_NARROW, particles=n, physical=PhysicalParams(lam=lam),
+@given(replicas=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["feynman-kac", "killed"]),
+                                   st.integers(1, 60)), min_size=1, max_size=5),
+       lam=st.sampled_from([0.0, 1.0, 300.0]), width=st.sampled_from([0.5, 1.0, 6.0]))
+@example(replicas=[(3, "feynman-kac", 2), (0, "killed", 2), (2, "killed", 2),
+                   (1, "feynman-kac", 2)], lam=300.0, width=6.0)
+@example(replicas=[(1, "killed", 60), (1, "feynman-kac", 1), (2, "killed", 2),
+                   (1, "feynman-kac", 60), (2, "feynman-kac", 1)], lam=1.0, width=1.0)
+def test_stacked_run_equals_solo_runs_bit_for_bit(replicas, lam, width):
+    base = replace(_NARROW, physical=PhysicalParams(lam=lam),
                    initial=InitialDensitySpec(width=width))
-    _stack_equals_solo_runs([replace(base, seed=s, mode=m) for s, m in replicas],
+    _stack_equals_solo_runs([replace(base, seed=s, mode=m, particles=n) for s, m, n in replicas],
                             snapshot_stride=3, fields_stride=2)
 
 
@@ -456,15 +457,15 @@ def test_stack_holds_a_dead_replica_and_one_beyond_the_deposit():
 
 
 @pytest.mark.parametrize("change", [
-    {"particles": 201},
     {"horizon": 0.2},
     {"physical": PhysicalParams(lam=2.0)},
     {"grid": Grid1D(-8.0, 8.0, 0.05)},
     {"initial": InitialDensitySpec(width=0.5)},
 ])
 def test_run_simulations_refuses_configs_that_differ_beyond_seed_and_mode(small_config, change):
-    with pytest.raises(ValueError, match="seed and mode"):
-        run_simulations([small_config, replace(small_config, seed=5, mode="killed", **change)])
+    with pytest.raises(ValueError, match="particles, seed and mode"):
+        run_simulations([small_config, replace(small_config, particles=201, seed=5,
+                                                mode="killed", **change)])
 
 
 @pytest.mark.parametrize("option", ["archive_path"])
@@ -479,25 +480,50 @@ def test_run_simulations_keeps_archive_and_coupling_to_one_config(small_config, 
 def test_one_replica_stack_and_identity_streams_copy_nothing(small_config):
     streams = ParticleStreams(small_config.seed, small_config.particles)
     assert streams.indices == range(small_config.particles)  # no index array
+    n = small_config.particles
     for mode in ("feynman-kac", "killed"):
         member = init_ensemble(replace(small_config, mode=mode), streams)
+        assert member.bounds.tolist() == [0, n] and member.killed.tolist() == [mode == "killed"]
         stack = ParticleEnsemble.stack([member])
         for name in ("positions", "hazards", "thresholds"):
             got, own = getattr(stack, name), getattr(member, name)
             if own is None:
                 assert got is None, name
             else:
-                assert got.shape == (1, small_config.particles) and np.shares_memory(got, own), name
+                assert got.shape == (n,) and np.shares_memory(got, own), name
+
+
+def test_a_stack_lays_its_replicas_end_to_end(small_config):
+    # each seed draws once, sized to its largest replica; a smaller replica of
+    # that seed reads the first N_r values, which are its solo run's
+    replicas = [(1, 7, "killed"), (2, 3, "feynman-kac"), (1, 4, "feynman-kac")]
+    members = [init_ensemble(replace(small_config, seed=seed, particles=n, mode=mode))
+               for seed, n, mode in replicas]
+    stack = ParticleEnsemble.stack(members)
+    assert stack.bounds.tolist() == [0, 7, 10, 14]
+    assert stack.killed.tolist() == [True, False, False]
+    for r, member in enumerate(members):
+        row = stack.row(r)
+        for name in ("positions", "hazards", "thresholds"):
+            got, own = getattr(row, name), getattr(member, name)
+            assert (got is None) == (own is None), name
+            assert own is None or np.array_equal(got, own) and not np.shares_memory(got, own), name
+    assert np.array_equal(stack.thresholds[7:], np.full(7, np.inf))
+    assert np.array_equal(members[2].positions, members[0].positions[:4])  # prefix-stable
+    big = init_ensemble(replace(small_config, seed=1, particles=7, mode="killed"))
+    assert np.array_equal(big.head(4, False).positions, members[2].positions)
+    assert big.head(4, False).thresholds is None
 
 
 def _sliced(monkeypatch, slice_particles, configs, **options):
     """``run_simulations`` with slices of at most ``slice_particles``
-    particles, and the ensemble shape of each of its ``_slice_step`` calls."""
+    particles, and the replica bounds within each of its ``_slice_step`` calls."""
     shapes = []
     step = sulfsim.particles._slice_step
 
     def counted(part, *args, **kwargs):
-        shapes.append(part.positions.shape)
+        assert part.bounds[-1] == part.positions.size
+        shapes.append(part.bounds.tolist())
         return step(part, *args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -522,25 +548,32 @@ _WIDE = SimConfig(particles=40, horizon=0.02, step=1e-3, seed=5, grid=Grid1D(-10
                   physical=PhysicalParams(lam=40.0))  # about half the killed particles die
 
 
-@pytest.mark.parametrize("case", ["fk", "killed", "stacked-pair", "off-grid", "negative-I"])
+@pytest.mark.parametrize("case", ["fk", "killed", "stacked-pair", "off-grid", "negative-I",
+                                  "ragged"])
 def test_sliced_sweep_equals_one_slice_bit_for_bit(monkeypatch, case):
     base = replace(_NARROW, particles=41) if case == "off-grid" else _WIDE
     modes = {"fk": ["feynman-kac"], "killed": ["killed"]}.get(case, ["feynman-kac", "killed"])
     configs = [replace(base, seed=3, mode=m) for m in modes]
+    if case == "ragged":  # slices of 7 cut replica 0 at 35, span 0 and 1, cut at 49 between 1 and 2
+        configs = [replace(base, seed=s, mode=m, particles=n)
+                   for s, m, n in [(3, "feynman-kac", 40), (4, "killed", 9), (3, "killed", 23)]]
     if case == "negative-I":
         _negative_fields(monkeypatch)
     options = dict(snapshot_stride=3, fields_stride=2)
-    whole, whole_shapes = _sliced(monkeypatch, 1 << 14, configs, **options)
-    sliced, shapes = _sliced(monkeypatch, 7, configs, **options)
-    rows, n = len(configs), base.particles
-    assert whole_shapes == [(rows, n)] * base.n_steps  # one slice: the whole ensemble
-    width = 7 // rows
-    assert shapes == ([(rows, width)] * (n // width) + [(rows, n % width)]) * base.n_steps
+    whole, whole_bounds = _sliced(monkeypatch, 1 << 14, configs, **options)
+    sliced, slice_bounds = _sliced(monkeypatch, 7, configs, **options)
+    bounds = np.cumsum([0] + [c.particles for c in configs])
+    total = int(bounds[-1])
+    assert whole_bounds == [bounds.tolist()] * base.n_steps  # one slice: the whole ensemble
+    assert slice_bounds == [np.clip(bounds - lo, 0, min(7, total - lo)).tolist()
+                            for lo in range(0, total, 7)] * base.n_steps
+    if case == "ragged":
+        assert 49 in bounds and 40 in bounds and 40 % 7
     for got, ref in zip(sliced, whole):
         _assert_same_run(got, ref)
     diagnostics = [out.diagnostics for out in whole]
     if "killed" in modes:
-        assert 0 < diagnostics[-1]["deaths"] < n
+        assert 0 < diagnostics[-1]["deaths"] < configs[-1].particles
     if case == "off-grid":
         assert all(d["out_of_domain"] > 0 for d in diagnostics)
     assert all((d["negative_I"] > 0) == (case == "negative-I") for d in diagnostics)
@@ -581,9 +614,9 @@ def test_one_slice_hands_its_coordinates_to_the_next_drift(monkeypatch, case):
     calls = []
     coords_at = AccumulatedFields.coords_at
 
-    def counted(fields, x):
+    def counted(fields, x, offsets=None):
         calls.append(1)
-        return coords_at(fields, x)
+        return coords_at(fields, x, offsets)
 
     monkeypatch.setattr(AccumulatedFields, "coords_at", counted)
     _, shapes = _sliced(monkeypatch, 1 << 14, configs)
