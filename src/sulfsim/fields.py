@@ -86,9 +86,10 @@ def accumulate_step(
     """Add one left-endpoint quadrature term of the cloud at the fields'
     bandwidth: A(x_g) += dt * u(x_g), G(x_g) += dt * u'(x_g).  ``fields``
     is updated in place; returns the cloud's density u at the nodes, so
-    that a caller recording it need not deposit again.  A stack's cloud
-    comes with the replicas' ``bounds`` and divisors, as for
-    :func:`~sulfsim.kernel.grid_density`.
+    that a caller recording it need not deposit again.  The cloud is any
+    that :func:`~sulfsim.kernel.grid_density` takes, a particle ensemble
+    included; a stack's cloud comes with the replicas' ``bounds`` and
+    divisors.
     """
     u, du = grid_density(cloud, fields.grid, fields.delta, n_total, bounds=bounds)
     fields.A += dt * u

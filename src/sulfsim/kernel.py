@@ -24,8 +24,10 @@ blocks laid back to back; each row's overlap-add reads its own blocks, so
 each row equals its 1-d deposit.
 
 The passes over the particles run over at most ``SLICE_COLUMNS`` = 2^14
-columns, so their temporaries stay in cache and only the cloud itself spans
-the ensemble.  Each pass adds its bincounts to the moments; a cell sums its
+columns, so their temporaries stay in cache.  Each pass takes the weights of
+its own columns from the cloud (:meth:`WeightedPointCloud.cloud`): a particle
+ensemble forms them there from its hazards, so only its state spans it.
+Each pass adds its bincounts to the moments; a cell sums its
 row's particles pass by pass in column order, and a pass cuts a row only
 where its solo deposit does, at multiples of ``SLICE_COLUMNS`` of the row's
 own columns, so the rows keep their 1-d bits; short rows share a pass.  The
@@ -98,6 +100,12 @@ class WeightedPointCloud:
 
     def __len__(self) -> int:
         return self.positions.size
+
+    def cloud(self, lo: int = 0, hi: int | None = None) -> WeightedPointCloud:
+        """Columns lo .. hi - 1 as a cloud of views.  The deposit asks this of
+        the cloud it is given, so a :class:`~sulfsim.particles.ParticleEnsemble`,
+        whose ``cloud`` forms the weights of those columns only, serves too."""
+        return WeightedPointCloud.unchecked(self.positions[lo:hi], self.weights[lo:hi])
 
 
 def kernel_value(x, delta: float):
@@ -180,13 +188,14 @@ def _block_matrix(h: float, delta: float, gradient: bool = True) -> tuple[np.nda
 
 
 @functools.lru_cache(maxsize=16)
-def _passes(bounds: tuple[int, ...],
-            columns: int) -> tuple[tuple[int, int, int, np.ndarray | None], ...]:
-    """The deposit's passes over a cloud of rows laid out by ``bounds``:
-    (lo, hi, first row, row lengths) of consecutive column ranges.  Each row
-    is cut into slices of ``columns`` of its own columns, as its solo
-    deposit is; a pass packs whole slices, in order, up to ``columns``
-    columns.  The row lengths of a pass are None when it holds one slice."""
+def column_passes(bounds: tuple[int, ...],
+                  columns: int) -> tuple[tuple[int, int, int, np.ndarray | None], ...]:
+    """The deposit's passes over a cloud of rows laid out by ``bounds``, which
+    the particle sweep's slices follow: (lo, hi, first row, row lengths) of
+    consecutive column ranges.  Each row is cut into slices of ``columns`` of
+    its own columns, as its solo deposit is; a pass packs whole slices, in
+    order, up to ``columns`` columns.  The row lengths of a pass are None
+    when it holds one slice."""
     slices = [(r, lo, min(lo + columns, bounds[r + 1]))
               for r in range(len(bounds) - 1) for lo in range(bounds[r], bounds[r + 1], columns)]
     passes: list[list[tuple[int, int, int]]] = []
@@ -233,8 +242,12 @@ def grid_density(
     (R, m) arrays, row r the deposit of row r alone: each row keeps its own
     first node, block phase and reach, its blocks follow the last row's in
     the product, and its overlap-add reads its own blocks only.
+
+    ``cloud`` is a :class:`WeightedPointCloud`, or anything else with its
+    ``positions`` and its :meth:`~WeightedPointCloud.cloud` of columns, such
+    as a particle ensemble; each pass reads the weights of its own columns.
     """
-    pos, w = cloud.positions, cloud.weights
+    pos = cloud.positions
     stacked = bounds is not None
     bounds = tuple(np.asarray(bounds).tolist()) if stacked else (0, pos.size)
     divisors = np.asarray(n_total).tolist() if stacked else [n_total]
@@ -308,7 +321,7 @@ def grid_density(
     # over the cells of its own rows only, to moments that start at +0.0,
     # which adding leaves every sum's bits as they are
     moments = np.zeros((total * _BLOCK, n_rows))
-    for lo, hi, r0, lengths in _passes(bounds, SLICE_COLUMNS):
+    for lo, hi, r0, lengths in column_passes(bounds, SLICE_COLUMNS):
         r1 = r0 + (1 if lengths is None else len(lengths))
         c0, c1 = block_at[r0] * _BLOCK, block_at[r1] * _BLOCK
         x = pos[lo:hi]
@@ -317,7 +330,7 @@ def grid_density(
         s /= delta
         reach = (cell >= -half) & (cell < m + half) if clipped else None
         cell -= shift[r0] + c0 if lengths is None else np.repeat(shift[r0:r1] + c0, lengths)
-        ws = w[lo:hi]
+        ws = cloud.cloud(lo, hi).weights
         if reach is not None:
             cell, s, ws = cell[reach], s[reach], ws[reach]
         term = -0.5 * s * s

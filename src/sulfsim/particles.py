@@ -10,14 +10,19 @@ path-dependent drift; they differ in how the reaction enters:
   sum and step with zero increments, so they freeze but still consume
   their noise draws: runs of the two modes stay pathwise coupled.
 
-Per-step order: build the mode's cloud from the state at the step start,
-accumulate it into the fields (a recorded step keeps that deposit for its
-snapshot), draw the step's noise for the whole ensemble, then sweep once
-over slices of at most ``SLICE_PARTICLES`` particles, so that a slice's
-temporaries stay in cache whatever N is.  One function steps a slice
-(:func:`_slice_step`): it reads (I, J) at X_k, takes the Euler-Maruyama
-step with the slice's columns of the noise, checks that the positions are
-finite, reads I at X_{k+1}, and updates the hazards.  Every read is
+Per-step order: accumulate the mode's cloud at the step start into the
+fields, each pass of the deposit forming the weights of its own columns
+(:meth:`ParticleEnsemble.cloud`); a recorded step keeps that deposit for its
+snapshot and sums each replica's weights over pieces of at most ``BLOCK``
+columns.  Then sweep once over slices of at most ``SLICE_PARTICLES``
+particles, cut where the deposit's passes cut
+(:func:`~sulfsim.kernel.column_passes`), so that a slice's temporaries stay
+in cache whatever N is.  Each slice draws its own noise
+(:func:`_slice_noise`): the blocks of its replicas' streams that it
+touches, each once.  Only the state (X, Lambda, Z) spans the ensemble.
+One function steps a slice (:func:`_slice_step`): it reads (I, J) at X_k,
+takes the Euler-Maruyama step with the slice's noise, checks that the
+positions are finite, reads I at X_{k+1}, and updates the hazards.  Every read is
 ``fields.args_at`` at the grid coordinates of ``fields.coords_at``, clamped
 at I >= 0, and feeds the unchecked :func:`~sulfsim.dynamics.drift_b` and
 :func:`~sulfsim.dynamics.reaction_rate`.  When one slice
@@ -33,12 +38,13 @@ position ends the run once the sweep is over, naming every such particle.
 in seed, mode and ensemble size as one ensemble of 1-d arrays, replica r in
 columns ``bounds[r]`` .. ``bounds[r+1] - 1``: one pass of array operations
 per step for all of them, replicas kept apart by the deposit and the field
-reads, one draw per seed, and each replica's outputs bit for bit its solo
-run's.  :func:`run_simulation` is one run of it.
+reads, one draw of each block per seed and slice, and each replica's outputs
+bit for bit its solo run's.  :func:`run_simulation` is one run of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,12 +56,12 @@ from .dynamics import drift_b, reaction_rate
 from .fields import AccumulatedFields, accumulate_step, count_by_row
 from .initial import transform_uniforms
 from .io import archive_writer
-from .kernel import WeightedPointCloud, grid_density
-from .streams import ParticleStreams, draw_thresholds
+from .kernel import WeightedPointCloud, column_passes, grid_density
+from .streams import BLOCK, ParticleStreams, draw_thresholds
 
 # particles per slice of a step's sweep and of the initial transform: the
 # slice's dozen float64 temporaries (2^14 * 8 B = 128 KiB each) stay within
-# a 2 MiB L2 cache
+# a 2 MiB L2 cache; at BLOCK, a slice never draws a block's head again
 SLICE_PARTICLES = 1 << 14
 
 
@@ -77,7 +83,8 @@ class ParticleEnsemble:
     ``bounds[r]`` .. ``bounds[r+1] - 1``, and ``killed[r]`` flags its mode.
     One run is R = 1.  ``thresholds`` is None exactly when none is killed;
     else a feynman-kac replica has thresholds +inf, so it stays alive.  The
-    weights and the alive mask are read off the hazards."""
+    weights and the alive mask are read off the hazards.  The ensemble is
+    a cloud for the deposit, which forms each pass's weights (:meth:`cloud`)."""
 
     positions: np.ndarray
     hazards: np.ndarray
@@ -119,6 +126,9 @@ class ParticleEnsemble:
                                 None if self.thresholds is None else self.thresholds[lo:hi],
                                 self.killed, np.clip(self.bounds - lo, 0, hi - lo))
 
+    def __len__(self) -> int:
+        return self.positions.size
+
     @property
     def weights(self) -> np.ndarray:
         """The discount weights exp(-Lambda), a new array."""
@@ -130,30 +140,36 @@ class ParticleEnsemble:
         """Lambda < Z, a new array; Z is +inf without thresholds, as in a feynman-kac row."""
         return self.hazards < (np.inf if self.thresholds is None else self.thresholds)
 
-    def cloud(self) -> WeightedPointCloud:
-        """The density cloud of each replica's mode at the current state.
+    def cloud(self, lo: int = 0, hi: int | None = None) -> WeightedPointCloud:
+        """The density cloud of each replica's mode at the current state, of
+        the columns lo .. hi - 1 (all by default): views of their positions,
+        and their weights, a new array.
 
         Feynman-Kac: every particle with its discount weight.  Killed:
         surviving particles with weight 1; the dead carry weight 0, which
         is the cemetery convention (they drop out of every sum) while the
         divisor stays the full ensemble size.  Each run of replicas of one
-        mode computes its own weights only.  The arrays are not checked
+        mode computes its own weights only, element by element, so a weight
+        does not depend on the columns asked for.  The arrays are not checked
         again: the initial positions are finite draws, :func:`_slice_step`
         checks every step's, and the weights are exp(-hazard) or 0 and 1.
         """
-        weights = np.empty(self.hazards.shape)
+        hi = self.positions.size if hi is None else hi
+        weights = np.empty(hi - lo)
         killed, bounds = self.killed.tolist(), self.bounds.tolist()
-        first = 0
-        for r in range(1, len(killed) + 1):
-            if r < len(killed) and killed[r] == killed[first]:
-                continue
-            cols = slice(bounds[first], bounds[r])
-            if killed[first]:
-                np.less(self.hazards[cols], self.thresholds[cols], out=weights[cols])
+        r, at = bisect_right(bounds, lo) - 1, lo  # the replica of column lo
+        while at < hi:
+            end = r + 1  # replicas r .. end - 1 are of one mode
+            while end < len(killed) and killed[end] == killed[r]:
+                end += 1
+            top = min(bounds[end], hi)
+            cols, out = slice(at, top), weights[at - lo : top - lo]
+            if killed[r]:
+                np.less(self.hazards[cols], self.thresholds[cols], out=out)
             else:
-                np.exp(np.negative(self.hazards[cols], out=weights[cols]), out=weights[cols])
-            first = r
-        return WeightedPointCloud.unchecked(self.positions, weights)
+                np.exp(np.negative(self.hazards[cols], out=out), out=out)
+            r, at = end, top
+        return WeightedPointCloud.unchecked(self.positions[lo:hi], weights)
 
 
 def init_ensemble(config: SimConfig, streams: ParticleStreams | None = None) -> ParticleEnsemble:
@@ -237,6 +253,40 @@ def _slice_step(part: ParticleEnsemble, fields, noise: np.ndarray, dt: float, pa
     return coords
 
 
+def _noise_plan(streams: list[ParticleStreams], bounds: list[int], lo: int, hi: int):
+    """How a slice of the stack columns lo .. hi - 1 draws its noise: the
+    draws (stream, block, end), each (stream, block) pair once, up to the last
+    value the slice needs, and the slice's pieces in column order, (draw,
+    first value, end).  A slice that starts inside a block draws its head.
+
+    Replica r draws from ``streams[r]``: its particle i, in column
+    ``bounds[r] + i``, takes value i mod BLOCK of block i // BLOCK
+    (:meth:`~sulfsim.streams.ParticleStreams.normals`), whatever the slice.
+    """
+    ends: dict[tuple[ParticleStreams, int], int] = {}  # in the order of the draws
+    pieces = []
+    r = bisect_right(bounds, lo) - 1  # the replica of column lo
+    while r < len(streams) and bounds[r] < hi:
+        a, b = max(lo, bounds[r]) - bounds[r], min(hi, bounds[r + 1]) - bounds[r]
+        for block in range(a // BLOCK, (b - 1) // BLOCK + 1):
+            base, key = block * BLOCK, (streams[r], block)
+            first, end = max(a - base, 0), min(b - base, BLOCK)
+            ends[key] = max(ends.get(key, 0), end)
+            pieces.append((list(ends).index(key), first, end))
+        r += 1
+    return [(s, block, end) for (s, block), end in ends.items()], pieces
+
+
+def _slice_noise(plan, step: int) -> np.ndarray:
+    """Step ``step``'s standard normals of a slice, by its :func:`_noise_plan`.
+    A slice whose noise is one block's head gets that draw itself, not a copy."""
+    draws, pieces = plan
+    drawn = [s.normals(step, block, end) for s, block, end in draws]
+    if len(pieces) == 1 and pieces[0][1] == 0:
+        return drawn[0]
+    return np.concatenate([drawn[d][first:end] for d, first, end in pieces])
+
+
 @dataclass
 class SimulationOutput:
     """Recorded time series of one run."""
@@ -264,11 +314,12 @@ def run_simulations(
 
     The configs may differ only in ``particles``, ``seed`` and ``mode``: they
     step as one stack of replicas laid end to end, and each replica's outputs
-    are bit for bit those of its run alone.  Each seed draws once per step,
-    and once for the initial state, sized to its largest replica, which
-    replica r reads the first N_r values of: streams are prefix-stable in N,
-    so these are its solo run's draws.  A non-finite position in any replica
-    aborts the stack.
+    are bit for bit those of its run alone.  Each seed draws its initial
+    state once, sized to its largest replica, which replica r reads the
+    first N_r values of: streams are prefix-stable in N, so these are its
+    solo run's draws.  Each slice of a step draws the noise blocks of its
+    replicas' seeds that it touches (:func:`_slice_noise`).  A non-finite
+    position in any replica aborts the stack.
 
     The dynamics read the time integrals from grid fields
     (:class:`AccumulatedFields`); the tests hold their interpolation-free
@@ -319,60 +370,63 @@ def run_simulations(
                           f"({err})") from err
     del drawn
     bounds = ens.bounds
+    columns = bounds.tolist()
+    row_streams = [streams[c.seed] for c in configs]
 
     acc = AccumulatedFields(grid, delta, *np.zeros((2, len(configs), grid.n_nodes)),
                             out_of_domain=np.zeros(len(configs), dtype=np.int64))
     # replica r reads row r of the stacked fields, at j + r*m of their flat values
-    offsets = np.repeat(np.arange(len(configs)) * grid.n_nodes, sizes) if len(configs) > 1 else None
+    row_offsets = np.arange(len(configs)) * grid.n_nodes if len(configs) > 1 else None
 
     negative_I = np.zeros(len(configs), dtype=np.int64)
     times, steps_rec = [], []
     densities, mass, weight_or_alive, escaped = ([[] for _ in configs] for _ in range(4))
     field_snaps: list[tuple[int, np.ndarray, np.ndarray]] = []
 
-    def record(k: int, cloud: WeightedPointCloud, u: np.ndarray | None = None) -> None:
+    def record(k: int, u: np.ndarray | None = None) -> None:
         if u is None:  # the step did not deposit this cloud
-            u, _ = grid_density(cloud, grid, delta, sizes, bounds=bounds)
+            u, _ = grid_density(ens, grid, delta, sizes, bounds=bounds)
         times.append(k * dt)
         steps_rec.append(k)
-        outside = (cloud.positions < grid.lower) | (cloud.positions > grid.upper)
-        for r, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            weights = cloud.weights[lo:hi]
+        for r, (lo, hi) in enumerate(zip(columns[:-1], columns[1:])):
+            weight = escaped_weight = 0.0  # summed over pieces of the replica's blocks
+            for at in range(lo, hi, BLOCK):
+                piece = ens.cloud(at, min(at + BLOCK, hi))
+                x, weights = piece.positions, piece.weights
+                weight += float(weights.sum())
+                escaped_weight += float(weights[(x < grid.lower) | (x > grid.upper)].sum())
             densities[r].append(u[r])
             mass[r].append(float(np.trapezoid(u[r], dx=grid.spacing)))
-            weight_or_alive[r].append(float(weights.mean()))
-            escaped[r].append(float(weights[outside[lo:hi]].sum() / (hi - lo)))
+            weight_or_alive[r].append(weight / (hi - lo))
+            escaped[r].append(escaped_weight / (hi - lo))
 
-    one_slice = total <= SLICE_PARTICLES
+    # each slice's columns, how it draws its noise, and in a stack its replicas'
+    # column counts
+    slices = [(lo, hi, _noise_plan(row_streams, columns, lo, hi),
+               None if row_offsets is None else np.diff(np.clip(bounds, lo, hi)))
+              for lo, hi, _, _ in column_passes(tuple(columns), SLICE_PARTICLES)]
+    one_slice = len(slices) == 1
     coords = None  # of X_k, handed on from the last step when one slice holds all
     # a row per step and one for the final cloud
     writer = (nullcontext() if archive_path is None else
               archive_writer(archive_path, total, n_steps + 1, dt))
     with writer as write_row:
         for k in range(n_steps):
-            cloud = ens.cloud()
             recording = k % stride == 0
             if recording and fields_stride and k % fields_stride == 0:
                 field_snaps.append((k, acc.A.copy(), acc.G.copy()))  # before step k's term
             if write_row is not None:
                 write_row(ens.positions)
-            u = accumulate_step(acc, cloud, sizes, dt, bounds)
+            u = accumulate_step(acc, ens, sizes, dt, bounds)
             if recording:
-                record(k, cloud, u)
-            del cloud  # its weight array is not read by the step
-            draws = {seed: s.normals() for seed, s in streams.items()}  # one draw per seed
-            noise = (np.concatenate([draws[c.seed][: c.particles] for c in configs])
-                     if len(configs) > 1 else draws[config.seed])
-            del draws
+                record(k, u)
             bad = False  # the sweep goes past a non-finite slice: the error names every particle
-            for lo in range(0, total, SLICE_PARTICLES):
-                hi = min(lo + SLICE_PARTICLES, total)
-                coords = _slice_step(ens if one_slice else ens.columns(lo, hi), acc,
-                                     noise[lo:hi], dt, params, negative_I,
-                                     coords if one_slice else None,
-                                     None if offsets is None else offsets[lo:hi])
+            for lo, hi, plan, counts in slices:  # what a slice allocates goes with its step
+                coords = _slice_step(
+                    ens if one_slice else ens.columns(lo, hi), acc, _slice_noise(plan, k), dt,
+                    params, negative_I, coords if one_slice else None,
+                    None if row_offsets is None else np.repeat(row_offsets, counts))
                 bad |= coords is None
-            del noise
             if bad:  # each particle by its index in its own replica
                 bad = np.flatnonzero(~np.isfinite(ens.positions))
                 replica = np.searchsorted(bounds, bad, "right") - 1
@@ -382,7 +436,7 @@ def run_simulations(
             write_row(ens.positions)
     if fields_stride:
         field_snaps.append((n_steps, acc.A.copy(), acc.G.copy()))
-    record(n_steps, ens.cloud())
+    record(n_steps)
 
     outputs = []
     for r, c in enumerate(configs):

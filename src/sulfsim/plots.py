@@ -99,10 +99,13 @@ fig.savefig("convergence.png", dpi=150)
 
 
 def emit_plot_scripts(run_dir: str | Path) -> list[Path]:
-    """Write the plot scripts matching the CSVs present in ``run_dir``.
+    """Write the plot scripts matching the CSVs present in ``run_dir``: the
+    snapshots and ``run.csv`` of a ``simulate`` or ``pde`` directory, and the
+    ``convergence.csv`` of a ``convergence`` one.
 
-    Returns the script paths.  Raises FileNotFoundError when the
-    directory holds none of the expected CSV inputs.
+    Returns the script paths.  Raises FileNotFoundError, naming every
+    expected input, when the directory holds none of them (a ``fixedpoint``
+    or ``compare`` directory, say).
     """
     run_dir = Path(run_dir)
     written: list[Path] = []
@@ -135,10 +138,13 @@ def emit_plot_scripts(run_dir: str | Path) -> list[Path]:
         path = run_dir / "plot_convergence.py"
         path.write_text(_CONVERGENCE_SCRIPT)
         written.append(path)
+    else:
+        missing.append("convergence.csv")
 
     if not written:
         raise FileNotFoundError(
-            "no plottable CSVs found; missing: " + ", ".join(missing)
+            "no plottable CSVs found (simulate, pde and convergence directories have "
+            "them); missing: " + ", ".join(missing)
         )
     return written
 

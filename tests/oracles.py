@@ -16,6 +16,8 @@
   after every step.
 - :func:`run_with_clouds`: a run plus its cloud at every step and at the
   end, in either mode.
+- :func:`step_normals`: a step's normals of a whole ensemble, assembled
+  block by block from the block draws.
 - :func:`run_with_coupled_readout`: a feynman-kac run plus the killed
   interpretation read off its paths.
 - :func:`inner_integral` / :func:`whole_lattice_map`: the discounted-kernel
@@ -49,7 +51,7 @@ from sulfsim.kernel import (
     kernel_grad,
     kernel_value,
 )
-from sulfsim.streams import draw_thresholds
+from sulfsim.streams import BLOCK, ParticleStreams, draw_thresholds
 
 _QUERY_CHUNK = 256
 
@@ -180,7 +182,8 @@ def run_with_clouds(monkeypatch, run, *args, **kwargs):
     accumulate = sulfsim.particles.accumulate_step
 
     def recorded(fields, cloud, *a, **k):
-        clouds.append(WeightedPointCloud(cloud.positions.copy(), cloud.weights.copy()))
+        whole = cloud.cloud()  # the ensemble's weights, which the deposit forms pass by pass
+        clouds.append(WeightedPointCloud(whole.positions.copy(), whole.weights))
         return accumulate(fields, cloud, *a, **k)
 
     with monkeypatch.context() as m:
@@ -188,6 +191,13 @@ def run_with_clouds(monkeypatch, run, *args, **kwargs):
         sim = run(*args, **kwargs)
     clouds.append(sim.ensemble.cloud())
     return sim, clouds
+
+
+def step_normals(streams: ParticleStreams, step: int, n: int) -> np.ndarray:
+    """Step ``step``'s standard normals of particles 0..n-1 in one array:
+    particle i takes value i mod BLOCK of block i // BLOCK."""
+    return np.concatenate([streams.normals(step, b, min(BLOCK, n - b * BLOCK))
+                           for b in range(-(-n // BLOCK))])
 
 
 def run_with_coupled_readout(monkeypatch, config, **options):

@@ -923,6 +923,27 @@ def test_emit_plots_empty_dir_exits_4(runner, tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("command", ["fixedpoint", "compare"])
+def test_emit_plots_on_a_directory_without_plottable_csvs_exits_4(runner, cfg_file, tmp_path,
+                                                                  command):
+    out = tmp_path / command
+    if command == "fixedpoint":
+        sim = tmp_path / "sim"
+        res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--seed", "4",
+                                   "--archive", "--out", str(sim)])
+        assert res.exit_code == 0, res.output
+        args = ["fixedpoint", "--archive", str(sim / "archive.bin")]
+    else:
+        args = ["compare", "--seed", "4"]
+    res = runner.invoke(main, [*args, "--config", str(cfg_file), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["emit-plots", "--run", str(out), "--no-render"])
+    assert res.exit_code == 4, res.output
+    assert "simulate, pde and convergence directories" in res.output
+    assert "missing: snapshots/*.csv, run.csv, convergence.csv" in res.output
+    assert not list(out.glob("plot_*.py"))
+
+
 @pytest.mark.parametrize("manifest", ["{not json", '{"config": {"physical": 3}}', "[1, 2]",
                                       '{"config": {"physical": {"lambda": "fast"}}}'],
                          ids=["not-json", "physical-not-a-mapping", "not-an-object",

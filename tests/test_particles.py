@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -22,8 +24,8 @@ import sulfsim.particles
 from sulfsim.fields import AccumulatedFields, accumulate_step
 from sulfsim.io import read_archive
 from sulfsim.kernel import WeightedPointCloud
-from sulfsim.particles import NonFiniteStateError, _slice_step
-from sulfsim.streams import ParticleStreams
+from sulfsim.particles import SLICE_PARTICLES, NonFiniteStateError, _slice_step
+from sulfsim.streams import BLOCK, ParticleStreams
 
 from oracles import (
     accumulate_from_archive,
@@ -32,6 +34,7 @@ from oracles import (
     run_with_clouds,
     run_with_coupled_readout,
     run_with_hazard_digests,
+    step_normals,
 )
 
 
@@ -73,7 +76,8 @@ def test_em_step_pure_diffusion_variance():
     ens = init_ensemble(cfg, streams)
     before = ens.positions.copy()
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth)
-    _slice_step(ens, fields, streams.normals(), dt, cfg.physical, np.zeros((), np.int64))
+    _slice_step(ens, fields, step_normals(streams, 0, n), dt, cfg.physical,
+                np.zeros((), np.int64))
     inc = ens.positions - before
     se = 2 * dt * np.sqrt(2.0 / n)
     assert abs(inc.var() - 2 * dt) <= 3 * se
@@ -85,12 +89,9 @@ def test_em_step_zero_fields_is_pure_noise(small_config):
     ens = init_ensemble(small_config, streams)
     start = ens.positions.copy()
     fields = AccumulatedFields(grid=small_config.grid, delta=0.3)
-    streams_copy = ParticleStreams(small_config.seed, small_config.particles)
-    _ = streams_copy.initial_uniforms()
-    noise = streams_copy.normals()
+    noise = streams.normals(0, 0, small_config.particles)
     dt = small_config.step
-    _slice_step(ens, fields, streams.normals(), dt, small_config.physical,
-                np.zeros((), np.int64))
+    _slice_step(ens, fields, noise.copy(), dt, small_config.physical, np.zeros((), np.int64))
     expected = start + np.sqrt(2 * small_config.step) * noise
     assert np.array_equal(ens.positions, expected)
 
@@ -120,7 +121,8 @@ def test_step_counts_alive_reads_only_and_leaves_the_dead(small_config):
     negative_A = np.full(cfg.grid.n_nodes, -1.0)  # every read of I is clamped
     fields = AccumulatedFields(grid=cfg.grid, delta=cfg.kernel.bandwidth, A=negative_A)
     negative_I = np.zeros((), np.int64)
-    _slice_step(ens, fields, streams.normals(), cfg.step, cfg.physical, negative_I)
+    _slice_step(ens, fields, streams.normals(0, 0, cfg.particles), cfg.step, cfg.physical,
+                negative_I)
     # two reads (X_k, then X_{k+1}) of 100 alive particles, 25 of them off the grid
     assert (negative_I, fields.out_of_domain) == (200, 50)
     for name, before in frozen.items():
@@ -151,7 +153,7 @@ def _reference_steps(cfg):
     for k in range(cfg.n_steps):
         weights = ens.alive.astype(float) if cfg.mode == "killed" else ens.weights
         accumulate_step(acc, WeightedPointCloud(ens.positions, weights), n, dt)
-        noise = streams.normals()
+        noise = step_normals(streams, k, n)
         alive = ens.alive.copy()
         I, J = clamped_I_J(ens.positions[alive])
         b = drift_b(I, J, params)
@@ -317,11 +319,11 @@ def test_exact_history_mode_matches_grid_mode_loosely(small_config):
     clouds = []
     view = _ExactHistoryView(clouds, cfg.step, cfg.kernel.bandwidth, cfg.particles)
     coords, negative_I = None, np.zeros((), np.int64)
-    for _ in range(cfg.n_steps):
+    for k in range(cfg.n_steps):
         cloud = ens.cloud()  # its positions are a view of the state, which the step moves
         clouds.append(WeightedPointCloud(cloud.positions.copy(), cloud.weights.copy()))
-        coords = _slice_step(ens, view, streams.normals(), cfg.step, cfg.physical,
-                             negative_I, coords)
+        coords = _slice_step(ens, view, step_normals(streams, k, cfg.particles), cfg.step,
+                             cfg.physical, negative_I, coords)
     gap = np.max(np.abs(grid_run.ensemble.positions - ens.positions))
     assert gap < 1e-4  # O(h^2) interpolation error accumulated over 50 steps
 
@@ -548,50 +550,79 @@ _WIDE = SimConfig(particles=40, horizon=0.02, step=1e-3, seed=5, grid=Grid1D(-10
                   physical=PhysicalParams(lam=40.0))  # about half the killed particles die
 
 
+def _slices(bounds, width):
+    """The replica bounds within each slice of a sweep at ``width``: each
+    replica cut at multiples of ``width`` of its own columns, the pieces
+    packed in order into slices of at most ``width`` columns."""
+    slices = []
+    for lo, hi in ((lo, min(lo + width, b1)) for b0, b1 in zip(bounds[:-1], bounds[1:])
+                   for lo in range(b0, b1, width)):
+        if slices and hi - slices[-1][0] <= width:
+            slices[-1][1] = hi
+        else:
+            slices.append([lo, hi])
+    return [np.clip(bounds - lo, 0, hi - lo).tolist() for lo, hi in slices]
+
+
 @pytest.mark.parametrize("case", ["fk", "killed", "stacked-pair", "off-grid", "negative-I",
-                                  "ragged"])
+                                  "ragged", "beyond-a-block"])
 def test_sliced_sweep_equals_one_slice_bit_for_bit(monkeypatch, case):
+    # slices of 7 start inside their noise blocks and draw each block's head again
     base = replace(_NARROW, particles=41) if case == "off-grid" else _WIDE
     modes = {"fk": ["feynman-kac"], "killed": ["killed"]}.get(case, ["feynman-kac", "killed"])
     configs = [replace(base, seed=3, mode=m) for m in modes]
-    if case == "ragged":  # slices of 7 cut replica 0 at 35, span 0 and 1, cut at 49 between 1 and 2
+    width = 7
+    if case == "ragged":  # a slice holds the last 5 columns of replica 0 and all of replica 1
         configs = [replace(base, seed=s, mode=m, particles=n)
-                   for s, m, n in [(3, "feynman-kac", 40), (4, "killed", 9), (3, "killed", 23)]]
+                   for s, m, n in [(3, "feynman-kac", 40), (4, "killed", 2), (3, "killed", 23)]]
+    if case == "beyond-a-block":
+        # replica 1 draws block 1 for its particles from BLOCK on, in its own
+        # columns, not the stack's; slices of 5000 cut it inside block 0 and hold
+        # the end of block 0, the head of block 1 and replica 2's head of block 0
+        configs = [replace(base, seed=s, mode=m, particles=n, horizon=0.005)
+                   for s, m, n in [(3, "feynman-kac", 300), (3, "killed", BLOCK + 9),
+                                   (4, "feynman-kac", 50)]]
+        width = 5000
     if case == "negative-I":
         _negative_fields(monkeypatch)
     options = dict(snapshot_stride=3, fields_stride=2)
     whole, whole_bounds = _sliced(monkeypatch, 1 << 14, configs, **options)
-    sliced, slice_bounds = _sliced(monkeypatch, 7, configs, **options)
+    sliced, slice_bounds = _sliced(monkeypatch, width, configs, **options)
     bounds = np.cumsum([0] + [c.particles for c in configs])
-    total = int(bounds[-1])
-    assert whole_bounds == [bounds.tolist()] * base.n_steps  # one slice: the whole ensemble
-    assert slice_bounds == [np.clip(bounds - lo, 0, min(7, total - lo)).tolist()
-                            for lo in range(0, total, 7)] * base.n_steps
+    n_steps = configs[0].n_steps
+    assert whole_bounds == _slices(bounds, 1 << 14) * n_steps
+    assert slice_bounds == _slices(bounds, width) * n_steps
     if case == "ragged":
-        assert 49 in bounds and 40 in bounds and 40 % 7
+        assert [0, 5, 7, 7] in slice_bounds
+    if case == "beyond-a-block":
+        assert [0, 0, 1393, 1443] in slice_bounds
+        for cfg, got in zip(configs, sliced):
+            _assert_same_run(got, run_simulation(cfg, **options))
+    else:
+        assert whole_bounds == [bounds.tolist()] * n_steps  # one slice: the whole ensemble
     for got, ref in zip(sliced, whole):
         _assert_same_run(got, ref)
     diagnostics = [out.diagnostics for out in whole]
-    if "killed" in modes:
-        assert 0 < diagnostics[-1]["deaths"] < configs[-1].particles
+    if "killed" in modes:  # the last killed replica loses some particles, not all
+        cfg, killed = [(c, d) for c, d in zip(configs, diagnostics) if c.mode == "killed"][-1]
+        assert 0 < killed["deaths"] < cfg.particles
     if case == "off-grid":
         assert all(d["out_of_domain"] > 0 for d in diagnostics)
     assert all((d["negative_I"] > 0) == (case == "negative-I") for d in diagnostics)
 
 
 def test_sliced_sweep_names_every_non_finite_particle_of_the_step(monkeypatch):
-    # rows 0 and 1 draw from seeds 1 and 2; step 2 poisons column 30 of row 0,
-    # in the eleventh slice, and column 2 of row 1, in the first
+    # rows 0 and 1 draw from seeds 1 and 2; step 2's block draws poison column
+    # 30 of row 0, in its fifth slice of 7, and column 2 of row 1, in its first
     configs = [replace(_WIDE, seed=1), replace(_WIDE, seed=2, mode="killed")]
     normals = ParticleStreams.normals
 
     def abort(slice_particles):
-        poison = [30, 2]
-
-        def poisoned(self):
-            z = normals(self)
-            if self._step == 3:
-                z[poison.pop(0)] = np.inf
+        def poisoned(self, step, block, n):
+            z = normals(self, step, block, n)
+            column = {1: 30, 2: 2}[self.seed]
+            if step == 2 and block == 0 and column < n:
+                z[column] = np.inf
             return z
 
         with monkeypatch.context() as m:
@@ -625,3 +656,24 @@ def test_one_slice_hands_its_coordinates_to_the_next_drift(monkeypatch, case):
     _, shapes = _sliced(monkeypatch, 7, configs)
     slices = len(shapes) // _WIDE.n_steps
     assert slices > 1 and len(calls) == 2 * slices * _WIDE.n_steps
+
+
+@pytest.mark.parametrize("mode", ["feynman-kac", "killed"])
+def test_run_holds_no_ensemble_array_beyond_its_state(mode):
+    n = 1 << 18
+    cfg = SimConfig(particles=n, horizon=0.003, step=1e-3, seed=3, mode=mode,
+                    grid=Grid1D(-10.0, 10.0, 0.05))
+    run_simulation(replace(cfg, particles=100))  # fills the stencil cache
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # X and Lambda, and Z when killed, are the only arrays of N values: each
+    # slice draws its own noise and each deposit pass forms its own weights,
+    # so the rest is a slice's temporaries (1.44 MiB at any N).  Sixteen float64
+    # arrays of a slice (2 MiB) is below the 4 MiB of a whole-ensemble noise
+    # draw and weight array at this N.
+    state = (3 if mode == "killed" else 2) * n * 8
+    assert peak - state < 16 * SLICE_PARTICLES * 8
